@@ -3,33 +3,25 @@ wireless-powered relay networks.
 
 A relay harvests energy from the first-hop transmissions of M source nodes
 (power-splitting receiver) and spends the harvested budget forwarding to
-the M destinations.  The package provides the channel/harvest model, five
-allocation strategies (individual, equal, water-filling, max-min, auction),
-closed-form and asymptotic outage expressions, a reproducible Monte Carlo
-engine, and a sweep CLI.
+the M destinations.  The package provides channel sampling and the
+batched harvest (``model``), one batched kernel per allocation strategy
+behind ``strategies.allocate`` (individual, equal, water-filling, max-min;
+the per-trial auction kernel lives in ``auction``), closed-form and
+asymptotic outage expressions, a reproducible Monte Carlo engine, and a
+sweep CLI.
 """
 
 from .model import (
-    ChannelDraw,
     DerivedParams,
-    HarvestState,
     SystemConfig,
     derive_params,
     harvest,
     power_from_snr_db,
     power_split_theta,
     sample_block,
-    sample_channels,
 )
-from .strategies import (
-    PowerAllocation,
-    STRATEGY_NAMES,
-    allocate,
-    allocate_equal,
-    allocate_individual,
-    allocate_maxmin,
-    allocate_waterfill,
-)
+from .strategies import STRATEGY_NAMES, allocate
+from .auction import allocate_auction
 from .analytic import (
     OrderStatDiagnostics,
     OutageSummary,
@@ -43,13 +35,6 @@ from .analytic import (
     prob_decoding_count,
     wf_worst_bounds,
 )
-from .engine import (
-    OutageReport,
-    TrialResult,
-    evaluate_draw,
-    run_experiment,
-    run_trial,
-    worst_case_equivalence_check,
-)
+from .engine import OutageReport, run_experiment, worst_case_equivalence_check
 
 __version__ = "0.1.0"

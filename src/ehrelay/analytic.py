@@ -35,6 +35,7 @@ from .model import SystemConfig, derive_params
 from .specfun import gamma_exp_integral
 
 __all__ = [
+    "ANALYTIC_METHODS",
     "OutageSummary",
     "WorstCaseBounds",
     "OrderStatDiagnostics",
@@ -47,6 +48,21 @@ __all__ = [
     "asymptotic_outage",
     "order_stat_diagnostics",
 ]
+
+
+# (strategy, metric) -> analytic methods that exist for it: "exact" closed
+# forms, "asymptotic" high-SNR approximations and the "bounds" sandwich.
+# Monte Carlo covers every combination and is not listed.
+ANALYTIC_METHODS = {
+    ("individual", "average"): ("exact", "asymptotic"),
+    ("individual", "best"): ("exact", "asymptotic"),
+    ("individual", "worst"): ("exact", "asymptotic"),
+    ("equal", "average"): ("exact", "asymptotic"),
+    ("equal", "best"): ("exact", "asymptotic"),
+    ("equal", "worst"): ("exact", "asymptotic"),
+    ("waterfill", "best"): ("exact",),
+    ("waterfill", "worst"): ("asymptotic", "bounds"),
+}
 
 
 @dataclass(frozen=True)
@@ -283,15 +299,6 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     )
 
 
-_ASYMPTOTIC_SUPPORTED = {
-    ("individual", "average"),
-    ("individual", "best"),
-    ("individual", "worst"),
-    ("equal", "average"),
-    ("equal", "best"),
-    ("equal", "worst"),
-    ("waterfill", "worst"),
-}
 
 
 def asymptotic_outage(
@@ -305,7 +312,7 @@ def asymptotic_outage(
     :func:`wf_worst_bounds`.  Individual allocation decays like
     log(SNR)/SNR; the pooled strategies decay like 1/SNR.
     """
-    if (strategy, metric) not in _ASYMPTOTIC_SUPPORTED:
+    if "asymptotic" not in ANALYTIC_METHODS.get((strategy, metric), ()):
         raise ValueError(f"no asymptotic form for ({strategy!r}, {metric!r})")
     _require_unit_variances(config, "asymptotic_outage")
     eps, eta = _eps_eta(config)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelDraw, DerivedParams, HarvestState, SystemConfig
-from .strategies import PowerAllocation
+from .model import DerivedParams
 
 __all__ = [
     "B_MAX",
@@ -373,9 +372,9 @@ def winner_maximizing_price(
 
 
 def allocate_auction(
-    draw: ChannelDraw,
-    state: HarvestState,
-    config: SystemConfig,
+    g2: np.ndarray,
+    decoded: np.ndarray,
+    budget: np.ndarray,
     params: DerivedParams,
     *,
     xi_fraction: float = 0.01,
@@ -383,42 +382,46 @@ def allocate_auction(
     price_policy: str = "max-winners",
     tolerance: float = 1e-10,
     max_iterations: int = 500,
-) -> PowerAllocation:
-    """Auction allocation for one draw: price the budget, run the bidding.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Auction allocation for a block of draws, one auction per trial.
 
-    The relay reserves ``xi = xi_fraction * P_r`` and prices the budget by
-    policy: "max-winners" scans for the price serving the most pairs,
-    "certified" takes the cheapest contraction-certified price (scaled by
+    ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
+    (trials,).  In each trial the decoded pairs bid for the budget P_r:
+    the relay reserves ``xi = xi_fraction * P_r`` and prices the budget by
+    policy, "max-winners" scanning for the price serving the most pairs,
+    "certified" taking the cheapest contraction-certified price (scaled by
     ``1 + price_margin``).  Pairs priced out of the market get nothing;
-    the unsold remainder stays at the relay.
+    the unsold remainder stays at the relay.  Returns the served mask and
+    the leftover budget per trial.
     """
-    powers = np.zeros(config.pairs)
-    if state.n_decoded == 0:
-        return PowerAllocation(powers=powers, leftover=0.0)
-    idx = state.decoded_indices
-    g2 = draw.g2[idx]
-    pr = state.total_power
-    if price_policy == "max-winners":
-        price = winner_maximizing_price(g2, pr, params.snr_threshold)
-    elif price_policy == "certified":
-        price = select_price(g2, pr, margin=price_margin)
-    else:
+    if price_policy not in ("max-winners", "certified"):
         raise ValueError(f"unknown price_policy {price_policy!r}")
-    auction = run_auction(
-        g2,
-        pr,
-        AuctionConfig(
-            price=price,
-            reserve=xi_fraction * pr,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-        ),
-    )
-    if not auction.converged:
-        raise RuntimeError(
-            f"auction did not converge in {max_iterations} iterations "
-            f"(residual {auction.residual:.3e}); the price certificate "
-            "should make this impossible"
+    served = np.zeros_like(decoded)
+    leftover = np.zeros(budget.shape[0])
+    for t in np.flatnonzero(decoded.any(axis=1)):
+        idx = np.flatnonzero(decoded[t])
+        gains = g2[t, idx]
+        pr = float(budget[t])
+        if price_policy == "max-winners":
+            price = winner_maximizing_price(gains, pr, params.snr_threshold)
+        else:
+            price = select_price(gains, pr, margin=price_margin)
+        auction = run_auction(
+            gains,
+            pr,
+            AuctionConfig(
+                price=price,
+                reserve=xi_fraction * pr,
+                tolerance=tolerance,
+                max_iterations=max_iterations,
+            ),
         )
-    powers[idx] = auction.allocation
-    return PowerAllocation(powers=powers, leftover=pr - float(auction.allocation.sum()))
+        if not auction.converged:
+            raise RuntimeError(
+                f"auction did not converge in {max_iterations} iterations "
+                f"(residual {auction.residual:.3e}); the price certificate "
+                "should make this impossible"
+            )
+        served[t, idx] = auction.allocation >= params.snr_threshold / gains
+        leftover[t] = pr - float(auction.allocation.sum())
+    return served, leftover

@@ -26,9 +26,17 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analytic import asymptotic_outage, outage_equal, outage_individual, outage_wf_best, wf_worst_bounds
+from .analytic import (
+    ANALYTIC_METHODS,
+    asymptotic_outage,
+    outage_equal,
+    outage_individual,
+    outage_wf_best,
+    wf_worst_bounds,
+)
 from .engine import run_experiment
 from .model import SystemConfig, power_from_snr_db
+from .specfun import MAX_ORDER
 from .strategies import STRATEGY_NAMES
 
 __all__ = [
@@ -46,25 +54,7 @@ METRIC_NAMES = ("average", "best", "worst", "success")
 MODES = ("mc", "exact", "asymptotic", "bounds", "all")
 CSV_COLUMNS = ("snr_db", "pairs", "strategy", "metric", "method", "value", "stderr", "trials", "seed")
 
-_EXACT_COMBOS = {
-    ("individual", "average"),
-    ("individual", "best"),
-    ("individual", "worst"),
-    ("equal", "average"),
-    ("equal", "best"),
-    ("equal", "worst"),
-    ("waterfill", "best"),
-}
-_ASYMPTOTIC_COMBOS = {
-    ("individual", "average"),
-    ("individual", "best"),
-    ("individual", "worst"),
-    ("equal", "average"),
-    ("equal", "best"),
-    ("equal", "worst"),
-    ("waterfill", "worst"),
-}
-_BOUND_COMBOS = {("waterfill", "worst")}
+MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
 
 
 class CLIError(Exception):
@@ -114,8 +104,10 @@ def _parse_snr(text: str) -> tuple[float, ...]:
             raise ValueError("step must be positive")
         if stop < start:
             raise ValueError("stop must be >= start")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(n))
+        intervals = (stop - start) / step + 1e-9
+        if not intervals < MAX_SNR_POINTS:  # also catches an infinite count
+            raise ValueError(f"step too small: more than {MAX_SNR_POINTS} grid points")
+        return tuple(start + i * step for i in range(math.floor(intervals) + 1))
     values = tuple(_parse_float(p) for p in text.split(","))
     if not values:
         raise ValueError("empty grid")
@@ -309,20 +301,41 @@ def _validate_spec(spec: SweepSpec) -> None:
     if spec.h_variance <= 0 or spec.g_variance <= 0:
         raise CLIError("variances must be positive")
 
-    unit = spec.h_variance == 1.0 and spec.g_variance == 1.0
-    analytic_modes = {"exact": _EXACT_COMBOS, "asymptotic": _ASYMPTOTIC_COMBOS, "bounds": _BOUND_COMBOS}
-    if spec.mode in analytic_modes:
-        if not unit:
+    if spec.mode in ("exact", "asymptotic", "bounds"):
+        if not _unit_variances(spec):
             raise CLIError(f"mode {spec.mode!r} requires unit link variances")
-        combos = analytic_modes[spec.mode]
         for s in spec.strategies:
             for m in spec.metrics:
-                if (s, m) not in combos:
+                if spec.mode not in ANALYTIC_METHODS.get((s, m), ()):
                     raise CLIError(f"no {spec.mode} method for strategy {s!r}, metric {m!r}")
     if spec.mode == "asymptotic" and any(p < 2 for p in spec.pairs) and any(
         s != "individual" for s in spec.strategies
     ):
         raise CLIError("pooled asymptotics require at least two pairs")
+    # the exact forms and the bounds need Bessel orders up to the pair count
+    closed_forms = {"exact", "bounds"} & _analytic_groups(spec)
+    if max(spec.pairs) > MAX_ORDER and any(
+        closed_forms.intersection(ANALYTIC_METHODS.get((s, m), ()))
+        for s in spec.strategies
+        for m in spec.metrics
+    ):
+        raise CLIError(
+            f"pairs {max(spec.pairs)} exceeds {MAX_ORDER}, "
+            "the largest pair count the closed forms support"
+        )
+
+
+def _unit_variances(spec: SweepSpec) -> bool:
+    return spec.h_variance == 1.0 and spec.g_variance == 1.0
+
+
+def _analytic_groups(spec: SweepSpec) -> set[str]:
+    """Analytic method groups the sweep evaluates (see ANALYTIC_METHODS)."""
+    if spec.mode == "mc" or not _unit_variances(spec):
+        return set()
+    if spec.mode == "all":
+        return {"exact", "asymptotic", "bounds"}
+    return {spec.mode}
 
 
 def _mc_value(report, metric: str) -> tuple[float, float]:
@@ -338,11 +351,8 @@ def _mc_value(report, metric: str) -> tuple[float, float]:
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     """Evaluate the sweep; returns CSV rows in deterministic order."""
     _validate_spec(spec)
-    unit = spec.h_variance == 1.0 and spec.g_variance == 1.0
     want_mc = spec.mode in ("mc", "all")
-    want_exact = spec.mode in ("exact", "all") and unit
-    want_asym = spec.mode in ("asymptotic", "all") and unit
-    want_bounds = spec.mode in ("bounds", "all") and unit
+    groups = _analytic_groups(spec)
 
     rows: list[dict] = []
 
@@ -392,10 +402,11 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         },
                     )
                 for metric in spec.metrics:
+                    methods = groups.intersection(ANALYTIC_METHODS.get((strategy, metric), ()))
                     if report is not None:
                         value, stderr = _mc_value(report, metric)
                         add(snr, pairs, strategy, metric, "mc", value, stderr, report.trials)
-                    if want_exact and (strategy, metric) in _EXACT_COMBOS:
+                    if "exact" in methods:
                         if strategy not in exact_cache:
                             if strategy == "individual":
                                 exact_cache[strategy] = outage_individual(config)
@@ -406,7 +417,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         summary = exact_cache[strategy]
                         value = summary if isinstance(summary, float) else getattr(summary, metric)
                         add(snr, pairs, strategy, metric, "exact", value)
-                    if want_asym and (strategy, metric) in _ASYMPTOTIC_COMBOS:
+                    if "asymptotic" in methods:
                         if strategy == "waterfill":
                             if pairs >= 2:
                                 lo, hi = asymptotic_outage("waterfill", "worst", config)
@@ -415,7 +426,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         elif strategy == "individual" or pairs >= 2:
                             value = asymptotic_outage(strategy, metric, config)
                             add(snr, pairs, strategy, metric, "asymptotic", value)
-                    if want_bounds and (strategy, metric) in _BOUND_COMBOS:
+                    if "bounds" in methods:
                         if bounds_cache is None:
                             bounds_cache = wf_worst_bounds(config)
                         add(snr, pairs, strategy, metric, "bound-lower", bounds_cache.lower)

@@ -6,13 +6,13 @@ from a dedicated substream keyed by ``(seed, b)`` (see
 in block order.  Estimates are therefore bit-identical for any worker
 count and any assignment of blocks to workers.
 
-Per-trial outage rule, shared by every strategy: pair i is in outage iff
-it is outside the decoding set or its granted power falls short of the
-requirement ``a / |g_i|^2`` (equivalently, received SNR below the decode
-threshold).  The comparison is done in requirement form so that a
-strategy granting exactly the requirement is served regardless of
-rounding.  Per-trial metrics are the outage fraction, the all-pairs-fail
-event (the best-positioned pair failed), the some-pair-fails event (the
+Each block runs three layers on (trials, pairs) arrays:
+:func:`ehrelay.model.sample_block` draws the channels,
+:func:`ehrelay.model.harvest` finds the decoding sets and relay budgets,
+and :func:`ehrelay.strategies.allocate` returns the served mask and the
+leftover budget.  A pair is in outage iff it is not served.  Per-trial
+metrics are the outage fraction, the all-pairs-fail event (the
+best-positioned pair failed), the some-pair-fails event (the
 worst-positioned pair failed), and the number of served destinations.
 """
 
@@ -24,38 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ChannelDraw,
-    DerivedParams,
-    HarvestState,
-    SystemConfig,
-    derive_params,
-    harvest,
-    sample_block,
-    sample_channels,
-)
-from .strategies import PowerAllocation, STRATEGY_NAMES, allocate
+from .model import SystemConfig, derive_params, harvest, sample_block
+from .strategies import STRATEGY_NAMES, allocate
 
 __all__ = [
-    "TrialResult",
     "OutageReport",
     "DEFAULT_BLOCK_SIZE",
-    "evaluate_draw",
-    "run_trial",
     "run_experiment",
     "worst_case_equivalence_check",
 ]
 
 DEFAULT_BLOCK_SIZE = 16384
-
-
-@dataclass(eq=False)
-class TrialResult:
-    """Outcome of a single channel draw under one strategy."""
-
-    outage: np.ndarray
-    success_count: int
-    leftover: float
 
 
 @dataclass(frozen=True)
@@ -83,135 +62,6 @@ class OutageReport:
     mean_leftover: float
 
 
-def evaluate_draw(
-    draw: ChannelDraw,
-    config: SystemConfig,
-    strategy: str,
-    *,
-    params: DerivedParams | None = None,
-    auction_opts: dict | None = None,
-) -> TrialResult:
-    """Allocate and apply the outage rule to one draw."""
-    if params is None:
-        params = derive_params(config)
-    state = harvest(draw, config, params)
-    alloc = allocate(strategy, draw, state, config, params, auction_opts=auction_opts)
-    served = state.decoded & (alloc.powers >= params.snr_threshold / draw.g2)
-    return TrialResult(
-        outage=~served,
-        success_count=int(served.sum()),
-        leftover=alloc.leftover,
-    )
-
-
-def run_trial(
-    rng: np.random.Generator,
-    config: SystemConfig,
-    strategy: str,
-    *,
-    auction_opts: dict | None = None,
-) -> TrialResult:
-    """Sample one draw from ``rng`` and evaluate it."""
-    draw = sample_channels(rng, config)
-    return evaluate_draw(draw, config, strategy, auction_opts=auction_opts)
-
-
-# --------------------------------------------------------------------------
-# vectorized per-block evaluation
-# --------------------------------------------------------------------------
-
-def _decode_and_budget(
-    h2: np.ndarray, config: SystemConfig, params: DerivedParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    decoded = h2 > params.decode_threshold
-    surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
-    pr = np.where(decoded, surplus, 0.0).sum(axis=1)
-    return decoded, decoded.sum(axis=1), pr
-
-
-def _served_individual(h2, g2, decoded, n, pr, config, params):
-    p = config.eta * (config.source_power * h2 - params.snr_threshold)
-    return decoded & (p >= params.snr_threshold / g2)
-
-
-def _served_equal(h2, g2, decoded, n, pr, config, params):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.where(n > 0, pr / np.maximum(n, 1), 0.0)
-    return decoded & (share[:, None] >= params.snr_threshold / g2)
-
-
-def _served_waterfill(h2, g2, decoded, n, pr, config, params):
-    a = params.snr_threshold
-    need = np.where(decoded, a / g2, np.inf)
-    order = np.argsort(need, axis=1, kind="stable")
-    sorted_need = np.take_along_axis(need, order, axis=1)
-    spent = np.cumsum(sorted_need, axis=1)
-    served_sorted = spent <= pr[:, None]
-    served = np.zeros_like(decoded)
-    np.put_along_axis(served, order, served_sorted, axis=1)
-    return served & decoded
-
-
-def _served_maxmin(h2, g2, decoded, n, pr, config, params):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_sum = np.where(decoded, 1.0 / g2, 0.0).sum(axis=1)
-        common_snr = np.where(n > 0, pr / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
-    # every decoded pair gets the same received SNR; all succeed or none do
-    return decoded & (common_snr >= params.snr_threshold)[:, None]
-
-
-_VECTOR_STRATEGIES = {
-    "individual": _served_individual,
-    "equal": _served_equal,
-    "waterfill": _served_waterfill,
-    "maxmin": _served_maxmin,
-}
-
-
-def _waterfill_leftover(g2, decoded, pr, params):
-    need = np.where(decoded, params.snr_threshold / g2, np.inf)
-    sorted_need = np.sort(need, axis=1)
-    spent = np.cumsum(sorted_need, axis=1)
-    served = spent <= pr[:, None]
-    total_spent = np.where(served, sorted_need, 0.0).sum(axis=1)
-    return pr - total_spent
-
-
-def _evaluate_block(
-    h2: np.ndarray,
-    g2: np.ndarray,
-    config: SystemConfig,
-    params: DerivedParams,
-    strategy: str,
-    auction_opts: dict | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Served mask, success counts and leftovers for one block of draws."""
-    decoded, n, pr = _decode_and_budget(h2, config, params)
-    if strategy in _VECTOR_STRATEGIES:
-        served = _VECTOR_STRATEGIES[strategy](h2, g2, decoded, n, pr, config, params)
-        if strategy == "waterfill":
-            leftover = _waterfill_leftover(g2, decoded, pr, params)
-        else:
-            leftover = np.zeros(h2.shape[0])
-        return served, served.sum(axis=1), leftover
-
-    if strategy != "auction":
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")
-    served = np.zeros(h2.shape, dtype=bool)
-    leftover = np.zeros(h2.shape[0])
-    for t in range(h2.shape[0]):
-        res = evaluate_draw(
-            ChannelDraw(h2=h2[t], g2=g2[t]),
-            config,
-            "auction",
-            params=params,
-            auction_opts=auction_opts,
-        )
-        served[t] = ~res.outage
-        leftover[t] = res.leftover
-    return served, served.sum(axis=1), leftover
-
-
 @dataclass
 class _Accumulator:
     trials: int = 0
@@ -223,7 +73,7 @@ class _Accumulator:
     success_sq_sum: float = 0.0
     leftover_sum: float = 0.0
 
-    def add_block(self, served: np.ndarray, counts: np.ndarray, leftover: np.ndarray, pairs: int) -> None:
+    def add_block(self, counts: np.ndarray, leftover: np.ndarray, pairs: int) -> None:
         frac = 1.0 - counts / pairs
         self.trials += counts.shape[0]
         self.frac_sum += float(frac.sum())
@@ -275,19 +125,21 @@ def run_experiment(
     n_blocks = (trials + block_size - 1) // block_size
 
     def one_block(b: int):
-        size = min(block_size, trials - b * block_size)
-        h2, g2 = sample_block(seed, b, size, config)
-        return _evaluate_block(h2, g2, config, params, strategy, auction_opts)
+        h2, g2 = sample_block(seed, b, min(block_size, trials - b * block_size), config)
+        decoded, n, budget = harvest(h2, config, params)
+        served, leftover = allocate(
+            strategy, h2, g2, decoded, n, budget, config, params, auction_opts=auction_opts
+        )
+        return served.sum(axis=1), leftover
 
     acc = _Accumulator()
     if workers == 1:
-        results = map(one_block, range(n_blocks))
-        for served, counts, leftover in results:
-            acc.add_block(served, counts, leftover, config.pairs)
+        for counts, leftover in map(one_block, range(n_blocks)):
+            acc.add_block(counts, leftover, config.pairs)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for served, counts, leftover in pool.map(one_block, range(n_blocks)):
-                acc.add_block(served, counts, leftover, config.pairs)
+            for counts, leftover in pool.map(one_block, range(n_blocks)):
+                acc.add_block(counts, leftover, config.pairs)
 
     t = acc.trials
     return OutageReport(
@@ -321,10 +173,10 @@ def worst_case_equivalence_check(
     for b in range(n_blocks):
         size = min(block_size, trials - b * block_size)
         h2, g2 = sample_block(seed, b, size, config)
-        decoded, n, pr = _decode_and_budget(h2, config, params)
-        wf = _served_waterfill(h2, g2, decoded, n, pr, config, params)
-        mm = _served_maxmin(h2, g2, decoded, n, pr, config, params)
-        wf_worst = (wf.sum(axis=1) < config.pairs)
-        mm_worst = (mm.sum(axis=1) < config.pairs)
+        harvested = harvest(h2, config, params)
+        wf, _ = allocate("waterfill", h2, g2, *harvested, config, params)
+        mm, _ = allocate("maxmin", h2, g2, *harvested, config, params)
+        wf_worst = wf.sum(axis=1) < config.pairs
+        mm_worst = mm.sum(axis=1) < config.pairs
         mismatches += int((wf_worst != mm_worst).sum())
     return mismatches

@@ -21,11 +21,8 @@ import numpy as np
 __all__ = [
     "SystemConfig",
     "DerivedParams",
-    "ChannelDraw",
-    "HarvestState",
     "power_from_snr_db",
     "derive_params",
-    "sample_channels",
     "sample_block",
     "block_rng",
     "power_split_theta",
@@ -112,41 +109,6 @@ def derive_params(config: SystemConfig) -> DerivedParams:
     return DerivedParams(snr_threshold=a, decode_threshold=a / config.source_power)
 
 
-@dataclass(eq=False)
-class ChannelDraw:
-    """One realization of the squared channel gains (length M each)."""
-
-    h2: np.ndarray
-    g2: np.ndarray
-
-
-@dataclass(eq=False)
-class HarvestState:
-    """Decoding set and harvested relay budget for one draw.
-
-    decoded:     boolean mask over pairs, True where |h|^2 exceeds the
-                 decode threshold (strict)
-    n_decoded:   number of decoded pairs
-    total_power: harvested budget sum_i eta * (P_s |h_i|^2 - a) over the
-                 decoded set
-    """
-
-    decoded: np.ndarray
-    n_decoded: int
-    total_power: float
-
-    @property
-    def decoded_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.decoded)
-
-
-def sample_channels(rng: np.random.Generator, config: SystemConfig) -> ChannelDraw:
-    """Draw one set of squared channel gains (h first, then g)."""
-    h2 = rng.exponential(scale=np.asarray(config.h_variance))
-    g2 = rng.exponential(scale=np.asarray(config.g_variance))
-    return ChannelDraw(h2=h2, g2=g2)
-
-
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Generator for one trial block, independent across block indices."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
@@ -184,14 +146,18 @@ def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> f
     return 1.0 - snr_threshold / received
 
 
-def harvest(draw: ChannelDraw, config: SystemConfig, params: DerivedParams) -> HarvestState:
-    """Decoding set and harvested budget for one draw.
+def harvest(
+    h2: np.ndarray, config: SystemConfig, params: DerivedParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decoding sets and harvested budgets for a block of draws.
 
-    A pair is decoded iff its first-hop gain strictly exceeds the decode
-    threshold; each decoded pair contributes eta * (P_s |h|^2 - a) to the
-    relay budget (the surplus past what decoding itself consumes).
+    ``h2`` has shape (trials, pairs).  A pair is decoded iff its first-hop
+    gain strictly exceeds the decode threshold; each decoded pair
+    contributes eta * (P_s |h|^2 - a) to the relay budget (the surplus
+    past what decoding itself consumes).  Returns the decoded mask, the
+    number of decoded pairs per trial and the budget per trial.
     """
-    decoded = draw.h2 > params.decode_threshold
-    surplus = config.source_power * draw.h2 - params.snr_threshold
-    total = config.eta * float(surplus[decoded].sum())
-    return HarvestState(decoded=decoded, n_decoded=int(decoded.sum()), total_power=total)
+    decoded = h2 > params.decode_threshold
+    surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
+    budget = np.where(decoded, surplus, 0.0).sum(axis=1)
+    return decoded, decoded.sum(axis=1), budget

@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import operator
 
-__all__ = ["bessel_k", "xk_small_arg", "xn_kn", "gamma_exp_integral"]
+__all__ = ["MAX_ORDER", "bessel_k", "xk_small_arg", "xn_kn", "gamma_exp_integral"]
 
 _EULER_GAMMA = 0.57721566490153286061
-_MAX_ORDER = 64
+MAX_ORDER = 64
 _SERIES_CUTOFF = 2.0
 _CF_MAX_ITER = 20000
 _EPS = 1e-17
@@ -39,8 +39,8 @@ def _check_order(n: int) -> int:
         raise ValueError(f"order must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
-    if n > _MAX_ORDER:
-        raise ValueError(f"order {n} exceeds supported maximum {_MAX_ORDER}")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds supported maximum {MAX_ORDER}")
     return n
 
 

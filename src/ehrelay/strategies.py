@@ -1,142 +1,105 @@
-"""Relay power-allocation strategies.
+"""Relay power-allocation strategies as batched kernels.
 
-All allocators share one convention: ``powers`` has one entry per pair
-(zero off the decoding set), ``powers.sum() + leftover`` equals the
-harvested budget, and a destination succeeds iff ``p * |g|^2 >= a``.
+Every kernel works on one block of draws: ``h2`` and ``g2`` have shape
+(trials, pairs), and ``decoded``, ``n`` and ``budget`` are the output of
+:func:`ehrelay.model.harvest`.  It returns the served mask (trials, pairs)
+and the budget each trial leaves unspent at the relay (trials,).
+
+Pair i is served iff it is in the decoding set and its granted power
+covers the requirement ``a / |g_i|^2`` (equivalently, its received SNR
+clears the threshold).  The comparison is done in requirement form so
+that a strategy granting exactly the requirement is served regardless of
+rounding.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import ChannelDraw, DerivedParams, HarvestState, SystemConfig
+from .auction import allocate_auction
+from .model import DerivedParams, SystemConfig
 
-__all__ = [
-    "PowerAllocation",
-    "allocate_individual",
-    "allocate_equal",
-    "allocate_waterfill",
-    "allocate_maxmin",
-    "maxmin_common_rate",
-    "allocate",
-    "STRATEGY_NAMES",
-]
+__all__ = ["allocate", "STRATEGY_NAMES"]
 
 STRATEGY_NAMES = ("individual", "equal", "waterfill", "maxmin", "auction")
 
 
-@dataclass(eq=False)
-class PowerAllocation:
-    """Per-pair relay powers plus any unspent budget."""
-
-    powers: np.ndarray
-    leftover: float
-
-    @property
-    def total(self) -> float:
-        return float(self.powers.sum()) + self.leftover
-
-
-def allocate_individual(
-    draw: ChannelDraw, state: HarvestState, config: SystemConfig, params: DerivedParams
-) -> PowerAllocation:
+def _individual(h2, g2, decoded, n, budget, config, params):
     """Each pair spends exactly the energy its own first hop harvested.
 
     Distributed operation: no pooling, p_i = eta * (P_s |h_i|^2 - a) on the
-    decoding set.  The allocation tends to zero as |h_i|^2 approaches the
-    decode threshold from above.
+    decoding set.
     """
-    powers = np.zeros(config.pairs)
-    d = state.decoded
-    powers[d] = config.eta * (config.source_power * draw.h2[d] - params.snr_threshold)
-    return PowerAllocation(powers=powers, leftover=0.0)
+    p = config.eta * (config.source_power * h2 - params.snr_threshold)
+    return decoded & (p >= params.snr_threshold / g2), np.zeros(h2.shape[0])
 
 
-def allocate_equal(state: HarvestState) -> PowerAllocation:
+def _equal(h2, g2, decoded, n, budget, config, params):
     """Pooled budget split evenly over the decoding set."""
-    powers = np.zeros(state.decoded.shape[0])
-    if state.n_decoded > 0:
-        powers[state.decoded] = state.total_power / state.n_decoded
-    return PowerAllocation(powers=powers, leftover=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = np.where(n > 0, budget / np.maximum(n, 1), 0.0)
+    return decoded & (share[:, None] >= params.snr_threshold / g2), np.zeros(h2.shape[0])
 
 
-def allocate_waterfill(
-    draw: ChannelDraw, state: HarvestState, config: SystemConfig, params: DerivedParams
-) -> PowerAllocation:
-    """Sequential allocation maximizing the number of served destinations.
+def _waterfill(h2, g2, decoded, n, budget, config, params):
+    """Greedy allocation maximizing the number of served destinations.
 
-    Decoded pairs are visited in descending |g|^2 order (ties broken by
-    ascending pair index); each is granted exactly the power a / |g|^2
-    that guarantees its success while the remaining budget suffices.  The
-    walk stops at the first unaffordable pair; whatever remains stays at
-    the relay as ``leftover``.  Serving cheapest-first makes the served
-    count the maximum achievable within the budget.
+    Decoded pairs are visited in ascending requirement a / |g|^2 (ties by
+    ascending pair index); each is granted exactly its requirement while
+    the remaining budget suffices, and the rest stays at the relay.
+    Serving cheapest-first makes the served count the maximum achievable
+    within the budget.
     """
-    powers = np.zeros(config.pairs)
-    remaining = state.total_power
-    if state.n_decoded > 0:
-        idx = state.decoded_indices
-        # descending gain with ascending-index tie-break: argsort is stable
-        order = idx[np.argsort(-draw.g2[idx], kind="stable")]
-        for i in order:
-            need = params.snr_threshold / draw.g2[i]
-            if need > remaining:
-                break
-            powers[i] = need
-            remaining -= need
-    return PowerAllocation(powers=powers, leftover=remaining)
+    need = np.where(decoded, params.snr_threshold / g2, np.inf)
+    order = np.argsort(need, axis=1, kind="stable")
+    sorted_need = np.take_along_axis(need, order, axis=1)
+    served_sorted = np.cumsum(sorted_need, axis=1) <= budget[:, None]
+    served = np.zeros_like(decoded)
+    np.put_along_axis(served, order, served_sorted, axis=1)
+    leftover = budget - np.where(served_sorted, sorted_need, 0.0).sum(axis=1)
+    return served & decoded, leftover
 
 
-def maxmin_common_rate(
-    draw: ChannelDraw, state: HarvestState, params: DerivedParams
-) -> float:
-    """Common second-hop rate under the max-min fair allocation."""
-    if state.n_decoded == 0:
-        return 0.0
-    inv_sum = float((1.0 / draw.g2[state.decoded]).sum())
-    return 0.5 * math.log2(1.0 + state.total_power / inv_sum)
-
-
-def allocate_maxmin(
-    draw: ChannelDraw, state: HarvestState, config: SystemConfig, params: DerivedParams
-) -> PowerAllocation:
+def _maxmin(h2, g2, decoded, n, budget, config, params):
     """Max-min fair allocation: every decoded pair gets the same rate.
 
-    The optimum equalizes received SNRs, p_i = (2^(2t) - 1) / |g_i|^2 with
-    the common rate t = (1/2) log2(1 + P_r / sum_i 1/|g_i|^2), and spends
-    the whole budget.
+    The optimum equalizes received SNRs, p_i = (budget / sum_j 1/|g_j|^2)
+    / |g_i|^2, and spends the whole budget, so all decoded pairs succeed
+    or none do.
     """
-    powers = np.zeros(config.pairs)
-    if state.n_decoded > 0:
-        d = state.decoded
-        inv = 1.0 / draw.g2[d]
-        powers[d] = (state.total_power / float(inv.sum())) * inv
-    return PowerAllocation(powers=powers, leftover=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sum = np.where(decoded, 1.0 / g2, 0.0).sum(axis=1)
+        common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
+    return decoded & (common_snr >= params.snr_threshold)[:, None], np.zeros(h2.shape[0])
+
+
+_KERNELS = {
+    "individual": _individual,
+    "equal": _equal,
+    "waterfill": _waterfill,
+    "maxmin": _maxmin,
+}
 
 
 def allocate(
     name: str,
-    draw: ChannelDraw,
-    state: HarvestState,
+    h2: np.ndarray,
+    g2: np.ndarray,
+    decoded: np.ndarray,
+    n: np.ndarray,
+    budget: np.ndarray,
     config: SystemConfig,
     params: DerivedParams,
     *,
     auction_opts: dict | None = None,
-) -> PowerAllocation:
-    """Dispatch by strategy name (see ``STRATEGY_NAMES``)."""
-    if name == "individual":
-        return allocate_individual(draw, state, config, params)
-    if name == "equal":
-        return allocate_equal(state)
-    if name == "waterfill":
-        return allocate_waterfill(draw, state, config, params)
-    if name == "maxmin":
-        return allocate_maxmin(draw, state, config, params)
-    if name == "auction":
-        from .auction import allocate_auction
+) -> tuple[np.ndarray, np.ndarray]:
+    """Served mask and leftover budget of strategy ``name`` on one block.
 
-        return allocate_auction(draw, state, config, params, **(auction_opts or {}))
-    raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    ``auction_opts`` are keyword options of
+    :func:`ehrelay.auction.allocate_auction`; other strategies ignore them.
+    """
+    if name == "auction":
+        return allocate_auction(g2, decoded, budget, params, **(auction_opts or {}))
+    if name not in _KERNELS:
+        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
+    return _KERNELS[name](h2, g2, decoded, n, budget, config, params)

@@ -14,14 +14,23 @@ These deliberately avoid the library code paths they are checking:
   direct mpmath quadrature of their defining probability integrals
   (exponential first hop, Gamma-distributed pooled budget, exponential
   second hop), bypassing every Bessel identity the library uses.
+* ``reference_draw``: a scalar, one-draw-at-a-time statement of the
+  harvest and of every allocation strategy, with explicit per-pair
+  powers, for cross-checking the library's batched kernels.  The auction
+  reference reuses the library's price policies and bid dynamics and
+  checks only the per-draw glue around them.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import mpmath as mp
+import numpy as np
+
+from ehrelay.auction import AuctionConfig, run_auction, select_price, winner_maximizing_price
 
 
 def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
@@ -178,3 +187,69 @@ def outage_wf_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
             )
             total += _binom_pmf(m, n, e) * nofit
         return float(total)
+
+
+@dataclass(eq=False)
+class ReferenceDraw:
+    """One draw under one strategy: per-pair powers and the outcome.
+
+    ``powers.sum() + leftover == budget``; a pair is served iff it is
+    decoded and its power covers the requirement ``a / |g|^2``.
+    """
+
+    decoded: np.ndarray
+    budget: float
+    powers: np.ndarray
+    leftover: float
+    served: np.ndarray
+
+
+def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = None) -> ReferenceDraw:
+    """Harvest and allocate one draw (length-M ``h2`` and ``g2``) pair by pair."""
+    h2 = np.asarray(h2, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    a = 2.0 ** (2.0 * config.rate) - 1.0
+    decoded = h2 > a / config.source_power
+    surplus = config.source_power * h2 - a
+    budget = config.eta * float(surplus[decoded].sum())
+    idx = np.flatnonzero(decoded)
+    powers = np.zeros(config.pairs)
+    leftover = 0.0
+    if strategy == "individual":
+        powers[idx] = config.eta * surplus[idx]
+    elif strategy == "equal":
+        if idx.size:
+            powers[idx] = budget / idx.size
+    elif strategy == "waterfill":
+        # descending gain, ascending index among ties; stop at the first
+        # pair the remaining budget cannot cover
+        leftover = budget
+        for i in sorted(idx, key=lambda i: (-g2[i], i)):
+            need = a / g2[i]
+            if need > leftover:
+                break
+            powers[i] = need
+            leftover -= need
+    elif strategy == "maxmin":
+        if idx.size:
+            inv = 1.0 / g2[idx]
+            powers[idx] = budget / float(inv.sum()) * inv
+    elif strategy == "auction":
+        opts = {"xi_fraction": 0.01, "price_margin": 0.05, "price_policy": "max-winners"}
+        opts.update(auction_opts or {})
+        if idx.size:
+            gains = g2[idx]
+            if opts["price_policy"] == "max-winners":
+                price = winner_maximizing_price(gains, budget, a)
+            else:
+                price = select_price(gains, budget, margin=opts["price_margin"])
+            state = run_auction(
+                gains, budget, AuctionConfig(price=price, reserve=opts["xi_fraction"] * budget)
+            )
+            assert state.converged
+            powers[idx] = state.allocation
+            leftover = budget - float(state.allocation.sum())
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    served = decoded & (powers >= a / g2)
+    return ReferenceDraw(decoded=decoded, budget=budget, powers=powers, leftover=leftover, served=served)

@@ -35,14 +35,13 @@ from ehrelay.auction import (
 from ehrelay.cli import SweepSpec, run_sweep, write_csv
 from ehrelay.engine import run_experiment, worst_case_equivalence_check
 from ehrelay.model import (
-    ChannelDraw,
     SystemConfig,
     derive_params,
     harvest,
     power_from_snr_db,
 )
 from ehrelay.specfun import bessel_k
-from ehrelay.strategies import allocate_waterfill
+from ehrelay.strategies import allocate
 from oracles import bessel_k_quadrature, golden_section_max, brute_force_max_served
 
 SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -119,20 +118,27 @@ def test_paired_worst_case_equivalence_has_no_violations():
 
 def test_greedy_allocation_serves_maximal_subsets():
     rng = np.random.default_rng(101)
-    violations = 0
+    draws = {pairs: ([], []) for pairs in range(1, 7)}
     for _ in range(10_000):
         pairs = int(rng.integers(1, 7))
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
         params = derive_params(config)
         h2 = rng.exponential(size=pairs) + params.decode_threshold  # all decode
         g2 = rng.exponential(size=pairs) * 10.0 ** rng.uniform(-1.0, 1.0)
-        draw = ChannelDraw(h2=h2, g2=g2)
-        state = harvest(draw, config, params)
-        alloc = allocate_waterfill(draw, state, config, params)
+        draws[pairs][0].append(h2)
+        draws[pairs][1].append(g2)
+    violations = 0
+    for pairs, (h2, g2) in draws.items():
+        # one block per pair count through the batched water-filling kernel
+        h2, g2 = np.array(h2), np.array(g2)
+        config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
+        params = derive_params(config)
+        decoded, n, budget = harvest(h2, config, params)
+        served, _ = allocate("waterfill", h2, g2, decoded, n, budget, config, params)
         required = params.snr_threshold / g2
-        served = int((alloc.powers >= required).sum())
-        if served != brute_force_max_served(list(required), state.total_power):
-            violations += 1
+        for t in range(h2.shape[0]):
+            if served[t].sum() != brute_force_max_served(list(required[t]), budget[t]):
+                violations += 1
     assert violations == 0
 
 

@@ -25,7 +25,7 @@ from ehrelay.auction import (
     select_price,
     winner_maximizing_price,
 )
-from ehrelay.model import ChannelDraw, SystemConfig, derive_params, harvest
+from ehrelay.model import SystemConfig, derive_params, harvest
 from oracles import golden_section_max
 
 
@@ -265,42 +265,35 @@ def test_winner_maximizing_price_validation():
 
 
 def _auction_setup(h2, g2, rate=0.5, power=10.0):
+    """One-draw block: (g2, decoded, budget) for the auction kernel."""
     config = SystemConfig(pairs=len(h2), rate=rate, source_power=power)
     params = derive_params(config)
-    draw = ChannelDraw(h2=np.asarray(h2, float), g2=np.asarray(g2, float))
-    return draw, harvest(draw, config, params), config, params
+    decoded, _, budget = harvest(np.asarray([h2], float), config, params)
+    return np.asarray([g2], float), decoded, budget, params
 
 
 def test_allocate_auction_budget_and_masks():
-    draw, state, config, params = _auction_setup(
-        [0.5, 0.05, 2.0], [0.8, 1.0, 1.5]
-    )
-    alloc = allocate_auction(draw, state, config, params)
-    assert alloc.powers[1] == 0.0  # not decoded
-    assert (alloc.powers >= 0.0).all()
-    assert alloc.leftover > 0.0  # reserve share withheld
-    assert alloc.total == pytest.approx(state.total_power, rel=1e-9)
+    g2, decoded, budget, params = _auction_setup([0.5, 0.05, 2.0], [0.8, 1.0, 1.5])
+    served, leftover = allocate_auction(g2, decoded, budget, params)
+    assert not served[0, 1]  # not decoded
+    assert leftover[0] > 0.0  # reserve share withheld
+    assert leftover[0] < budget[0]
 
 
 def test_allocate_auction_empty_set():
-    draw, state, config, params = _auction_setup([0.01, 0.02], [1.0, 1.0])
-    alloc = allocate_auction(draw, state, config, params)
-    assert not alloc.powers.any() and alloc.leftover == 0.0
+    g2, decoded, budget, params = _auction_setup([0.01, 0.02], [1.0, 1.0])
+    served, leftover = allocate_auction(g2, decoded, budget, params)
+    assert not served.any() and leftover[0] == 0.0
 
 
 def test_allocate_auction_rejects_unknown_policy():
-    draw, state, config, params = _auction_setup([0.5], [1.0])
+    g2, decoded, budget, params = _auction_setup([0.5], [1.0])
     with pytest.raises(ValueError, match="price_policy"):
-        allocate_auction(draw, state, config, params, price_policy="cheapest")
+        allocate_auction(g2, decoded, budget, params, price_policy="cheapest")
 
 
 def test_allocate_auction_policies_differ_only_in_price():
-    draw, state, config, params = _auction_setup(
-        [0.5, 0.7, 2.0], [0.1, 0.25, 0.9]
-    )
-    a = allocate_auction(draw, state, config, params, price_policy="max-winners")
-    b = allocate_auction(draw, state, config, params, price_policy="certified")
-    need = params.snr_threshold / draw.g2
-    served_a = int(((a.powers >= need) & state.decoded).sum())
-    served_b = int(((b.powers >= need) & state.decoded).sum())
-    assert served_a >= served_b
+    g2, decoded, budget, params = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
+    a, _ = allocate_auction(g2, decoded, budget, params, price_policy="max-winners")
+    b, _ = allocate_auction(g2, decoded, budget, params, price_policy="certified")
+    assert int(a.sum()) >= int(b.sum())

@@ -2,9 +2,15 @@
 
 import dataclasses
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehrelay
 from ehrelay.cli import (
     CLIError,
     CSV_COLUMNS,
@@ -78,6 +84,7 @@ def test_snr_comma_list():
         ("snr_db = 10:0:5\n", "stop must be >= start"),
         ("snr_db = 0:10:0\n", "step must be positive"),
         ("snr_db = 0:10\n", "expected start:stop:step"),
+        ("snr_db = 0:10:0.0009\n", "more than 10000 grid points"),
         ("strategies = equal,magic\n", "unknown strategy 'magic'"),
         ("mode = fast\n", "unknown mode 'fast'"),
         ("price_policy = random\n", "unknown price policy"),
@@ -256,6 +263,7 @@ def test_main_preset_dump_round_trips(capsys):
     [
         ["--strategy", "nonsense"],
         ["--mode", "exact", "--strategy", "auction"],
+        ["--pairs", "70", "--mode", "exact", "--strategy", "equal", "--metric", "average", "--snr", "10"],
         ["--snr", "abc"],
         ["--workers", "0"],
         ["--eta", "2.0"],
@@ -265,6 +273,32 @@ def test_main_preset_dump_round_trips(capsys):
 def test_main_exit_code_2_on_bad_input(argv, capsys):
     assert main(argv + ["--dump-config"] if "--workers" not in argv else argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_pair_limit_applies_only_to_closed_forms():
+    spec = dataclasses.replace(SMALL, pairs=(70,), snr_db=(30.0,), metrics=("average",), trials=5)
+    with pytest.raises(CLIError, match="pairs 70 exceeds 64"):
+        run_sweep(dataclasses.replace(spec, mode="all"))
+    # Monte Carlo and the asymptotics need no Bessel orders
+    assert run_sweep(dataclasses.replace(spec, mode="mc"))
+    assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_main_refuses_snr_grid_too_fine():
+    # run in a child capped at 1 GB and 60 s, so that building the grid
+    # (about 1e13 points) ends in a MemoryError instead of a hang
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(ehrelay.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ehrelay", "--snr", "0:10:1e-12", "--dump-config"],
+        env=env, preexec_fn=_limit_memory, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "grid points" in proc.stderr
 
 
 def test_main_config_and_preset_conflict(tmp_path, capsys):

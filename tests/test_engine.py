@@ -1,4 +1,4 @@
-"""Monte Carlo engine: determinism, vector/scalar agreement, statistics."""
+"""Monte Carlo engine: determinism, batched/per-draw agreement, statistics."""
 
 import dataclasses
 import math
@@ -9,21 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.analytic import outage_individual, wf_worst_bounds
-from ehrelay.engine import (
-    evaluate_draw,
-    run_experiment,
-    run_trial,
-    worst_case_equivalence_check,
-)
+from ehrelay.engine import run_experiment, worst_case_equivalence_check
 from ehrelay.model import (
-    ChannelDraw,
     SystemConfig,
-    block_rng,
     derive_params,
+    harvest,
     power_from_snr_db,
     sample_block,
 )
-from ehrelay.strategies import STRATEGY_NAMES
+from ehrelay.strategies import STRATEGY_NAMES, allocate
+from oracles import reference_draw
 
 
 def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
@@ -32,31 +27,39 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
     )
 
 
+def evaluate_block(h2, g2, config, name):
+    """Served mask and leftover of ``name`` on one block of draws."""
+    params = derive_params(config)
+    return allocate(name, h2, g2, *harvest(h2, config, params), config, params)
+
+
 def test_no_decode_means_all_outage():
     config = cfg(pairs=2, rate=2.0, snr_db=0.0)
-    draw = ChannelDraw(h2=np.array([0.1, 0.2]), g2=np.ones(2))
-    res = evaluate_draw(draw, config, "equal")
-    assert res.outage.all()
-    assert res.success_count == 0
-    assert res.leftover == 0.0
+    served, leftover = evaluate_block(np.array([[0.1, 0.2]]), np.ones((1, 2)), config, "equal")
+    assert not served.any()
+    assert leftover[0] == 0.0
 
 
 def test_success_count_consistent_with_outage():
     config = cfg()
-    rng = block_rng(0, 0)
-    for _ in range(50):
-        for name in STRATEGY_NAMES:
-            res = run_trial(rng, config, name)
-            assert res.success_count == int((~res.outage).sum())
-            assert 0 <= res.success_count <= config.pairs
+    trials = 50
+    h2, g2 = sample_block(0, 0, trials, config)
+    decoded = h2 > derive_params(config).decode_threshold
+    for name in STRATEGY_NAMES:
+        served, _ = evaluate_block(h2, g2, config, name)
+        assert not (served & ~decoded).any()
+        report = run_experiment(config, name, trials, seed=0, block_size=trials)
+        assert report.mean_success == served.sum() / trials
+        assert report.average == pytest.approx(1.0 - served.mean())
 
 
-def test_run_trial_deterministic():
+def test_block_evaluation_deterministic():
     config = cfg()
-    a = run_trial(block_rng(9, 0), config, "waterfill")
-    b = run_trial(block_rng(9, 0), config, "waterfill")
-    assert np.array_equal(a.outage, b.outage)
-    assert a.leftover == b.leftover
+    h2, g2 = sample_block(9, 0, 200, config)
+    a_served, a_left = evaluate_block(h2, g2, config, "waterfill")
+    b_served, b_left = evaluate_block(*sample_block(9, 0, 200, config), config, "waterfill")
+    assert np.array_equal(a_served, b_served)
+    assert np.array_equal(a_left, b_left)
 
 
 def test_individual_outage_equals_direct_condition():
@@ -69,15 +72,14 @@ def test_individual_outage_equals_direct_condition():
         config.eta * (config.source_power * h2 - params.snr_threshold) * g2
         < params.snr_threshold
     )
-    for t in range(0, 25_000, 500):
-        draw = ChannelDraw(h2=h2[t], g2=g2[t])
-        res = evaluate_draw(draw, config, "individual")
-        assert np.array_equal(res.outage, direct[t])
+    served, _ = evaluate_block(h2, g2, config, "individual")
+    assert np.array_equal(~served, direct)
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 def test_vectorized_blocks_match_per_draw(name):
-    # run_experiment's block path must agree with evaluate_draw exactly
+    # run_experiment's batched blocks must agree with the scalar per-draw
+    # reference exactly; below 8 pairs both add up the budget bit for bit
     config = cfg(pairs=3, snr_db=15.0)
     trials = 64
     report = run_experiment(config, name, trials, seed=5, block_size=16)
@@ -85,29 +87,38 @@ def test_vectorized_blocks_match_per_draw(name):
     fails_worst = 0
     outage_total = 0
     success_total = 0
+    leftover_total = 0.0
     for block in range(4):
         h2, g2 = sample_block(5, block, 16, config)
+        budget = harvest(h2, config, derive_params(config))[2]
+        served, leftover = evaluate_block(h2, g2, config, name)
         for t in range(16):
-            res = evaluate_draw(ChannelDraw(h2=h2[t], g2=g2[t]), config, name)
-            fails_best += int(res.outage.all())
-            fails_worst += int(res.outage.any())
-            outage_total += int(res.outage.sum())
-            success_total += res.success_count
+            ref = reference_draw(h2[t], g2[t], config, name)
+            assert budget[t] == ref.budget
+            assert np.array_equal(served[t], ref.served)
+            assert leftover[t] == pytest.approx(ref.leftover, rel=1e-12, abs=1e-12)
+            fails_best += int(not ref.served.any())
+            fails_worst += int(not ref.served.all())
+            outage_total += int((~ref.served).sum())
+            success_total += int(ref.served.sum())
+            leftover_total += ref.leftover
     assert report.best == pytest.approx(fails_best / trials)
     assert report.worst == pytest.approx(fails_worst / trials)
     assert report.average == pytest.approx(outage_total / (trials * config.pairs))
     assert report.mean_success == pytest.approx(success_total / trials)
+    assert report.mean_leftover == pytest.approx(leftover_total / trials, rel=1e-12, abs=1e-12)
 
 
 def test_trials_one_is_the_single_trial():
     config = cfg(pairs=2)
     report = run_experiment(config, "equal", 1, seed=3)
     h2, g2 = sample_block(3, 0, 1, config)
-    res = evaluate_draw(ChannelDraw(h2=h2[0], g2=g2[0]), config, "equal")
-    assert report.average == pytest.approx(res.outage.mean())
-    assert report.best == float(res.outage.all())
-    assert report.worst == float(res.outage.any())
-    assert report.mean_success == float(res.success_count)
+    res = reference_draw(h2[0], g2[0], config, "equal")
+    outage = ~res.served
+    assert report.average == pytest.approx(outage.mean())
+    assert report.best == float(outage.all())
+    assert report.worst == float(outage.any())
+    assert report.mean_success == float(res.served.sum())
 
 
 @pytest.mark.parametrize("name", ["equal", "waterfill", "auction"])
@@ -156,11 +167,9 @@ def test_waterfill_worst_within_analytic_bounds():
 def test_waterfill_success_dominates_others_per_draw():
     config = cfg(pairs=4, snr_db=12.0)
     h2, g2 = sample_block(31, 0, 400, config)
-    for t in range(400):
-        draw = ChannelDraw(h2=h2[t], g2=g2[t])
-        wf = evaluate_draw(draw, config, "waterfill").success_count
-        for other in ("individual", "equal", "maxmin", "auction"):
-            assert wf >= evaluate_draw(draw, config, other).success_count
+    wf = evaluate_block(h2, g2, config, "waterfill")[0].sum(axis=1)
+    for other in ("individual", "equal", "maxmin", "auction"):
+        assert (wf >= evaluate_block(h2, g2, config, other)[0].sum(axis=1)).all()
 
 
 def test_binomial_stderr_formula():
@@ -199,7 +208,11 @@ def test_rejects_bad_arguments():
 @settings(max_examples=60, deadline=None)
 def test_leftover_only_for_waterfill_and_auction(seed, pairs):
     config = cfg(pairs=pairs, snr_db=10.0)
-    rng = block_rng(seed, 0)
+    h2, g2 = sample_block(seed, 0, 3, config)
     for name in ("individual", "equal", "maxmin"):
-        res = run_trial(rng, config, name)
-        assert res.leftover == 0.0
+        _, leftover = evaluate_block(h2, g2, config, name)
+        assert not leftover.any()
+    budget = harvest(h2, config, derive_params(config))[2]
+    for name in ("waterfill", "auction"):
+        _, leftover = evaluate_block(h2, g2, config, name)
+        assert ((leftover >= -1e-12) & (leftover <= budget)).all()

@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.model import (
-    ChannelDraw,
     SystemConfig,
-    block_rng,
     derive_params,
     harvest,
     power_from_snr_db,
     power_split_theta,
     sample_block,
-    sample_channels,
 )
 
 
@@ -95,45 +92,42 @@ def test_theta_range(power, h2, a):
 def test_harvest_worked_example():
     c = cfg(pairs=2, rate=0.5, power=10.0)
     params = derive_params(c)
-    draw = ChannelDraw(h2=np.array([0.5, 0.05]), g2=np.ones(2))
-    state = harvest(draw, c, params)
-    assert state.n_decoded == 1
-    assert list(state.decoded) == [True, False]
-    assert state.total_power == pytest.approx(4.0)
-    assert list(state.decoded_indices) == [0]
+    decoded, n, budget = harvest(np.array([[0.5, 0.05]]), c, params)
+    assert n.tolist() == [1]
+    assert decoded.tolist() == [[True, False]]
+    assert budget[0] == pytest.approx(4.0)
 
 
 def test_harvest_empty_set():
     c = cfg(pairs=3, rate=2.0, power=10.0)
     params = derive_params(c)
-    draw = ChannelDraw(h2=np.full(3, 0.1), g2=np.ones(3))
-    state = harvest(draw, c, params)
-    assert state.n_decoded == 0
-    assert state.total_power == 0.0
+    decoded, n, budget = harvest(np.full((1, 3), 0.1), c, params)
+    assert n[0] == 0 and not decoded.any()
+    assert budget[0] == 0.0
 
 
 def test_harvest_threshold_is_strict():
     c = cfg(pairs=1, rate=0.5, power=10.0)
     params = derive_params(c)
-    draw = ChannelDraw(h2=np.array([params.decode_threshold]), g2=np.ones(1))
-    assert harvest(draw, c, params).n_decoded == 0
+    assert harvest(np.array([[params.decode_threshold]]), c, params)[1][0] == 0
 
 
 def test_harvest_increasing_in_decoded_gain():
     c = cfg(pairs=2, rate=0.5, power=10.0)
     params = derive_params(c)
-    base = harvest(ChannelDraw(h2=np.array([0.5, 0.3]), g2=np.ones(2)), c, params)
-    more = harvest(ChannelDraw(h2=np.array([0.6, 0.3]), g2=np.ones(2)), c, params)
-    assert more.total_power > base.total_power
+    budget = harvest(np.array([[0.5, 0.3], [0.6, 0.3]]), c, params)[2]
+    assert budget[1] > budget[0]
 
 
-def test_sample_channels_deterministic():
+def test_sample_block_deterministic_per_seed():
     c = cfg(pairs=4)
-    d1 = sample_channels(block_rng(7, 0), c)
-    d2 = sample_channels(block_rng(7, 0), c)
-    assert np.array_equal(d1.h2, d2.h2) and np.array_equal(d1.g2, d2.g2)
-    d3 = sample_channels(block_rng(8, 0), c)
-    assert not np.array_equal(d1.h2, d3.h2)
+    h1, g1 = sample_block(7, 0, 5, c)
+    h2, g2 = sample_block(7, 0, 5, c)
+    assert np.array_equal(h1, h2) and np.array_equal(g1, g2)
+    h3, _ = sample_block(8, 0, 5, c)
+    assert not np.array_equal(h1, h3)
+    h4, _ = sample_block(7, 1, 5, c)
+    assert not np.array_equal(h1, h4)
 
 
 def test_sample_block_partition_invariance():

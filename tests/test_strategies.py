@@ -1,4 +1,4 @@
-"""Allocation strategies: worked examples, conservation, optimality."""
+"""Allocation kernels: worked examples, conservation, optimality."""
 
 import math
 
@@ -7,147 +7,146 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import ChannelDraw, SystemConfig, derive_params, harvest
-from ehrelay.strategies import (
-    STRATEGY_NAMES,
-    allocate,
-    allocate_equal,
-    allocate_individual,
-    allocate_maxmin,
-    allocate_waterfill,
-    maxmin_common_rate,
-)
-from oracles import brute_force_max_served
+from ehrelay.model import SystemConfig, derive_params, harvest
+from ehrelay.strategies import STRATEGY_NAMES, allocate
+from oracles import brute_force_max_served, reference_draw
 
 
-def make_state(h2, g2, rate=0.5, power=10.0, pairs=None, eta=1.0):
-    pairs = pairs if pairs is not None else len(h2)
-    config = SystemConfig(pairs=pairs, rate=rate, source_power=power, eta=eta)
+def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
+    """One-draw block through ``allocate``; ``budget`` overrides the harvest.
+
+    Returns the served mask and leftover of the single trial, the budget
+    the kernel saw, and the derived parameters.
+    """
+    h2 = np.asarray(h2, dtype=float)[None, :]
+    g2 = np.asarray(g2, dtype=float)[None, :]
+    config = SystemConfig(pairs=h2.shape[1], rate=rate, source_power=power, eta=eta)
     params = derive_params(config)
-    draw = ChannelDraw(h2=np.asarray(h2, dtype=float), g2=np.asarray(g2, dtype=float))
-    return draw, harvest(draw, config, params), config, params
+    decoded, n, pr = harvest(h2, config, params)
+    if budget is not None:
+        pr = np.array([budget])
+    served, leftover = allocate(name, h2, g2, decoded, n, pr, config, params)
+    return served[0], leftover[0], pr[0], params
 
 
 def test_individual_off_set_zero_and_values():
-    draw, state, config, params = make_state([0.5, 0.05], [1.0, 1.0])
-    alloc = allocate_individual(draw, state, config, params)
-    assert alloc.powers[1] == 0.0
-    assert alloc.powers[0] == pytest.approx(4.0)
-    assert alloc.leftover == 0.0
+    # pair 0 spends its own 10 * 0.5 - 1 = 4.0: exactly enough for need 4.0
+    served, leftover, _, _ = run("individual", [0.5, 0.05], [0.25, 1e9])
+    assert served.tolist() == [True, False]
+    assert leftover == 0.0
+    served, _, _, _ = run("individual", [0.5, 0.05], [0.25 * (1.0 - 1e-12), 1e9])
+    assert not served[0]
 
 
 def test_individual_vanishes_at_threshold():
-    draw, state, config, params = make_state([0.1 + 1e-12, 0.05], [1.0, 1.0])
-    alloc = allocate_individual(draw, state, config, params)
-    assert 0.0 < alloc.powers[0] < 1e-9
+    # own power ~1e-11 just above the decode threshold
+    h2 = [0.1 + 1e-12, 0.05]
+    assert not run("individual", h2, [1e9, 1.0])[0][0]
+    assert run("individual", h2, [1e13, 1.0])[0][0]
 
 
 def test_individual_equals_equal_for_single_pair():
-    draw, state, config, params = make_state([0.7], [1.3])
-    a = allocate_individual(draw, state, config, params)
-    b = allocate_equal(state)
-    assert a.powers[0] == pytest.approx(b.powers[0], rel=1e-12)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        h2, g2 = rng.exponential(size=1), rng.exponential(size=1)
+        a = run("individual", h2, g2)
+        b = run("equal", h2, g2)
+        assert a[0].tolist() == b[0].tolist()
 
 
 def test_equal_split_example():
-    # P_r = 4 split over decoded pairs {0, 2}
-    draw, state, config, params = make_state([0.3, 0.05, 0.3], [1.0, 1.0, 1.0])
-    assert state.total_power == pytest.approx(4.0)
-    alloc = allocate_equal(state)
-    assert list(alloc.powers) == pytest.approx([2.0, 0.0, 2.0])
-    assert alloc.total == pytest.approx(state.total_power)
+    # P_r = 4 split over decoded pairs {0, 2}: share 2 against need 2
+    served, leftover, pr, _ = run("equal", [0.3, 0.05, 0.3], [0.5, 1e9, 0.5])
+    assert pr == pytest.approx(4.0)
+    assert served.tolist() == [True, False, True]
+    assert leftover == 0.0
+    served, _, _, _ = run("equal", [0.3, 0.05, 0.3], [0.5, 1e9, 0.5 * (1.0 - 1e-12)])
+    assert served.tolist() == [True, False, False]
 
 
 def test_equal_empty_decoding_set():
-    draw, state, config, params = make_state([0.01, 0.02], [1.0, 1.0])
-    alloc = allocate_equal(state)
-    assert not alloc.powers.any()
-    assert alloc.leftover == 0.0
+    served, leftover, pr, _ = run("equal", [0.01, 0.02], [1.0, 1.0])
+    assert not served.any()
+    assert leftover == 0.0 and pr == 0.0
 
 
 def test_waterfill_worked_example():
     # budget 2, requirements (0.5, 1.0, 4.0): serve two, keep 0.5
-    draw, state, config, params = make_state(
-        [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], rate=0.5, power=10.0
+    served, leftover, _, params = run(
+        "waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=2.0
     )
     assert params.snr_threshold == pytest.approx(1.0)
-    state.total_power = 2.0
-    alloc = allocate_waterfill(draw, state, config, params)
-    assert list(alloc.powers) == pytest.approx([0.5, 1.0, 0.0])
-    assert alloc.leftover == pytest.approx(0.5)
-    served = int((alloc.powers * draw.g2 >= params.snr_threshold - 1e-12).sum())
-    assert served == 2
+    assert served.tolist() == [True, True, False]
+    assert leftover == pytest.approx(0.5)
+    # a budget that covers the two requirements exactly still serves both
+    served, leftover, _, _ = run("waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=1.5)
+    assert served.tolist() == [True, True, False]
+    assert leftover == 0.0
 
 
 def test_waterfill_all_served():
-    draw, state, config, params = make_state([2.0, 2.0], [1.0, 2.0], rate=0.5)
-    need = params.snr_threshold / draw.g2
-    assert state.total_power > need.sum()
-    alloc = allocate_waterfill(draw, state, config, params)
-    assert alloc.leftover == pytest.approx(state.total_power - need.sum())
-    assert (alloc.powers[state.decoded] > 0).all()
+    g2 = np.array([1.0, 2.0])
+    served, leftover, pr, params = run("waterfill", [2.0, 2.0], g2)
+    need = params.snr_threshold / g2
+    assert pr > need.sum()
+    assert served.all()
+    assert leftover == pytest.approx(pr - need.sum())
 
 
 def test_waterfill_nobody_affordable():
-    draw, state, config, params = make_state([0.11, 0.11], [0.001, 0.002], rate=0.5)
-    alloc = allocate_waterfill(draw, state, config, params)
-    assert not alloc.powers.any()
-    assert alloc.leftover == pytest.approx(state.total_power)
+    served, leftover, pr, _ = run("waterfill", [0.11, 0.11], [0.001, 0.002])
+    assert not served.any()
+    assert leftover == pr
 
 
 def test_waterfill_tie_break_ascending_index():
-    draw, state, config, params = make_state([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], rate=0.5)
-    state.total_power = 1.5  # room for one requirement of 1.0 only
-    alloc = allocate_waterfill(draw, state, config, params)
-    assert alloc.powers[0] == pytest.approx(1.0)
-    assert alloc.powers[1] == 0.0 and alloc.powers[2] == 0.0
+    # room for one requirement of 1.0 only
+    served, leftover, _, _ = run("waterfill", [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], budget=1.5)
+    assert served.tolist() == [True, False, False]
+    assert leftover == pytest.approx(0.5)
 
 
 def test_waterfill_stops_at_first_unaffordable():
     # requirements in visit order: 1.0, 2.0, 4.0 with budget 3.2:
-    # grants 1.0, stops at 2.0+? no: 1.0 + 2.0 = 3.0 <= 3.2, stops at 4.0
-    draw, state, config, params = make_state(
-        [0.5, 0.5, 0.5], [1.0, 0.5, 0.25], rate=0.5
+    # 1.0 + 2.0 = 3.0 <= 3.2, stops at 4.0
+    served, leftover, _, _ = run(
+        "waterfill", [0.5, 0.5, 0.5], [1.0, 0.5, 0.25], budget=3.2
     )
-    state.total_power = 3.2
-    alloc = allocate_waterfill(draw, state, config, params)
-    assert list(alloc.powers) == pytest.approx([1.0, 2.0, 0.0])
-    assert alloc.leftover == pytest.approx(0.2)
+    assert served.tolist() == [True, True, False]
+    assert leftover == pytest.approx(0.2)
 
 
 def test_maxmin_single_pair_gets_everything():
-    draw, state, config, params = make_state([0.5, 0.01], [2.0, 1.0], rate=0.5)
-    alloc = allocate_maxmin(draw, state, config, params)
-    assert alloc.powers[0] == pytest.approx(state.total_power)
-    assert alloc.powers[1] == 0.0
+    # the only decoded pair receives the whole budget 4: need 4 is covered,
+    # anything above it is not
+    served, leftover, pr, _ = run("maxmin", [0.5, 0.01], [0.25, 1e9])
+    assert pr == 4.0
+    assert served.tolist() == [True, False]
+    assert leftover == 0.0
+    assert not run("maxmin", [0.5, 0.01], [0.25 * (1.0 - 1e-12), 1e9])[0][0]
 
 
 def test_maxmin_common_rate_value():
-    # P_r = 2, sum 1/g2 = 5.5 -> t = 0.5 log2(1 + 2/5.5)
-    draw, state, config, params = make_state(
-        [0.5, 0.5, 0.5], [1.0, 0.25, 2.0], rate=0.5
-    )
-    state.total_power = 2.0
-    t = maxmin_common_rate(draw, state, params)
-    assert t == pytest.approx(0.5 * math.log2(1.0 + 2.0 / 5.5), rel=1e-12)
-    alloc = allocate_maxmin(draw, state, config, params)
-    assert alloc.powers.sum() == pytest.approx(2.0, rel=1e-12)
-    # every served pair sees the same received SNR
-    snr = alloc.powers[state.decoded] * draw.g2[state.decoded]
-    assert snr.max() - snr.min() < 1e-12
+    # P_r = 2, sum 1/g2 = 5.5 -> common rate t = 0.5 log2(1 + 2/5.5):
+    # every pair is served at target rates up to t and none above it
+    t = 0.5 * math.log2(1.0 + 2.0 / 5.5)
+    h2, g2 = [50.0, 50.0, 50.0], [1.0, 0.25, 2.0]
+    assert run("maxmin", h2, g2, rate=t * (1.0 - 1e-9), budget=2.0)[0].all()
+    assert not run("maxmin", h2, g2, rate=t * (1.0 + 1e-9), budget=2.0)[0].any()
 
 
 def test_maxmin_equal_gains_match_equal_split():
-    draw, state, config, params = make_state([0.5, 0.4, 0.3], [1.5, 1.5, 1.5], rate=0.5)
-    a = allocate_maxmin(draw, state, config, params)
-    b = allocate_equal(state)
-    assert a.powers == pytest.approx(b.powers, rel=1e-12)
+    rng = np.random.default_rng(8)
+    for budget in rng.exponential(3.0, size=200):
+        h2 = rng.exponential(size=3)
+        a = run("maxmin", h2, [1.5, 1.5, 1.5], budget=budget)
+        b = run("equal", h2, [1.5, 1.5, 1.5], budget=budget)
+        assert a[0].tolist() == b[0].tolist()
 
 
 def test_dispatch_unknown_name():
-    draw, state, config, params = make_state([0.5], [1.0])
     with pytest.raises(ValueError, match="unknown strategy"):
-        allocate("greedy", draw, state, config, params)
+        run("greedy", [0.5], [1.0])
 
 
 @given(
@@ -157,16 +156,25 @@ def test_dispatch_unknown_name():
 )
 @settings(max_examples=150, deadline=None)
 def test_budget_conservation(seed, pairs, name):
+    # the kernel's served mask and leftover are those of a per-draw
+    # allocation that grants non-negative power on the decoding set only
+    # and spends exactly the harvested budget
     rng = np.random.default_rng(seed)
     config = SystemConfig(pairs=pairs, rate=0.5, source_power=10.0)
-    params = derive_params(config)
-    draw = ChannelDraw(h2=rng.exponential(size=pairs), g2=rng.exponential(size=pairs))
-    state = harvest(draw, config, params)
-    alloc = allocate(name, draw, state, config, params)
-    assert (alloc.powers >= 0.0).all()
-    assert not alloc.powers[~state.decoded].any()
-    assert alloc.leftover >= -1e-12
-    assert alloc.total == pytest.approx(state.total_power, rel=1e-9, abs=1e-12)
+    h2, g2 = rng.exponential(size=pairs), rng.exponential(size=pairs)
+    ref = reference_draw(h2, g2, config, name)
+    assert (ref.powers >= 0.0).all()
+    assert not ref.powers[~ref.decoded].any()
+    assert ref.powers.sum() + ref.leftover == pytest.approx(ref.budget, rel=1e-9, abs=1e-12)
+    served, leftover, pr, _ = run(name, h2, g2)
+    assert pr == pytest.approx(ref.budget, rel=1e-12)
+    assert -1e-12 <= leftover <= pr
+    if pairs < 8:
+        # below 8 pairs both add up the budget bit for bit, so even an
+        # auction grant that lands on its requirement rounds the same way
+        assert pr == ref.budget
+        assert served.tolist() == ref.served.tolist()
+        assert leftover == pytest.approx(ref.leftover, rel=1e-9, abs=1e-12)
 
 
 @given(seed=hst.integers(min_value=0, max_value=2**32 - 1))
@@ -176,14 +184,8 @@ def test_waterfill_count_optimality(seed):
     n = int(rng.integers(1, 7))
     config = SystemConfig(pairs=n, rate=0.5, source_power=10.0)
     params = derive_params(config)
-    draw = ChannelDraw(
-        h2=rng.exponential(size=n) + params.decode_threshold,  # all decoded
-        g2=rng.exponential(size=n) + 1e-6,
-    )
-    state = harvest(draw, config, params)
-    alloc = allocate_waterfill(draw, state, config, params)
-    served = int((alloc.powers >= params.snr_threshold / draw.g2).sum())
-    best = brute_force_max_served(
-        list(params.snr_threshold / draw.g2), state.total_power
-    )
-    assert served == best
+    h2 = rng.exponential(size=n) + params.decode_threshold  # all decoded
+    g2 = rng.exponential(size=n) + 1e-6
+    served, _, pr, _ = run("waterfill", h2, g2)
+    best = brute_force_max_served(list(params.snr_threshold / g2), pr)
+    assert int(served.sum()) == best

@@ -36,6 +36,7 @@ from .specfun import gamma_exp_integral
 
 __all__ = [
     "ANALYTIC_METHODS",
+    "MAX_CLOSED_FORM_PAIRS",
     "OutageSummary",
     "WorstCaseBounds",
     "OrderStatDiagnostics",
@@ -63,6 +64,12 @@ ANALYTIC_METHODS = {
     ("waterfill", "best"): ("exact",),
     ("waterfill", "worst"): ("asymptotic", "bounds"),
 }
+
+# Largest pair count for which the CLI evaluates "exact" and "bounds".
+# gamma_exp_integral has no order limit; this guards the alternating sums
+# of outage_equal and outage_wf_best, whose cancellation grows with the
+# pair count.
+MAX_CLOSED_FORM_PAIRS = 64
 
 
 @dataclass(frozen=True)

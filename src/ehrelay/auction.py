@@ -40,7 +40,6 @@ __all__ = [
     "quit_price",
     "full_budget_price",
     "payoff",
-    "best_response",
     "response_weights",
     "contraction_modulus",
     "iteration_spectral_radius",
@@ -122,31 +121,6 @@ def payoff(
     return 0.5 * math.log2(1.0 + share * g2[i]) - price * share
 
 
-def best_response(
-    i: int, bids: np.ndarray, price: float, total_power: float, g2: np.ndarray,
-    reserve: float,
-) -> float:
-    """Payoff-maximizing bid of pair i against the others' current bids."""
-    if not price > 0.0:
-        raise ValueError(f"price must be positive, got {price!r}")
-    target = 1.0 / (2.0 * LN2 * price) - 1.0 / g2[i]
-    if target <= 0.0:
-        return 0.0
-    if target >= total_power:
-        return B_MAX
-    others = float(np.asarray(bids, dtype=float).sum() - bids[i]) + reserve
-    return target / (total_power - target) * others
-
-
-def _best_response_all(
-    bids: np.ndarray, targets: np.ndarray, total_power: float, reserve: float
-) -> np.ndarray:
-    """Vectorized synchronous best response; assumes all targets < P_r."""
-    others = bids.sum() - bids + reserve
-    out = targets / (total_power - targets) * others
-    return np.where(targets > 0.0, out, 0.0)
-
-
 def response_weights(price: float, total_power: float, g2) -> np.ndarray:
     """Sensitivities rho_i = T_i / (P_r - T_i) of the interior responses.
 
@@ -223,42 +197,17 @@ def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
         raise ValueError("g2 must be a non-empty 1-D array")
     if not total_power > 0.0:
         raise ValueError("total_power must be positive")
-    targets = interior_target(config.price, g2)
-    if np.any(targets >= total_power):
-        # full-budget branch: bids explode by design; iterate literally
-        return _run_auction_capped(g2, total_power, config, targets)
+    # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior
+    # pairs scale the others' bids, full-budget pairs bid the constant
+    # B_MAX, priced-out pairs bid 0
+    weights = response_weights(config.price, total_power, g2)
+    cap = np.where(interior_target(config.price, g2) >= total_power, B_MAX, 0.0)
     bids = np.ones_like(g2)
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        new = _best_response_all(bids, targets, total_power, config.reserve)
-        residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
-        bids = new
-        if residual <= config.tolerance:
-            converged = True
-            break
-    return AuctionState(
-        bids=bids,
-        allocation=_shares(bids, total_power, config.reserve),
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-    )
-
-
-def _run_auction_capped(
-    g2: np.ndarray, total_power: float, config: AuctionConfig, targets: np.ndarray
-) -> AuctionState:
-    """Literal per-pair iteration when some pair wants the whole budget."""
-    bids = np.ones_like(g2)
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        new = np.empty_like(bids)
-        for i in range(g2.shape[0]):
-            new[i] = best_response(i, bids, config.price, total_power, g2, config.reserve)
+        new = weights * (bids.sum() - bids + config.reserve) + cap
         residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
         bids = new
         if residual <= config.tolerance:

@@ -28,6 +28,7 @@ from pathlib import Path
 
 from .analytic import (
     ANALYTIC_METHODS,
+    MAX_CLOSED_FORM_PAIRS,
     asymptotic_outage,
     outage_equal,
     outage_individual,
@@ -36,7 +37,6 @@ from .analytic import (
 )
 from .engine import run_experiment
 from .model import SystemConfig, power_from_snr_db
-from .specfun import MAX_ORDER
 from .strategies import STRATEGY_NAMES
 
 __all__ = [
@@ -284,10 +284,19 @@ def _validate_spec(spec: SweepSpec) -> None:
         raise CLIError("pairs must be positive integers")
     if not spec.snr_db:
         raise CLIError("snr_db grid is empty")
+    for snr in spec.snr_db:
+        try:
+            power_from_snr_db(snr)
+        except OverflowError:
+            raise CLIError(f"snr {snr!r} dB overflows the source power") from None
     if spec.trials < 1:
         raise CLIError("trials must be >= 1")
+    if spec.seed < 0:
+        raise CLIError("seed must be non-negative")
     if not (spec.rate > 0 and math.isfinite(spec.rate)):
         raise CLIError("rate must be positive")
+    if 2.0 * spec.rate >= sys.float_info.max_exp:
+        raise CLIError(f"rate {spec.rate!r} too large: 2^(2 rate) overflows")
     if not (0.0 < spec.eta <= 1.0):
         raise CLIError("eta must lie in (0, 1]")
     if spec.mode not in MODES:
@@ -312,15 +321,14 @@ def _validate_spec(spec: SweepSpec) -> None:
         s != "individual" for s in spec.strategies
     ):
         raise CLIError("pooled asymptotics require at least two pairs")
-    # the exact forms and the bounds need Bessel orders up to the pair count
     closed_forms = {"exact", "bounds"} & _analytic_groups(spec)
-    if max(spec.pairs) > MAX_ORDER and any(
+    if max(spec.pairs) > MAX_CLOSED_FORM_PAIRS and any(
         closed_forms.intersection(ANALYTIC_METHODS.get((s, m), ()))
         for s in spec.strategies
         for m in spec.metrics
     ):
         raise CLIError(
-            f"pairs {max(spec.pairs)} exceeds {MAX_ORDER}, "
+            f"pairs {max(spec.pairs)} exceeds {MAX_CLOSED_FORM_PAIRS}, "
             "the largest pair count the closed forms support"
         )
 

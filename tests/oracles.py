@@ -8,6 +8,8 @@ These deliberately avoid the library code paths they are checking:
   routine is involved.
 * ``golden_section_max``: derivative-free scalar maximizer, for checking
   best-response outputs against a direct payoff search.
+* ``best_response``: the payoff-maximizing bid of one pair, branch by
+  branch, for checking the auction's vectorized bid update.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
 * ``outage_*_quad``: the closed-form outage probabilities recomputed by
@@ -30,7 +32,14 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from ehrelay.auction import AuctionConfig, run_auction, select_price, winner_maximizing_price
+from ehrelay.auction import (
+    B_MAX,
+    LN2,
+    AuctionConfig,
+    run_auction,
+    select_price,
+    winner_maximizing_price,
+)
 
 
 def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
@@ -72,6 +81,22 @@ def golden_section_max(fun, lo: float, hi: float, iters: int = 200) -> float:
         if b - a < 1e-14 * max(1.0, abs(a) + abs(b)):
             break
     return 0.5 * (a + b)
+
+
+def best_response(
+    i: int, bids: np.ndarray, price: float, total_power: float, g2: np.ndarray,
+    reserve: float,
+) -> float:
+    """Payoff-maximizing bid of pair i against the others' current bids."""
+    if not price > 0.0:
+        raise ValueError(f"price must be positive, got {price!r}")
+    target = 1.0 / (2.0 * LN2 * price) - 1.0 / g2[i]
+    if target <= 0.0:
+        return 0.0
+    if target >= total_power:
+        return B_MAX
+    others = float(np.asarray(bids, dtype=float).sum() - bids[i]) + reserve
+    return target / (total_power - target) * others
 
 
 def brute_force_max_served(required: list[float], budget: float) -> int:

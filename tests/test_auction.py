@@ -12,7 +12,6 @@ from ehrelay.auction import (
     LN2,
     AuctionConfig,
     allocate_auction,
-    best_response,
     contraction_modulus,
     full_budget_price,
     interior_target,
@@ -26,7 +25,7 @@ from ehrelay.auction import (
     winner_maximizing_price,
 )
 from ehrelay.model import SystemConfig, derive_params, harvest
-from oracles import golden_section_max
+from oracles import best_response, golden_section_max
 
 
 def rand_instance(rng, n=None, scale=1.0):
@@ -143,6 +142,31 @@ def test_run_auction_converges_with_modulus_rate():
         assert state.converged
         assert state.iterations <= 500
         assert state.residual <= 1e-10
+
+
+def test_run_auction_capped_pair_matches_scalar_iteration():
+    # pair 1 wants the whole budget, pairs 0 and 2 are interior, pair 3 is
+    # priced out: the vector update must reproduce the literal per-pair
+    # iteration of the scalar best response bit for bit
+    g2 = np.array([0.8, 2.07, 0.5, 0.3])
+    pr = 1.4
+    price = float(full_budget_price(g2, pr).max()) * 0.9
+    targets = interior_target(price, g2)
+    assert targets[1] >= pr and 0.0 < targets[0] < pr and 0.0 < targets[2] < pr
+    assert targets[3] <= 0.0
+    config = AuctionConfig(price=price, reserve=0.01 * pr)
+    state = run_auction(g2, pr, config)
+    bids = np.ones_like(g2)
+    for iterations in range(1, config.max_iterations + 1):
+        new = np.array([best_response(i, bids, price, pr, g2, config.reserve) for i in range(4)])
+        residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
+        bids = new
+        if residual <= config.tolerance:
+            break
+    assert state.converged and state.iterations == iterations > 1
+    assert state.residual == residual
+    assert state.bids.tobytes() == bids.tobytes()
+    assert state.allocation.tobytes() == (bids / (bids.sum() + config.reserve) * pr).tobytes()
 
 
 def test_reserve_share_stays_at_relay():

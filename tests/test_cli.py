@@ -268,18 +268,31 @@ def test_main_preset_dump_round_trips(capsys):
         ["--workers", "0"],
         ["--eta", "2.0"],
         ["--trials", "0"],
+        ["--seed", "-1"],
+        ["--rate", "600"],
+        ["--snr", "1e6"],
     ],
 )
 def test_main_exit_code_2_on_bad_input(argv, capsys):
     assert main(argv + ["--dump-config"] if "--workers" not in argv else argv) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_main_refuses_negative_seed_in_config(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("seed = -3\n")
+    for extra in (["--dump-config"], []):
+        assert main(["--config", str(path)] + extra) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_pair_limit_applies_only_to_closed_forms():
     spec = dataclasses.replace(SMALL, pairs=(70,), snr_db=(30.0,), metrics=("average",), trials=5)
     with pytest.raises(CLIError, match="pairs 70 exceeds 64"):
         run_sweep(dataclasses.replace(spec, mode="all"))
-    # Monte Carlo and the asymptotics need no Bessel orders
+    # Monte Carlo and the asymptotics run no alternating sums
     assert run_sweep(dataclasses.replace(spec, mode="mc"))
     assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))
 

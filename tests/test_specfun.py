@@ -2,11 +2,12 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.specfun import bessel_k, gamma_exp_integral, xk_small_arg, xn_kn
+from ehrelay.specfun import bessel_k, gamma_exp_integral
 from oracles import bessel_k_quadrature
 
 # oracle values frozen from bessel_k_quadrature (30 dps), computed before
@@ -85,8 +86,6 @@ def test_domain_error_order():
     with pytest.raises(ValueError):
         bessel_k(-1, 1.0)
     with pytest.raises(ValueError):
-        bessel_k(65, 1.0)
-    with pytest.raises(ValueError):
         bessel_k(1.5, 1.0)
 
 
@@ -96,39 +95,21 @@ def test_x_k1_limit():
         assert x * bessel_k(1, x) == pytest.approx(1.0, abs=20.0 * x * x)
 
 
-def test_xk_small_arg_n1_value():
-    x = 1e-4
-    want = 1.0 + 0.5 * x * x * math.log(0.5 * x)
-    assert xk_small_arg(1, x) == pytest.approx(want, rel=1e-15)
-    assert xk_small_arg(1, x) == pytest.approx(1.0 - 4.95e-8, rel=1e-4)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_xk_small_arg_close_to_product(n):
-    x = 0.01
-    exact = x**n * bessel_k(n, x)
-    assert abs(xk_small_arg(n, x) / exact - 1.0) <= 1e-3
-
-
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_xk_small_arg_ratio_approaches_one(n):
-    ratios = []
-    for x in (0.5, 0.1, 0.02):
-        ratios.append(abs(xk_small_arg(n, x) / (x**n * bessel_k(n, x)) - 1.0))
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 1e-4
-
-
-def test_xk_small_arg_rejects_order_zero():
-    with pytest.raises(ValueError):
-        xk_small_arg(0, 0.1)
-
-
-def test_xn_kn_overflow_free():
-    # K_40(1e-6) alone overflows; the product must stay finite
-    v = xn_kn(40, 1e-6)
+def test_gamma_exp_integral_overflow_free():
+    # K_40(1e-6) ~ 1e298 is at the top of the float range (K_41 overflows);
+    # the integral at x = 2 sqrt(z) = 1e-6 must still come out as ~39!
+    v = gamma_exp_integral(40, 2.5e-13)
     assert math.isfinite(v)
-    assert v == pytest.approx(0.5 * math.factorial(39) * 2.0**40, rel=1e-9)
+    assert v == pytest.approx(math.factorial(39), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 64, 65, 100])
+@pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-3, 1.0, 100.0, 1e4])
+def test_gamma_exp_integral_matches_mpmath(n, z):
+    with mp.workdps(50):
+        zm = mp.mpf(z)
+        want = 2 * zm ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(zm))
+    assert gamma_exp_integral(n, z) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_gamma_exp_integral_zero_limit():

@@ -17,7 +17,6 @@ from .model import (
     derive_params,
     harvest,
     power_from_snr_db,
-    power_split_theta,
     sample_block,
 )
 from .strategies import STRATEGY_NAMES, allocate
@@ -35,6 +34,6 @@ from .analytic import (
     prob_decoding_count,
     wf_worst_bounds,
 )
-from .engine import OutageReport, run_experiment, worst_case_equivalence_check
+from .engine import OutageReport, run_experiment, run_group, worst_case_equivalence_check
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
-from .engine import run_experiment
+from .engine import run_group
 from .model import SystemConfig, power_from_snr_db
 from .strategies import STRATEGY_NAMES
 
@@ -55,6 +55,15 @@ MODES = ("mc", "exact", "asymptotic", "bounds", "all")
 CSV_COLUMNS = ("snr_db", "pairs", "strategy", "metric", "method", "value", "stderr", "trials", "seed")
 
 MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
+
+# strategy -> closed form behind its "exact" rows (see ANALYTIC_METHODS), as
+# config -> {metric: value}; the functions are looked up in this module at
+# call time, so a substituted module attribute takes effect.
+EXACT_FORMS = {
+    "individual": lambda config: dataclasses.asdict(outage_individual(config)),
+    "equal": lambda config: dataclasses.asdict(outage_equal(config)),
+    "waterfill": lambda config: {"best": outage_wf_best(config)},
+}
 
 
 class CLIError(Exception):
@@ -122,30 +131,21 @@ def _parse_pairs(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_names(valid: tuple[str, ...], kind: str):
-    def parse(text: str) -> tuple[str, ...]:
-        values = tuple(p.strip() for p in text.split(","))
-        for v in values:
-            if v not in valid:
-                raise ValueError(f"unknown {kind} {v!r}; expected one of {', '.join(valid)}")
-        return values
+def _parse_choice(valid: tuple[str, ...], kind: str):
+    def parse(text: str) -> str:
+        if text not in valid:
+            raise ValueError(f"unknown {kind} {text!r}; expected one of {', '.join(valid)}")
+        return text
 
     return parse
 
 
-def _parse_mode(text: str) -> str:
-    if text not in MODES:
-        raise ValueError(f"unknown mode {text!r}; expected one of {', '.join(MODES)}")
-    return text
+def _parse_names(valid: tuple[str, ...], kind: str):
+    choice = _parse_choice(valid, kind)
+    return lambda text: tuple(choice(p.strip()) for p in text.split(","))
 
 
 PRICE_POLICIES = ("max-winners", "certified")
-
-
-def _parse_policy(text: str) -> str:
-    if text not in PRICE_POLICIES:
-        raise ValueError(f"unknown price policy {text!r}; expected one of {', '.join(PRICE_POLICIES)}")
-    return text
 
 
 _PARSERS = {
@@ -157,12 +157,12 @@ _PARSERS = {
     "metrics": _parse_names(METRIC_NAMES, "metric"),
     "trials": _parse_int,
     "seed": _parse_int,
-    "mode": _parse_mode,
+    "mode": _parse_choice(MODES, "mode"),
     "h_variance": _parse_float,
     "g_variance": _parse_float,
     "xi_fraction": _parse_float,
     "price_margin": _parse_float,
-    "price_policy": _parse_policy,
+    "price_policy": _parse_choice(PRICE_POLICIES, "price policy"),
     "distance_source_relay": _parse_float,
     "distance_relay_destination": _parse_float,
     "path_loss_exponent": _parse_float,
@@ -221,23 +221,12 @@ def parse_config(text: str) -> SweepSpec:
 
 def dump_config(spec: SweepSpec) -> str:
     """Canonical config text; ``parse_config(dump_config(s)) == s``."""
-    out = [
-        f"pairs = {','.join(str(p) for p in spec.pairs)}",
-        f"rate = {spec.rate!r}",
-        f"eta = {spec.eta!r}",
-        f"snr_db = {','.join(repr(s) for s in spec.snr_db)}",
-        f"strategies = {','.join(spec.strategies)}",
-        f"metrics = {','.join(spec.metrics)}",
-        f"trials = {spec.trials}",
-        f"seed = {spec.seed}",
-        f"mode = {spec.mode}",
-        f"h_variance = {spec.h_variance!r}",
-        f"g_variance = {spec.g_variance!r}",
-        f"xi_fraction = {spec.xi_fraction!r}",
-        f"price_margin = {spec.price_margin!r}",
-        f"price_policy = {spec.price_policy}",
-    ]
-    return "\n".join(out) + "\n"
+    lines = []
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        lines.append(f"{field.name} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 # relay and destinations 2 m out, quartic path loss
@@ -279,26 +268,36 @@ PRESETS = {
 }
 
 
-def _validate_spec(spec: SweepSpec) -> None:
-    if not spec.pairs or any(p < 1 for p in spec.pairs):
+def _validate_spec(spec: SweepSpec) -> dict[tuple[float, int], SystemConfig]:
+    """Refuse a bad sweep; returns its config for each (snr, pairs)."""
+    if not spec.pairs:
         raise CLIError("pairs must be positive integers")
     if not spec.snr_db:
         raise CLIError("snr_db grid is empty")
-    for snr in spec.snr_db:
-        try:
-            power_from_snr_db(snr)
-        except OverflowError:
-            raise CLIError(f"snr {snr!r} dB overflows the source power") from None
     if spec.trials < 1:
         raise CLIError("trials must be >= 1")
     if spec.seed < 0:
         raise CLIError("seed must be non-negative")
-    if not (spec.rate > 0 and math.isfinite(spec.rate)):
-        raise CLIError("rate must be positive")
     if 2.0 * spec.rate >= sys.float_info.max_exp:
         raise CLIError(f"rate {spec.rate!r} too large: 2^(2 rate) overflows")
-    if not (0.0 < spec.eta <= 1.0):
-        raise CLIError("eta must lie in (0, 1]")
+    configs = {}
+    for snr in spec.snr_db:
+        try:
+            power = power_from_snr_db(snr)
+        except OverflowError:
+            raise CLIError(f"snr {snr!r} dB overflows the source power") from None
+        for pairs in spec.pairs:
+            try:
+                configs[snr, pairs] = SystemConfig(
+                    pairs=pairs,
+                    rate=spec.rate,
+                    source_power=power,
+                    eta=spec.eta,
+                    h_variance=spec.h_variance,
+                    g_variance=spec.g_variance,
+                )
+            except ValueError as exc:
+                raise CLIError(str(exc)) from None
     if spec.mode not in MODES:
         raise CLIError(f"unknown mode {spec.mode!r}")
     for s in spec.strategies:
@@ -307,11 +306,9 @@ def _validate_spec(spec: SweepSpec) -> None:
     for m in spec.metrics:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
-    if spec.h_variance <= 0 or spec.g_variance <= 0:
-        raise CLIError("variances must be positive")
 
     if spec.mode in ("exact", "asymptotic", "bounds"):
-        if not _unit_variances(spec):
+        if not next(iter(configs.values())).unit_variances:
             raise CLIError(f"mode {spec.mode!r} requires unit link variances")
         for s in spec.strategies:
             for m in spec.metrics:
@@ -321,7 +318,7 @@ def _validate_spec(spec: SweepSpec) -> None:
         s != "individual" for s in spec.strategies
     ):
         raise CLIError("pooled asymptotics require at least two pairs")
-    closed_forms = {"exact", "bounds"} & _analytic_groups(spec)
+    closed_forms = {"exact", "bounds"} & _analytic_groups(spec, configs)
     if max(spec.pairs) > MAX_CLOSED_FORM_PAIRS and any(
         closed_forms.intersection(ANALYTIC_METHODS.get((s, m), ()))
         for s in spec.strategies
@@ -331,15 +328,12 @@ def _validate_spec(spec: SweepSpec) -> None:
             f"pairs {max(spec.pairs)} exceeds {MAX_CLOSED_FORM_PAIRS}, "
             "the largest pair count the closed forms support"
         )
+    return configs
 
 
-def _unit_variances(spec: SweepSpec) -> bool:
-    return spec.h_variance == 1.0 and spec.g_variance == 1.0
-
-
-def _analytic_groups(spec: SweepSpec) -> set[str]:
+def _analytic_groups(spec: SweepSpec, configs: dict) -> set[str]:
     """Analytic method groups the sweep evaluates (see ANALYTIC_METHODS)."""
-    if spec.mode == "mc" or not _unit_variances(spec):
+    if spec.mode == "mc" or not next(iter(configs.values())).unit_variances:
         return set()
     if spec.mode == "all":
         return {"exact", "asymptotic", "bounds"}
@@ -347,20 +341,31 @@ def _analytic_groups(spec: SweepSpec) -> set[str]:
 
 
 def _mc_value(report, metric: str) -> tuple[float, float]:
-    if metric == "average":
-        return report.average, report.average_stderr
-    if metric == "best":
-        return report.best, report.best_stderr
-    if metric == "worst":
-        return report.worst, report.worst_stderr
-    return report.mean_success, report.mean_success_stderr
+    name = "mean_success" if metric == "success" else metric
+    return getattr(report, name), getattr(report, f"{name}_stderr")
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     """Evaluate the sweep; returns CSV rows in deterministic order."""
-    _validate_spec(spec)
-    want_mc = spec.mode in ("mc", "all")
-    groups = _analytic_groups(spec)
+    configs = _validate_spec(spec)
+    groups = _analytic_groups(spec, configs)
+    # Monte Carlo reports by pair count, then by (snr index, strategy)
+    mc = {}
+    if spec.mode in ("mc", "all"):
+        auction_opts = {
+            "xi_fraction": spec.xi_fraction,
+            "price_margin": spec.price_margin,
+            "price_policy": spec.price_policy,
+        }
+        for pairs in spec.pairs:
+            mc[pairs] = run_group(
+                [configs[snr, pairs] for snr in spec.snr_db],
+                spec.strategies,
+                spec.trials,
+                spec.seed,
+                workers=workers,
+                auction_opts=auction_opts,
+            )
 
     rows: list[dict] = []
 
@@ -379,36 +384,13 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
             }
         )
 
-    for snr in spec.snr_db:
+    for i, snr in enumerate(spec.snr_db):
         for pairs in spec.pairs:
-            try:
-                config = SystemConfig(
-                    pairs=pairs,
-                    rate=spec.rate,
-                    source_power=power_from_snr_db(snr),
-                    eta=spec.eta,
-                    h_variance=spec.h_variance,
-                    g_variance=spec.g_variance,
-                )
-            except ValueError as exc:
-                raise CLIError(str(exc)) from None
-            exact_cache: dict[str, object] = {}
+            config = configs[snr, pairs]
+            exact_cache: dict[str, dict] = {}
             bounds_cache = None
             for strategy in spec.strategies:
-                report = None
-                if want_mc:
-                    report = run_experiment(
-                        config,
-                        strategy,
-                        spec.trials,
-                        spec.seed,
-                        workers=workers,
-                        auction_opts={
-                            "xi_fraction": spec.xi_fraction,
-                            "price_margin": spec.price_margin,
-                            "price_policy": spec.price_policy,
-                        },
-                    )
+                report = mc[pairs][i, strategy] if mc else None
                 for metric in spec.metrics:
                     methods = groups.intersection(ANALYTIC_METHODS.get((strategy, metric), ()))
                     if report is not None:
@@ -416,15 +398,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         add(snr, pairs, strategy, metric, "mc", value, stderr, report.trials)
                     if "exact" in methods:
                         if strategy not in exact_cache:
-                            if strategy == "individual":
-                                exact_cache[strategy] = outage_individual(config)
-                            elif strategy == "equal":
-                                exact_cache[strategy] = outage_equal(config)
-                            else:
-                                exact_cache[strategy] = outage_wf_best(config)
-                        summary = exact_cache[strategy]
-                        value = summary if isinstance(summary, float) else getattr(summary, metric)
-                        add(snr, pairs, strategy, metric, "exact", value)
+                            exact_cache[strategy] = EXACT_FORMS[strategy](config)
+                        add(snr, pairs, strategy, metric, "exact", exact_cache[strategy][metric])
                     if "asymptotic" in methods:
                         if strategy == "waterfill":
                             if pairs >= 2:
@@ -473,12 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {
-    "snr": ("snr_db", _parse_snr),
-    "pairs": ("pairs", _parse_pairs),
-    "strategy": ("strategies", _parse_names(STRATEGY_NAMES, "strategy")),
-    "metric": ("metrics", _parse_names(METRIC_NAMES, "metric")),
-}
+# flag -> SweepSpec field, parsed like the config key of that name
+_FLAG_KEYS = {"snr": "snr_db", "pairs": "pairs", "strategy": "strategies", "metric": "metrics"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -499,11 +470,11 @@ def main(argv: list[str] | None = None) -> int:
             spec = SweepSpec()
 
         updates: dict[str, object] = {}
-        for flag, (field, parse) in _FLAG_KEYS.items():
+        for flag, field in _FLAG_KEYS.items():
             raw = getattr(args, flag)
             if raw is not None:
                 try:
-                    updates[field] = parse(raw)
+                    updates[field] = _PARSERS[field](raw)
                 except ValueError as exc:
                     raise CLIError(f"invalid --{flag}: {exc}") from None
         for flag in ("trials", "seed", "rate", "eta", "mode"):

@@ -6,21 +6,26 @@ from a dedicated substream keyed by ``(seed, b)`` (see
 in block order.  Estimates are therefore bit-identical for any worker
 count and any assignment of blocks to workers.
 
-Each block runs three layers on (trials, pairs) arrays:
-:func:`ehrelay.model.sample_block` draws the channels,
-:func:`ehrelay.model.harvest` finds the decoding sets and relay budgets,
-and :func:`ehrelay.strategies.allocate` returns the served mask and the
-leftover budget.  A pair is in outage iff it is not served.  Per-trial
-metrics are the outage fraction, the all-pairs-fail event (the
-best-positioned pair failed), the some-pair-fails event (the
-worst-positioned pair failed), and the number of served destinations.
+The unit of work is a sweep group: configs that differ only in source
+power (SNR), evaluated under several strategies on the same draws.  Per
+block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
+draws the channels once, :func:`ehrelay.model.harvest` finds the
+decoding sets and relay budgets once per SNR, and
+:func:`ehrelay.strategies.allocate` returns the served mask and the
+leftover budget once per (SNR, strategy).  Strategies and SNRs are thus
+compared on common channel realisations.
+
+A pair is in outage iff it is not served.  Per-trial metrics are the
+outage fraction, the all-pairs-fail event (the best-positioned pair
+failed), the some-pair-fails event (the worst-positioned pair failed),
+and the number of served destinations.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "OutageReport",
     "DEFAULT_BLOCK_SIZE",
     "run_experiment",
+    "run_group",
     "worst_case_equivalence_check",
 ]
 
@@ -84,6 +90,10 @@ class _Accumulator:
         self.success_sq_sum += float((counts.astype(float) ** 2).sum())
         self.leftover_sum += float(leftover.sum())
 
+    def merge(self, other: "_Accumulator") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 def _sample_stderr(total: float, total_sq: float, n: int) -> float:
     if n < 2:
@@ -97,50 +107,71 @@ def _binomial_stderr(count: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def run_experiment(
-    config: SystemConfig,
-    strategy: str,
+def _block_results(b, configs, strategies, trials, seed, block_size, auction_opts=None):
+    """Served mask and leftover of every (config, strategy) on block ``b``.
+
+    The block's channels are drawn once, harvested once per config and
+    allocated once per (config, strategy); yields
+    ``(config index, strategy, served, leftover)``.
+    """
+    h2, g2 = sample_block(seed, b, min(block_size, trials - b * block_size), configs[0])
+    for i, config in enumerate(configs):
+        params = derive_params(config)
+        harvested = harvest(h2, config, params)
+        for s in strategies:
+            yield (i, s, *allocate(s, h2, g2, *harvested, config, params, auction_opts=auction_opts))
+
+
+def run_group(
+    configs: list[SystemConfig],
+    strategies: tuple[str, ...],
     trials: int,
     seed: int,
     *,
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     auction_opts: dict | None = None,
-) -> OutageReport:
-    """Estimate the outage metrics of ``strategy`` over ``trials`` draws.
+) -> dict[tuple[int, str], OutageReport]:
+    """Estimate the outage metrics of every (config, strategy) on shared draws.
 
-    Block b covers trials [b * block_size, ...) and is computed entirely
-    from its own substream; per-block partial sums are reduced in block
-    order, so the report does not depend on ``workers``.
+    ``configs`` may differ only in source power (SNR): every block's
+    channels depend on (seed, block, pairs, variances) alone, so they are
+    drawn once for the whole group.  Block b covers trials
+    [b * block_size, ...); each block reduces to one partial sum per
+    (config, strategy), and the partials are merged in block order, so
+    the reports do not depend on ``workers``.  Returns the report of each
+    (config index, strategy).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if strategy not in STRATEGY_NAMES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")
-    params = derive_params(config)
+    for name, value in (("trials", trials), ("block_size", block_size), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
+    for strategy in strategies:
+        if strategy not in STRATEGY_NAMES:
+            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")
+    pairs = configs[0].pairs
+    link = (pairs, configs[0].h_variance, configs[0].g_variance)
+    if any((c.pairs, c.h_variance, c.g_variance) != link for c in configs):
+        raise ValueError("configs of one group must share pairs, h_variance and g_variance")
+
+    def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
+        partials = {}
+        for i, s, served, leftover in _block_results(
+            b, configs, strategies, trials, seed, block_size, auction_opts
+        ):
+            partials[i, s] = acc = _Accumulator()
+            acc.add_block(served.sum(axis=1), leftover, pairs)
+        return partials
+
+    totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
     n_blocks = (trials + block_size - 1) // block_size
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for partials in (map if workers == 1 else pool.map)(one_block, range(n_blocks)):
+            for key, partial in partials.items():
+                totals[key].merge(partial)
+    return {(i, s): _report(s, seed, acc) for (i, s), acc in totals.items()}
 
-    def one_block(b: int):
-        h2, g2 = sample_block(seed, b, min(block_size, trials - b * block_size), config)
-        decoded, n, budget = harvest(h2, config, params)
-        served, leftover = allocate(
-            strategy, h2, g2, decoded, n, budget, config, params, auction_opts=auction_opts
-        )
-        return served.sum(axis=1), leftover
 
-    acc = _Accumulator()
-    if workers == 1:
-        for counts, leftover in map(one_block, range(n_blocks)):
-            acc.add_block(counts, leftover, config.pairs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for counts, leftover in pool.map(one_block, range(n_blocks)):
-                acc.add_block(counts, leftover, config.pairs)
-
+def _report(strategy: str, seed: int, acc: _Accumulator) -> OutageReport:
     t = acc.trials
     return OutageReport(
         strategy=strategy,
@@ -158,6 +189,24 @@ def run_experiment(
     )
 
 
+def run_experiment(
+    config: SystemConfig,
+    strategy: str,
+    trials: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    auction_opts: dict | None = None,
+) -> OutageReport:
+    """Estimate the outage metrics of ``strategy`` over ``trials`` draws:
+    :func:`run_group` on the one-config group."""
+    return run_group(
+        [config], (strategy,), trials, seed,
+        workers=workers, block_size=block_size, auction_opts=auction_opts,
+    )[0, strategy]
+
+
 def worst_case_equivalence_check(
     config: SystemConfig, trials: int, seed: int, *, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> int:
@@ -167,16 +216,13 @@ def worst_case_equivalence_check(
     Both fail some pair iff the budget cannot cover every decoded pair's
     requirement, so the count should be zero.
     """
-    params = derive_params(config)
-    n_blocks = (trials + block_size - 1) // block_size
     mismatches = 0
-    for b in range(n_blocks):
-        size = min(block_size, trials - b * block_size)
-        h2, g2 = sample_block(seed, b, size, config)
-        harvested = harvest(h2, config, params)
-        wf, _ = allocate("waterfill", h2, g2, *harvested, config, params)
-        mm, _ = allocate("maxmin", h2, g2, *harvested, config, params)
-        wf_worst = wf.sum(axis=1) < config.pairs
-        mm_worst = mm.sum(axis=1) < config.pairs
-        mismatches += int((wf_worst != mm_worst).sum())
+    for b in range((trials + block_size - 1) // block_size):
+        wf, mm = (
+            served.sum(axis=1) < config.pairs
+            for *_, served, _ in _block_results(
+                b, [config], ("waterfill", "maxmin"), trials, seed, block_size
+            )
+        )
+        mismatches += int((wf != mm).sum())
     return mismatches

@@ -25,7 +25,6 @@ __all__ = [
     "derive_params",
     "sample_block",
     "block_rng",
-    "power_split_theta",
     "harvest",
 ]
 
@@ -128,22 +127,6 @@ def sample_block(
     h2 = rng.exponential(scale=np.asarray(config.h_variance), size=(size, config.pairs))
     g2 = rng.exponential(scale=np.asarray(config.g_variance), size=(size, config.pairs))
     return h2, g2
-
-
-def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> float:
-    """Fraction of received power routed to the energy harvester.
-
-    The splitter keeps just enough signal power for decoding at the target
-    rate, theta = 1 - a / (P_s |h|^2), and sends everything to the
-    harvester (theta would go negative; clamp to 0, no decoding) when the
-    channel cannot support the rate anyway.
-    """
-    if h2 < 0.0:
-        raise ValueError("h2 must be non-negative")
-    received = source_power * h2
-    if received <= snr_threshold:
-        return 0.0
-    return 1.0 - snr_threshold / received
 
 
 def harvest(

@@ -16,6 +16,8 @@ These deliberately avoid the library code paths they are checking:
   direct mpmath quadrature of their defining probability integrals
   (exponential first hop, Gamma-distributed pooled budget, exponential
   second hop), bypassing every Bessel identity the library uses.
+* ``power_split_theta``: the power-splitting ratio of one draw, the
+  scalar statement of the split behind ``ehrelay.model.harvest``.
 * ``reference_draw``: a scalar, one-draw-at-a-time statement of the
   harvest and of every allocation strategy, with explicit per-pair
   powers, for cross-checking the library's batched kernels.  The auction
@@ -212,6 +214,22 @@ def outage_wf_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
             )
             total += _binom_pmf(m, n, e) * nofit
         return float(total)
+
+
+def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> float:
+    """Fraction of received power routed to the energy harvester.
+
+    The splitter keeps just enough signal power for decoding at the target
+    rate, theta = 1 - a / (P_s |h|^2).  When the channel cannot support the
+    rate (theta would be at most 0) the pair is not decoded and harvests
+    nothing: theta is clamped to 0.
+    """
+    if h2 < 0.0:
+        raise ValueError("h2 must be non-negative")
+    received = source_power * h2
+    if received <= snr_threshold:
+        return 0.0
+    return 1.0 - snr_threshold / received
 
 
 @dataclass(eq=False)

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import ehrelay
+from ehrelay.analytic import ANALYTIC_METHODS, outage_equal
 from ehrelay.cli import (
     CLIError,
     CSV_COLUMNS,
+    EXACT_FORMS,
     PRESETS,
     SweepSpec,
     dump_config,
@@ -22,6 +24,7 @@ from ehrelay.cli import (
     run_sweep,
     write_csv,
 )
+from ehrelay.model import SystemConfig, power_from_snr_db
 from ehrelay.strategies import STRATEGY_NAMES
 
 SMALL = SweepSpec(
@@ -204,6 +207,27 @@ def test_run_sweep_rejects_exact_with_scaled_variances():
         run_sweep(spec)
 
 
+def test_exact_rows_come_from_the_closed_form_table(monkeypatch):
+    config = SystemConfig(pairs=2, rate=2.0, source_power=power_from_snr_db(30.0))
+    exact = {(s, m) for (s, m), methods in ANALYTIC_METHODS.items() if "exact" in methods}
+    assert {s for s, _ in exact} == set(EXACT_FORMS)
+    for strategy, form in EXACT_FORMS.items():
+        assert set(form(config)) >= {m for s, m in exact if s == strategy}
+    # the sweep calls the closed form through the module's name, once per point
+    calls = []
+
+    def counting_outage_equal(config):
+        calls.append(config.source_power)
+        return outage_equal(config)
+
+    monkeypatch.setattr("ehrelay.cli.outage_equal", counting_outage_equal)
+    spec = SweepSpec(snr_db=(20.0, 30.0), metrics=("average", "best", "worst"), mode="exact")
+    rows = run_sweep(spec)
+    assert len(calls) == 2
+    want = outage_equal(config)
+    assert [r["value"] for r in rows[3:]] == [repr(getattr(want, m)) for m in spec.metrics]
+
+
 def test_csv_bytes_reproducible(tmp_path):
     def render(workers):
         buf = io.StringIO()
@@ -271,6 +295,7 @@ def test_main_preset_dump_round_trips(capsys):
         ["--seed", "-1"],
         ["--rate", "600"],
         ["--snr", "1e6"],
+        ["--snr=-1e6"],
     ],
 )
 def test_main_exit_code_2_on_bad_input(argv, capsys):
@@ -331,7 +356,7 @@ def test_main_exit_code_3_on_engine_failure(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("did not converge")
 
-    monkeypatch.setattr("ehrelay.cli.run_experiment", boom)
+    monkeypatch.setattr("ehrelay.cli.run_group", boom)
     rc = main(["--snr", "10", "--trials", "10"])
     assert rc == 3
     assert "did not converge" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.analytic import outage_individual, wf_worst_bounds
-from ehrelay.engine import run_experiment, worst_case_equivalence_check
+from ehrelay.cli import SweepSpec, run_sweep
+from ehrelay.engine import run_experiment, run_group, worst_case_equivalence_check
 from ehrelay.model import (
     SystemConfig,
     derive_params,
@@ -119,6 +120,42 @@ def test_trials_one_is_the_single_trial():
     assert report.best == float(outage.all())
     assert report.worst == float(outage.any())
     assert report.mean_success == float(res.served.sum())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_group_matches_run_experiment(workers):
+    # one draw per block serves every SNR and strategy of the group; each
+    # report must equal the one-point run's bit for bit
+    configs = [cfg(pairs=3, snr_db=s) for s in (10.0, 15.0, 20.0)]
+    kw = dict(workers=workers, block_size=50)
+    group = run_group(configs, STRATEGY_NAMES, 130, seed=4, **kw)  # blocks of 50, 50, 30
+    assert set(group) == {(i, s) for i in range(3) for s in STRATEGY_NAMES}
+    for (i, name), report in group.items():
+        assert report == run_experiment(configs[i], name, 130, seed=4, **kw)
+
+
+def test_run_group_rejects_mixed_groups():
+    for other in (cfg(pairs=2), cfg(h_variance=0.5), cfg(g_variance=(1.0, 1.0, 2.0))):
+        with pytest.raises(ValueError, match="share pairs"):
+            run_group([cfg(), other], ("equal",), 10, seed=0)
+
+
+def test_run_sweep_draws_once_per_block_and_pair_count(monkeypatch):
+    drawn = []
+
+    def counting_sample_block(seed, block_index, size, config):
+        drawn.append((config.pairs, block_index))
+        return sample_block(seed, block_index, size, config)
+
+    monkeypatch.setattr("ehrelay.engine.sample_block", counting_sample_block)
+    spec = SweepSpec(
+        pairs=(2, 3),
+        snr_db=(10.0, 15.0, 20.0),
+        strategies=("equal", "waterfill"),
+        trials=40_000,  # three blocks of the default size
+    )
+    assert len(run_sweep(spec)) == 12
+    assert sorted(drawn) == [(p, b) for p in (2, 3) for b in range(3)]
 
 
 @pytest.mark.parametrize("name", ["equal", "waterfill", "auction"])

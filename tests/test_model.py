@@ -12,9 +12,9 @@ from ehrelay.model import (
     derive_params,
     harvest,
     power_from_snr_db,
-    power_split_theta,
     sample_block,
 )
+from oracles import power_split_theta
 
 
 def cfg(pairs=2, rate=2.0, power=100.0, **kw):

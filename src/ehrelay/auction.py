@@ -20,6 +20,11 @@ to the unique fixed point whenever
 
 with rho_i = T_i / (P_r - T_i); ``select_price`` finds the cheapest price
 with that certificate and backs it off by a safety margin.
+
+Row r of a (rows, pairs) gain array is one auction, and a zero gain marks
+a pair not in it (its quit price is 0, so it never bids).  The price
+policies and the certificate take one auction, or such a block with a
+budget (and price) per row; the other functions are one-row calls.
 """
 
 from __future__ import annotations
@@ -32,26 +37,17 @@ import numpy as np
 from .model import DerivedParams
 
 __all__ = [
-    "B_MAX",
-    "LN2",
-    "AuctionConfig",
-    "AuctionState",
-    "interior_target",
-    "quit_price",
-    "full_budget_price",
-    "payoff",
-    "response_weights",
-    "contraction_modulus",
-    "iteration_spectral_radius",
-    "predict_allocation",
-    "run_auction",
-    "select_price",
-    "winner_maximizing_price",
+    "B_MAX", "LN2", "AuctionConfig", "AuctionState", "interior_target", "quit_price",
+    "full_budget_price", "response_weights", "contraction_modulus", "iteration_spectral_radius",
+    "predict_allocation", "run_auction", "select_price", "winner_maximizing_price",
     "allocate_auction",
 ]
 
 LN2 = math.log(2.0)
 B_MAX = 1e12  # stand-in for an unbounded bid when T_i >= P_r
+# elements of the max-winners scan's (rows, 2 pairs + 1, pairs) arrays per
+# chunk of rows: bounds its memory and keeps each array in a core's cache
+_CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,10 @@ class AuctionState:
     residual: float
 
 
-def interior_target(price: float, g2) -> np.ndarray:
+def interior_target(price, g2) -> np.ndarray:
     """Power a pair would buy if the share rule placed no cap: T_i."""
-    return 1.0 / (2.0 * LN2 * price) - 1.0 / np.asarray(g2, dtype=float)
+    with np.errstate(divide="ignore"):
+        return 1.0 / (2.0 * LN2 * price) - 1.0 / np.asarray(g2, dtype=float)
 
 
 def quit_price(g2) -> np.ndarray:
@@ -101,27 +98,13 @@ def quit_price(g2) -> np.ndarray:
     return np.asarray(g2, dtype=float) / (2.0 * LN2)
 
 
-def full_budget_price(g2, total_power: float) -> np.ndarray:
+def full_budget_price(g2, total_power) -> np.ndarray:
     """Price below which a pair wants the entire budget."""
     g2 = np.asarray(g2, dtype=float)
     return g2 / (2.0 * LN2 * (1.0 + total_power * g2))
 
 
-def _shares(bids: np.ndarray, total_power: float, reserve: float) -> np.ndarray:
-    return bids / (bids.sum() + reserve) * total_power
-
-
-def payoff(
-    i: int, bids: np.ndarray, price: float, total_power: float, g2: np.ndarray,
-    reserve: float,
-) -> float:
-    """Rate-minus-cost utility of pair i under the share rule."""
-    bids = np.asarray(bids, dtype=float)
-    share = bids[i] / (bids.sum() + reserve) * total_power
-    return 0.5 * math.log2(1.0 + share * g2[i]) - price * share
-
-
-def response_weights(price: float, total_power: float, g2) -> np.ndarray:
+def response_weights(price, total_power, g2) -> np.ndarray:
     """Sensitivities rho_i = T_i / (P_r - T_i) of the interior responses.
 
     Pairs on the quit branch (T_i <= 0) and the full-budget branch
@@ -129,17 +112,48 @@ def response_weights(price: float, total_power: float, g2) -> np.ndarray:
     to the other bids.
     """
     t = interior_target(price, g2)
-    rho = np.zeros_like(t)
-    interior = (t > 0.0) & (t < total_power)
-    rho[interior] = t[interior] / (total_power - t[interior])
-    return rho
+    interior = np.where((t > 0.0) & (t < total_power), t, 0.0)
+    return interior / (total_power - interior)
 
 
-def contraction_modulus(price: float, total_power: float, g2) -> float:
+def _block(g2, total_power, *, rows: bool = True) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Validated auctions as a (rows, pairs) block, and whether one was given."""
+    g2 = np.asarray(g2, dtype=float)
+    if g2.ndim not in ((1, 2) if rows else (1,)) or g2.shape[-1] < 1:
+        raise ValueError("g2 must be a non-empty 1-D array" + rows * " or a (rows, pairs) block")
+    block = g2.reshape(-1, g2.shape[-1])
+    if not ((block >= 0.0).all() and (block.max(axis=1) > 0.0).all()):
+        raise ValueError("gains must be non-negative, with a positive gain in every auction")
+    total_power = np.broadcast_to(np.asarray(total_power, dtype=float), block.shape[:1])
+    if not (total_power > 0.0).all():
+        raise ValueError("total_power must be positive")
+    return block, total_power, g2.ndim == 1
+
+
+def contraction_modulus(price, total_power, g2):
     """Certificate mu(pi); the dynamics contract when mu < 1."""
-    rho = response_weights(price, total_power, g2)
-    n = rho.shape[0]
-    return math.sqrt(n) * math.sqrt(float((rho * rho).sum())) + float(rho.max())
+    g2, total_power, single = _block(g2, total_power)
+    rho = response_weights(np.reshape(price, (-1, 1)), total_power[:, None], g2)
+    mu = np.sqrt(np.count_nonzero(g2, axis=1)) * np.sqrt((rho * rho).sum(axis=1)) + rho.max(axis=1)
+    return float(mu[0]) if single else mu
+
+
+def _radius_below(rho: np.ndarray, limit) -> np.ndarray:
+    """Whether the update's spectral radius is below ``limit``, per row.
+
+    Off the poles -rho_i the eigenvalues of the Jacobian J = rho 1^T -
+    diag(rho) solve the secular equation f(lam) = sum_i rho_i / (lam +
+    rho_i) = 1 (Golub 1973), and f falls between poles.  The one positive
+    root is below L iff f(L) < 1; the most negative lies in [-rho_(1),
+    -rho_(2)], so it is above -L iff no rho reaches L, or one does and
+    f(-L) > 1.
+    """
+    limit = np.asarray(limit)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        above = (rho / (limit + rho)).sum(axis=-1)
+        below = (rho / (rho - limit)).sum(axis=-1)
+    reach = np.count_nonzero(rho >= limit, axis=-1)
+    return (above < 1.0) & ((reach == 0) | ((reach == 1) & (below > 1.0)))
 
 
 def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
@@ -147,20 +161,36 @@ def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
 
     For a fixed price the branch of every pair is bid-independent, so the
     update is affine in the bids and converges iff the spectral radius of
-    its Jacobian (over the interior pairs) is below one.  The contraction
-    certificate upper-bounds this by roughly a factor sqrt(N).
+    its Jacobian (over the interior pairs) is below one.  It is found by
+    bisection on the secular-equation test of ``_radius_below``, from
+    sum(rho), which exceeds every root.  The contraction certificate
+    upper-bounds it by roughly a factor sqrt(N).
     """
-    rho = response_weights(price, total_power, g2)
-    rho = rho[rho > 0.0]
-    if rho.size <= 1:
+    rho = response_weights(price, total_power, _block(g2, total_power, rows=False)[0][0])
+    if np.count_nonzero(rho) <= 1:
         return 0.0
-    jac = np.outer(rho, np.ones(rho.size)) - np.diag(rho)
-    return float(np.abs(np.linalg.eigvals(jac)).max())
+    lo, hi = 0.0, float(rho.sum())
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if _radius_below(rho, mid) else (mid, hi)
+    return hi
 
 
-def predict_allocation(
-    price: float, total_power: float, g2, reserve: float
-) -> np.ndarray | None:
+def _predict(price, total_power, g2, reserve):
+    """Equilibrium allocations at each price, whether they exist, and rho."""
+    t = interior_target(price, g2)
+    capped = t >= total_power
+    interior = np.where((t > 0.0) & ~capped, t, 0.0)
+    demand = interior.sum(axis=-1, keepdims=True)
+    sigma = demand / total_power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        capped_bids = np.count_nonzero(capped, axis=-1)[..., None] * B_MAX
+        total_bids = (capped_bids + sigma * reserve) / (1.0 - sigma)
+        share = B_MAX / (total_bids + reserve) * total_power
+    exists = demand[..., 0] < total_power[..., 0]
+    return np.where(capped, share, interior), exists, interior / (total_power - interior)
+
+
+def predict_allocation(price: float, total_power: float, g2, reserve: float) -> np.ndarray | None:
     """Closed-form equilibrium allocation for a convergent price.
 
     Interior pairs end up with exactly their target T_i; full-budget pairs
@@ -168,21 +198,39 @@ def predict_allocation(
     when the interior demand alone exceeds the budget (no equilibrium of
     this structure; the dynamics do not settle).
     """
-    g2 = np.asarray(g2, dtype=float)
-    t = interior_target(price, g2)
-    capped = t >= total_power
-    interior = (t > 0.0) & ~capped
-    demand = float(t[interior].sum())
-    if demand >= total_power:
-        return None
-    alloc = np.zeros_like(g2)
-    alloc[interior] = t[interior]
-    k = int(capped.sum())
-    if k:
-        sigma = demand / total_power
-        total_bids = (k * B_MAX + sigma * reserve) / (1.0 - sigma)
-        alloc[capped] = B_MAX / (total_bids + reserve) * total_power
-    return alloc
+    g2, total_power, _ = _block(g2, total_power, rows=False)
+    alloc, exists, _ = _predict(price, total_power[:, None], g2, reserve)
+    return alloc[0] if exists[0] else None
+
+
+def _bid_dynamics(g2, total_power, price, reserve, tolerance, max_iterations):
+    """Best-response dynamics of every row from the all-ones bid vector.
+
+    A row stops updating once its residual is within tolerance, so its
+    bids, iteration count and residual are those of its own run.  Returns
+    (bids, allocation, iterations, converged, residual) per row; the
+    allocation applies the share rule to the final bids.
+    """
+    # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
+    # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
+    weights = response_weights(price[:, None], total_power[:, None], g2)
+    cap = np.where(interior_target(price[:, None], g2) >= total_power[:, None], B_MAX, 0.0)
+    bids = (g2 > 0.0).astype(float)
+    iterations = np.zeros(g2.shape[0], dtype=int)
+    residual = np.full(g2.shape[0], math.inf)
+    live = np.arange(g2.shape[0])
+    for it in range(1, max_iterations + 1):
+        b = bids[live]
+        new = b.sum(axis=1, keepdims=True) - b
+        new += reserve[live, None]
+        new *= weights[live]
+        new += cap[live]
+        residual[live] = np.abs(new - b).max(axis=1) / np.maximum(1.0, np.abs(new).max(axis=1))
+        bids[live], iterations[live] = new, it
+        if not (live := live[~(residual[live] <= tolerance)]).size:
+            break
+    allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]
+    return bids, allocation, iterations, residual <= tolerance, residual
 
 
 def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
@@ -192,37 +240,17 @@ def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
     ``tolerance * max(1, ||b||_inf)`` or after ``max_iterations`` rounds.
     The returned allocation applies the share rule to the final bids.
     """
-    g2 = np.asarray(g2, dtype=float)
-    if g2.ndim != 1 or g2.size < 1:
-        raise ValueError("g2 must be a non-empty 1-D array")
-    if not total_power > 0.0:
-        raise ValueError("total_power must be positive")
-    # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior
-    # pairs scale the others' bids, full-budget pairs bid the constant
-    # B_MAX, priced-out pairs bid 0
-    weights = response_weights(config.price, total_power, g2)
-    cap = np.where(interior_target(config.price, g2) >= total_power, B_MAX, 0.0)
-    bids = np.ones_like(g2)
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        new = weights * (bids.sum() - bids + config.reserve) + cap
-        residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
-        bids = new
-        if residual <= config.tolerance:
-            converged = True
-            break
+    g2, total_power, _ = _block(g2, total_power, rows=False)
+    bids, allocation, iterations, converged, residual = _bid_dynamics(
+        g2, total_power, np.array([config.price]), np.array([config.reserve]),
+        config.tolerance, config.max_iterations,
+    )
     return AuctionState(
-        bids=bids,
-        allocation=_shares(bids, total_power, config.reserve),
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
+        bids[0], allocation[0], int(iterations[0]), bool(converged[0]), float(residual[0])
     )
 
 
-def select_price(g2, total_power: float, margin: float = 0.05) -> float:
+def select_price(g2, total_power, margin: float = 0.05):
     """Cheapest price with a contraction certificate, plus a safety margin.
 
     Bisects over (min_i full_budget_price, max_i quit_price) for the
@@ -232,46 +260,35 @@ def select_price(g2, total_power: float, margin: float = 0.05) -> float:
     pair stays in the market.  If the scaled price lands on an
     uncertified pocket (the modulus is only piecewise monotone once pairs
     start capping), it is nudged toward the upper endpoint until
-    certified.
+    certified.  Each row of a block bisects until its own stop.
     """
-    g2 = np.asarray(g2, dtype=float)
-    if g2.ndim != 1 or g2.size < 1:
-        raise ValueError("g2 must be a non-empty 1-D array")
-    if not total_power > 0.0:
-        raise ValueError("total_power must be positive")
+    g2, total_power, single = _block(g2, total_power)
     if margin < 0.0:
         raise ValueError("margin must be non-negative")
-    lo = float(full_budget_price(g2, total_power).min())
-    hi = float(quit_price(g2).max())
-    if not contraction_modulus(hi * (1.0 - 1e-12), total_power, g2) < 1.0:
-        # cannot happen for finite inputs: near the quit price only the
-        # best pair is active with a vanishing weight
-        return hi
-    upper = hi
+    lo = np.where(g2 > 0.0, full_budget_price(g2, total_power[:, None]), np.inf).min(axis=1)
+    upper = quit_price(g2).max(axis=1)
+    hi = upper.copy()
+    # no certificate near the quit price cannot happen for finite inputs:
+    # there only the best pair is active, with a vanishing weight
+    certified = contraction_modulus(upper * (1.0 - 1e-12), total_power, g2) < 1.0
+    live = np.flatnonzero(certified)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if contraction_modulus(mid, total_power, g2) < 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * hi:
+        mid = 0.5 * (lo[live] + hi[live])
+        ok = contraction_modulus(mid, total_power[live], g2[live]) < 1.0
+        hi[live] = np.where(ok, mid, hi[live])
+        lo[live] = np.where(ok, lo[live], mid)
+        if not (live := live[~(hi[live] - lo[live] <= 1e-14 * hi[live])]).size:
             break
-    price = hi * (1.0 + margin)
-    if price >= upper:
-        price = 0.5 * (hi + upper)
-    while contraction_modulus(price, total_power, g2) >= 1.0:
-        # mu -> 0 as the price approaches the best pair's quit price
-        price = 0.5 * (price + upper)
-    return price
+    price = np.where(hi * (1.0 + margin) >= upper, 0.5 * (hi + upper), hi * (1.0 + margin))
+    live = np.flatnonzero(certified)
+    # mu -> 0 as the price approaches the best pair's quit price
+    while (live := live[contraction_modulus(price[live], total_power[live], g2[live]) >= 1.0]).size:
+        price[live] = 0.5 * (price[live] + upper[live])
+    price = np.where(certified, price, upper)
+    return float(price[0]) if single else price
 
 
-def winner_maximizing_price(
-    g2,
-    total_power: float,
-    snr_threshold: float,
-    *,
-    radius_limit: float = 0.93,
-) -> float:
+def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_limit: float = 0.93):
     """Price that maximizes the number of served pairs at equilibrium.
 
     The served count is piecewise constant in the price, changing only
@@ -288,51 +305,37 @@ def winner_maximizing_price(
     spectral radius >= radius_limit, or interior demand exceeding the
     budget) are discarded.  Ties go to the higher price: it sells less
     power for the same service.  Falls back to the certified price when
-    no candidate survives.
+    no candidate survives.  A block's ladders are scanned at once.
     """
-    g2 = np.asarray(g2, dtype=float)
-    if g2.ndim != 1 or g2.size < 1:
-        raise ValueError("g2 must be a non-empty 1-D array")
-    if not total_power > 0.0:
-        raise ValueError("total_power must be positive")
+    g2, total_power, single = _block(g2, total_power)
     if not 0.0 < radius_limit < 1.0:
         raise ValueError("radius_limit must lie in (0, 1)")
-    requirement = snr_threshold / g2
-    candidates = set(full_budget_price(g2, total_power) * (1.0 - 1e-3))
-    # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold))
-    candidates.update(g2 / (2.0 * LN2 * (1.0 + snr_threshold)))
-    candidates.add(float(quit_price(g2).max()) * (1.0 - 1e-6))
-    reserve_fraction = 0.01  # ranking only; xi shifts capped shares by O(xi/B_MAX)
-    best_price = -1.0
-    best_served = -1
-    for price in sorted(c for c in candidates if c > 0.0):
-        if iteration_spectral_radius(price, total_power, g2) >= radius_limit:
-            continue
-        alloc = predict_allocation(price, total_power, g2, reserve_fraction * total_power)
-        if alloc is None:
-            continue
-        served = int((alloc >= requirement).sum())
-        if served >= best_served:
-            best_served = served
-            best_price = price
-    if best_served < 0:
-        return select_price(g2, total_power)
-    return best_price
+    p = total_power[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidates = np.concatenate([
+            full_budget_price(g2, p) * (1.0 - 1e-3),
+            # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold))
+            g2 / (2.0 * LN2 * (1.0 + snr_threshold)),
+            quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
+        ], axis=1)
+        # reserve 0.01 P_r for ranking only; xi shifts capped shares by O(xi/B_MAX)
+        p = p[..., None]
+        alloc, usable, rho = _predict(candidates[..., None], p, g2[:, None], 0.01 * p)
+        served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
+    served[~(usable & (candidates > 0.0) & _radius_below(rho, radius_limit))] = -1
+    most = served.max(axis=1, keepdims=True)
+    price = np.where(served == most, candidates, -np.inf).max(axis=1)
+    if (fallback := most[:, 0] < 0).any():
+        price[fallback] = select_price(g2[fallback], total_power[fallback])
+    return float(price[0]) if single else price
 
 
 def allocate_auction(
-    g2: np.ndarray,
-    decoded: np.ndarray,
-    budget: np.ndarray,
-    params: DerivedParams,
-    *,
-    xi_fraction: float = 0.01,
-    price_margin: float = 0.05,
-    price_policy: str = "max-winners",
-    tolerance: float = 1e-10,
-    max_iterations: int = 500,
+    g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, params: DerivedParams, *,
+    xi_fraction: float = 0.01, price_margin: float = 0.05, price_policy: str = "max-winners",
+    tolerance: float = 1e-10, max_iterations: int = 500,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Auction allocation for a block of draws, one auction per trial.
+    """Auction allocation for a block of draws, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
     (trials,).  In each trial the decoded pairs bid for the budget P_r:
@@ -340,37 +343,34 @@ def allocate_auction(
     policy, "max-winners" scanning for the price serving the most pairs,
     "certified" taking the cheapest contraction-certified price (scaled by
     ``1 + price_margin``).  Pairs priced out of the market get nothing;
-    the unsold remainder stays at the relay.  Returns the served mask and
-    the leftover budget per trial.
+    the unsold remainder stays at the relay.  The max-winners scan runs
+    in chunks of rows sized from the pair count.  Returns the served mask
+    and the leftover budget per trial.
     """
     if price_policy not in ("max-winners", "certified"):
         raise ValueError(f"unknown price_policy {price_policy!r}")
     served = np.zeros_like(decoded)
     leftover = np.zeros(budget.shape[0])
-    for t in np.flatnonzero(decoded.any(axis=1)):
-        idx = np.flatnonzero(decoded[t])
-        gains = g2[t, idx]
-        pr = float(budget[t])
-        if price_policy == "max-winners":
-            price = winner_maximizing_price(gains, pr, params.snr_threshold)
-        else:
-            price = select_price(gains, pr, margin=price_margin)
-        auction = run_auction(
-            gains,
-            pr,
-            AuctionConfig(
-                price=price,
-                reserve=xi_fraction * pr,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-            ),
+    rows = np.flatnonzero(decoded.any(axis=1))
+    gains = np.where(decoded[rows], g2[rows], 0.0)
+    pr = budget[rows]
+    if price_policy == "max-winners":
+        chunk = max(1, _CHUNK_ELEMENTS // ((2 * g2.shape[1] + 1) * g2.shape[1]))
+        price = np.concatenate([np.zeros(0)] + [
+            winner_maximizing_price(gains[i:i + chunk], pr[i:i + chunk], params.snr_threshold)
+            for i in range(0, rows.size, chunk)
+        ])
+    else:
+        price = select_price(gains, pr, price_margin)
+    _, alloc, _, converged, residual = _bid_dynamics(
+        gains, pr, price, xi_fraction * pr, tolerance, max_iterations
+    )
+    if not converged.all():
+        raise RuntimeError(
+            f"auction did not converge in {max_iterations} iterations (residual "
+            f"{residual[~converged].max():.3e}); the price certificate should make this impossible"
         )
-        if not auction.converged:
-            raise RuntimeError(
-                f"auction did not converge in {max_iterations} iterations "
-                f"(residual {auction.residual:.3e}); the price certificate "
-                "should make this impossible"
-            )
-        served[t, idx] = auction.allocation >= params.snr_threshold / gains
-        leftover[t] = pr - float(auction.allocation.sum())
+    with np.errstate(divide="ignore"):
+        served[rows] = alloc >= params.snr_threshold / gains
+    leftover[rows] = pr - alloc.sum(axis=1)
     return served, leftover

@@ -8,8 +8,13 @@ These deliberately avoid the library code paths they are checking:
   routine is involved.
 * ``golden_section_max``: derivative-free scalar maximizer, for checking
   best-response outputs against a direct payoff search.
-* ``best_response``: the payoff-maximizing bid of one pair, branch by
-  branch, for checking the auction's vectorized bid update.
+* ``payoff``: a pair's rate-minus-cost utility under the share rule, and
+  ``best_response``, its maximizing bid, branch by branch, for checking
+  the auction's bid update and its equilibrium.
+* ``scalar_*`` auction routines: one auction at a time, with Python
+  loops over the candidate prices, the bisection steps and the bid
+  rounds, and the exact spectral radius from ``np.linalg.eigvals``; the
+  reference for the library's block-batched auction.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
 * ``outage_*_quad``: the closed-form outage probabilities recomputed by
@@ -20,9 +25,8 @@ These deliberately avoid the library code paths they are checking:
   scalar statement of the split behind ``ehrelay.model.harvest``.
 * ``reference_draw``: a scalar, one-draw-at-a-time statement of the
   harvest and of every allocation strategy, with explicit per-pair
-  powers, for cross-checking the library's batched kernels.  The auction
-  reference reuses the library's price policies and bid dynamics and
-  checks only the per-draw glue around them.
+  powers, for cross-checking the library's batched kernels.  Its auction
+  branch runs the ``scalar_*`` auction routines.
 """
 
 from __future__ import annotations
@@ -34,14 +38,7 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from ehrelay.auction import (
-    B_MAX,
-    LN2,
-    AuctionConfig,
-    run_auction,
-    select_price,
-    winner_maximizing_price,
-)
+from ehrelay.auction import B_MAX, LN2, AuctionConfig, AuctionState
 
 
 def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
@@ -85,6 +82,16 @@ def golden_section_max(fun, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (a + b)
 
 
+def payoff(
+    i: int, bids: np.ndarray, price: float, total_power: float, g2: np.ndarray,
+    reserve: float,
+) -> float:
+    """Rate-minus-cost utility of pair i under the share rule."""
+    bids = np.asarray(bids, dtype=float)
+    share = bids[i] / (bids.sum() + reserve) * total_power
+    return 0.5 * math.log2(1.0 + share * g2[i]) - price * share
+
+
 def best_response(
     i: int, bids: np.ndarray, price: float, total_power: float, g2: np.ndarray,
     reserve: float,
@@ -99,6 +106,140 @@ def best_response(
         return B_MAX
     others = float(np.asarray(bids, dtype=float).sum() - bids[i]) + reserve
     return target / (total_power - target) * others
+
+
+def _scalar_targets(price: float, g2: np.ndarray) -> np.ndarray:
+    return 1.0 / (2.0 * LN2 * price) - 1.0 / g2
+
+
+def _scalar_weights(price: float, total_power: float, g2: np.ndarray) -> np.ndarray:
+    t = _scalar_targets(price, g2)
+    rho = np.zeros_like(t)
+    interior = (t > 0.0) & (t < total_power)
+    rho[interior] = t[interior] / (total_power - t[interior])
+    return rho
+
+
+def scalar_modulus(price: float, total_power: float, g2: np.ndarray) -> float:
+    """Contraction certificate mu(pi) of one auction."""
+    rho = _scalar_weights(price, total_power, g2)
+    n = rho.shape[0]
+    return math.sqrt(n) * math.sqrt(float((rho * rho).sum())) + float(rho.max())
+
+
+def eig_spectral_radius(price: float, total_power: float, g2: np.ndarray) -> float:
+    """Spectral radius of the bid update's Jacobian, by ``np.linalg.eigvals``."""
+    rho = _scalar_weights(price, total_power, g2)
+    rho = rho[rho > 0.0]
+    if rho.size <= 1:
+        return 0.0
+    jac = np.outer(rho, np.ones(rho.size)) - np.diag(rho)
+    return float(np.abs(np.linalg.eigvals(jac)).max())
+
+
+def scalar_predict(price: float, total_power: float, g2: np.ndarray, reserve: float):
+    """Closed-form equilibrium allocation of one auction, or None."""
+    t = _scalar_targets(price, g2)
+    capped = t >= total_power
+    interior = (t > 0.0) & ~capped
+    demand = float(t[interior].sum())
+    if demand >= total_power:
+        return None
+    alloc = np.zeros_like(g2)
+    alloc[interior] = t[interior]
+    k = int(capped.sum())
+    if k:
+        sigma = demand / total_power
+        total_bids = (k * B_MAX + sigma * reserve) / (1.0 - sigma)
+        alloc[capped] = B_MAX / (total_bids + reserve) * total_power
+    return alloc
+
+
+def scalar_run_auction(g2: np.ndarray, total_power: float, config: AuctionConfig) -> AuctionState:
+    """Bid dynamics of one auction, one synchronous round per loop pass."""
+    t = _scalar_targets(config.price, g2)
+    weights = _scalar_weights(config.price, total_power, g2)
+    cap = np.where(t >= total_power, B_MAX, 0.0)
+    bids = np.ones_like(g2)
+    residual = math.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, config.max_iterations + 1):
+        new = weights * (bids.sum() - bids + config.reserve) + cap
+        residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
+        bids = new
+        if residual <= config.tolerance:
+            converged = True
+            break
+    return AuctionState(
+        bids=bids,
+        allocation=bids / (bids.sum() + config.reserve) * total_power,
+        iterations=iterations,
+        converged=converged,
+        residual=residual,
+    )
+
+
+def scalar_select_price(g2: np.ndarray, total_power: float, margin: float = 0.05) -> float:
+    """Certified price of one auction by a scalar bisection on mu."""
+    lo = float((g2 / (2.0 * LN2 * (1.0 + total_power * g2))).min())
+    hi = float((g2 / (2.0 * LN2)).max())
+    if not scalar_modulus(hi * (1.0 - 1e-12), total_power, g2) < 1.0:
+        return hi
+    upper = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if scalar_modulus(mid, total_power, g2) < 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-14 * hi:
+            break
+    price = hi * (1.0 + margin)
+    if price >= upper:
+        price = 0.5 * (hi + upper)
+    while scalar_modulus(price, total_power, g2) >= 1.0:
+        price = 0.5 * (price + upper)
+    return price
+
+
+def scalar_winner_price(
+    g2: np.ndarray, total_power: float, snr_threshold: float, radius_limit: float = 0.93
+) -> float:
+    """Max-winners price of one auction by an ascending scan of the ladder."""
+    requirement = snr_threshold / g2
+    candidates = set(g2 / (2.0 * LN2 * (1.0 + total_power * g2)) * (1.0 - 1e-3))
+    candidates.update(g2 / (2.0 * LN2 * (1.0 + snr_threshold)))
+    candidates.add(float((g2 / (2.0 * LN2)).max()) * (1.0 - 1e-6))
+    best_price = -1.0
+    best_served = -1
+    for price in sorted(c for c in candidates if c > 0.0):
+        if eig_spectral_radius(price, total_power, g2) >= radius_limit:
+            continue
+        alloc = scalar_predict(price, total_power, g2, 0.01 * total_power)
+        if alloc is None:
+            continue
+        served = int((alloc >= requirement).sum())
+        if served >= best_served:
+            best_served = served
+            best_price = price
+    if best_served < 0:
+        return scalar_select_price(g2, total_power)
+    return best_price
+
+
+def scalar_auction_row(
+    g2: np.ndarray, total_power: float, snr_threshold: float, *, xi_fraction: float = 0.01,
+    price_margin: float = 0.05, price_policy: str = "max-winners",
+) -> AuctionState:
+    """Price one auction by ``price_policy`` and run its bid dynamics."""
+    if price_policy == "max-winners":
+        price = scalar_winner_price(g2, total_power, snr_threshold)
+    else:
+        price = scalar_select_price(g2, total_power, margin=price_margin)
+    return scalar_run_auction(
+        g2, total_power, AuctionConfig(price=price, reserve=xi_fraction * total_power)
+    )
 
 
 def brute_force_max_served(required: list[float], budget: float) -> int:
@@ -278,17 +419,8 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
             inv = 1.0 / g2[idx]
             powers[idx] = budget / float(inv.sum()) * inv
     elif strategy == "auction":
-        opts = {"xi_fraction": 0.01, "price_margin": 0.05, "price_policy": "max-winners"}
-        opts.update(auction_opts or {})
         if idx.size:
-            gains = g2[idx]
-            if opts["price_policy"] == "max-winners":
-                price = winner_maximizing_price(gains, budget, a)
-            else:
-                price = select_price(gains, budget, margin=opts["price_margin"])
-            state = run_auction(
-                gains, budget, AuctionConfig(price=price, reserve=opts["xi_fraction"] * budget)
-            )
+            state = scalar_auction_row(g2[idx], budget, a, **(auction_opts or {}))
             assert state.converged
             powers[idx] = state.allocation
             leftover = budget - float(state.allocation.sum())

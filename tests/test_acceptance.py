@@ -28,7 +28,6 @@ from ehrelay.auction import (
     B_MAX,
     AuctionConfig,
     interior_target,
-    payoff,
     run_auction,
     select_price,
 )
@@ -42,7 +41,7 @@ from ehrelay.model import (
 )
 from ehrelay.specfun import bessel_k
 from ehrelay.strategies import allocate
-from oracles import bessel_k_quadrature, golden_section_max, brute_force_max_served
+from oracles import bessel_k_quadrature, golden_section_max, brute_force_max_served, payoff
 
 SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 

@@ -1,6 +1,7 @@
 """Auction game: best responses, convergence, pricing, equilibrium quality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from ehrelay.auction import (
     full_budget_price,
     interior_target,
     iteration_spectral_radius,
-    payoff,
     predict_allocation,
     quit_price,
     response_weights,
@@ -24,8 +24,22 @@ from ehrelay.auction import (
     select_price,
     winner_maximizing_price,
 )
-from ehrelay.model import SystemConfig, derive_params, harvest
-from oracles import best_response, golden_section_max
+from ehrelay import auction
+from ehrelay.model import (
+    DerivedParams,
+    SystemConfig,
+    derive_params,
+    harvest,
+    power_from_snr_db,
+    sample_block,
+)
+from oracles import (
+    best_response,
+    eig_spectral_radius,
+    golden_section_max,
+    payoff,
+    scalar_auction_row,
+)
 
 
 def rand_instance(rng, n=None, scale=1.0):
@@ -213,6 +227,28 @@ def test_spectral_radius_below_certificate(seed):
     assert iteration_spectral_radius(price, pr, g2) <= mu + 1e-9
 
 
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    repeats=hst.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_spectral_radius_matches_eigenvalues(seed, repeats):
+    # the secular-equation radius and its +-L test against np.linalg.eigvals
+    # of J = rho 1^T - diag(rho); repeated gains give repeated rho, whose
+    # -rho eigenvalue solves no secular equation
+    rng = np.random.default_rng(seed)
+    g2, pr = rand_instance(rng, n=int(rng.integers(2, 11)))
+    g2[: repeats + 1] = g2[0]
+    price = float(rng.uniform(quit_price(g2).min() * 0.2, quit_price(g2).max()))
+    want = eig_spectral_radius(price, pr, g2)
+    got = iteration_spectral_radius(price, pr, g2)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    rho = response_weights(price, pr, g2)
+    for limit in (0.93, 0.5 * want, 0.999 * want, 1.001 * want, 2.0 * want, *rho):
+        if limit > 0.0 and abs(limit - want) > 1e-9 * want:
+            assert bool(auction._radius_below(rho, limit)) == (want < limit), limit
+
+
 def test_response_weights_zero_off_interior():
     g2 = np.array([10.0, 1.0, 0.01])
     pr = 2.0
@@ -245,6 +281,10 @@ def test_select_price_single_user_strictly_interior():
 def test_select_price_validation():
     with pytest.raises(ValueError):
         select_price(np.array([]), 1.0)
+    with pytest.raises(ValueError):
+        select_price(np.array([-1.0, 2.0]), 1.0)
+    with pytest.raises(ValueError):
+        select_price(np.zeros((2, 3)), np.ones(2))  # an auction with no bidder
     with pytest.raises(ValueError):
         select_price(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
@@ -285,6 +325,8 @@ def test_winner_maximizing_price_validation():
     with pytest.raises(ValueError):
         winner_maximizing_price(np.array([1.0]), 0.0, 1.0)
     with pytest.raises(ValueError):
+        winner_maximizing_price(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), 1.0)
+    with pytest.raises(ValueError):
         winner_maximizing_price(np.array([1.0]), 1.0, 1.0, radius_limit=1.5)
 
 
@@ -321,3 +363,110 @@ def test_allocate_auction_policies_differ_only_in_price():
     a, _ = allocate_auction(g2, decoded, budget, params, price_policy="max-winners")
     b, _ = allocate_auction(g2, decoded, budget, params, price_policy="certified")
     assert int(a.sum()) >= int(b.sum())
+
+
+def _oracle_block(g2, decoded, budget, a, **opts):
+    """Served mask and leftover of the scalar oracle, one auction per row."""
+    served = np.zeros_like(decoded)
+    leftover = np.zeros(len(budget))
+    allocation = np.zeros(g2.shape)
+    for t in np.flatnonzero(decoded.any(axis=1)):
+        idx = np.flatnonzero(decoded[t])
+        state = scalar_auction_row(g2[t, idx], float(budget[t]), a, **opts)
+        assert state.converged
+        allocation[t, idx] = state.allocation
+        served[t, idx] = state.allocation >= a / g2[t, idx]
+        leftover[t] = budget[t] - float(state.allocation.sum())
+    return served, leftover, allocation
+
+
+def _edge_block(rng, pairs, rows=90):
+    """Random auctions, and rows 0-4: no decoded pair, one decoded pair, a
+    budget no requirement fits in, and (from three pairs) a pair capped at
+    the max-winners price (row 3) and at the certified price (row 4)."""
+    g2 = rng.exponential(1.0, (rows, pairs)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+    decoded = rng.random((rows, pairs)) < 0.75
+    budget = 10.0 ** rng.uniform(-2.0, 1.5, rows)
+    decoded[:5] = False
+    decoded[1, -1] = True
+    decoded[2] = True
+    budget[2] = 1e-6 * float((1.0 / g2[2]).min())
+    if pairs >= 3:
+        decoded[3:5, :3] = True
+        g2[3, :3], budget[3] = (0.221, 0.067, 1.215), 8.397
+        g2[4, :3], budget[4] = (0.5, 0.3, 0.2), 1e-3
+    return g2, decoded, budget
+
+
+@pytest.mark.parametrize("policy", ["max-winners", "certified"])
+@pytest.mark.parametrize("pairs", [1, 3, 7])
+def test_allocate_auction_matches_scalar_oracle(pairs, policy):
+    # below 8 pairs numpy adds up a row sequentially, so the padded block
+    # reproduces the one-auction-at-a-time oracle bit for bit
+    rng = np.random.default_rng(100 + pairs)
+    g2, decoded, budget = _edge_block(rng, pairs)
+    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
+    served, leftover = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+    want, want_leftover, _ = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+    assert served.tolist() == want.tolist()
+    assert leftover.tobytes() == want_leftover.tobytes()
+    assert leftover[0] == 0.0 and not served[0].any()
+    assert not served[2].any()
+    if pairs >= 3:
+        row = 3 if policy == "max-winners" else 4
+        gains, pr = g2[row, :3], budget[row]
+        price = winner_maximizing_price(gains, pr, 1.0) if row == 3 else select_price(gains, pr)
+        assert (interior_target(price, gains) >= pr).any()
+
+
+def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
+    # at 20 pairs the block and the oracle add up in different orders:
+    # served masks agree away from requirement ties, leftovers to 1e-12
+    rng = np.random.default_rng(120)
+    g2, decoded, budget = _edge_block(rng, 20, rows=60)
+    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
+    for policy in ("max-winners", "certified"):
+        served, leftover = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+        want, want_leftover, allocation = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+        tie = np.abs(allocation - 1.0 / g2) <= 1e-6 / g2
+        assert (served == want)[~tie].all()
+        assert np.abs(leftover - want_leftover).max() <= 1e-12 * max(1.0, budget.max())
+
+
+def test_allocate_auction_certified_fallback(monkeypatch):
+    # a max-winners row whose every candidate is rejected takes the
+    # certified price; odd rows of the block are made to fall back
+    rng = np.random.default_rng(7)
+    g2 = rng.exponential(1.0, (40, 3))
+    decoded = np.ones((40, 3), dtype=bool)
+    budget = 10.0 ** rng.uniform(-1.0, 1.0, 40)
+    radius_below = auction._radius_below
+    monkeypatch.setattr(
+        auction, "_radius_below",
+        lambda rho, limit: radius_below(rho, limit) & (np.arange(len(rho)) % 2 == 0)[:, None],
+    )
+    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
+    served, leftover = allocate_auction(g2, decoded, budget, params)
+    for policy, rows in (("max-winners", slice(0, None, 2)), ("certified", slice(1, None, 2))):
+        want, want_leftover, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, price_policy=policy)
+        assert served[rows].tolist() == want.tolist()
+        assert leftover[rows].tobytes() == want_leftover.tobytes()
+
+
+def test_allocate_auction_memory_is_chunked():
+    # the max-winners scan holds (rows, 41, 20) arrays at 20 pairs; a whole
+    # 16384-row block at once would need hundreds of MB per array
+    config = SystemConfig(
+        pairs=20, rate=0.5, source_power=power_from_snr_db(25.0),
+        h_variance=0.0625, g_variance=0.0625,
+    )
+    params = derive_params(config)
+    h2, g2 = sample_block(1, 0, 16384, config)
+    decoded, _, budget = harvest(h2, config, params)
+    tracemalloc.start()
+    try:
+        allocate_auction(g2, decoded, budget, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

@@ -26,6 +26,7 @@ RESULTS = Path(__file__).resolve().parent.parent / "results"
         ("fig-wf-bounds", 30.0),
         pytest.param("fig-wf-bounds", (25.0, 30.0), id="fig-wf-bounds-25.0-30.0"),
         ("fig-success-count", 10.0),
+        ("fig-success-count", 25.0),
     ],
 )
 def test_preset_point_matches_committed_csv(name, snr_db):

@@ -314,8 +314,9 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_lim
     with np.errstate(divide="ignore", invalid="ignore"):
         candidates = np.concatenate([
             full_budget_price(g2, p) * (1.0 - 1e-3),
-            # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold))
-            g2 / (2.0 * LN2 * (1.0 + snr_threshold)),
+            # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold)); just
+            # below it the grant clears the requirement despite the dynamics' rounding
+            g2 / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
             quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
         ], axis=1)
         # reserve 0.01 P_r for ranking only; xi shifts capped shares by O(xi/B_MAX)

@@ -209,7 +209,7 @@ def scalar_winner_price(
     """Max-winners price of one auction by an ascending scan of the ladder."""
     requirement = snr_threshold / g2
     candidates = set(g2 / (2.0 * LN2 * (1.0 + total_power * g2)) * (1.0 - 1e-3))
-    candidates.update(g2 / (2.0 * LN2 * (1.0 + snr_threshold)))
+    candidates.update(g2 / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9))
     candidates.add(float((g2 / (2.0 * LN2)).max()) * (1.0 - 1e-6))
     best_price = -1.0
     best_served = -1

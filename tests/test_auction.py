@@ -304,6 +304,24 @@ def test_predict_allocation_matches_dynamics():
         assert state.allocation == pytest.approx(pred, abs=1e-6 * max(1.0, pr))
 
 
+@pytest.mark.parametrize("pairs", [None, 20], ids=["1-10", "20"])
+def test_realized_served_count_equals_predicted(pairs):
+    # requirement-tie candidates sit just on the served side of the tie, so
+    # the converged dynamics serve exactly the pairs the prediction serves;
+    # on the tie itself rounding decided, and served too few
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = pairs or int(rng.integers(1, 11))
+        g2 = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-2.0, 2.0)
+        pr = 10.0 ** rng.uniform(-4.0, 3.0)
+        a = 2.0 ** (2.0 * rng.uniform(0.1, 3.0)) - 1.0
+        price = winner_maximizing_price(g2, pr, a)
+        pred = predict_allocation(price, pr, g2, 0.01 * pr)
+        state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.01 * pr))
+        assert state.converged
+        assert int((state.allocation >= a / g2).sum()) == int((pred >= a / g2).sum())
+
+
 def test_winner_maximizing_price_serves_at_least_certified():
     rng = np.random.default_rng(23)
     a = 1.0

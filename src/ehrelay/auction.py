@@ -141,19 +141,14 @@ def contraction_modulus(price, total_power, g2):
 def _radius_below(rho: np.ndarray, limit) -> np.ndarray:
     """Whether the update's spectral radius is below ``limit``, per row.
 
-    Off the poles -rho_i the eigenvalues of the Jacobian J = rho 1^T -
-    diag(rho) solve the secular equation f(lam) = sum_i rho_i / (lam +
-    rho_i) = 1 (Golub 1973), and f falls between poles.  The one positive
-    root is below L iff f(L) < 1; the most negative lies in [-rho_(1),
-    -rho_(2)], so it is above -L iff no rho reaches L, or one does and
-    f(-L) > 1.
+    Over the interior pairs the Jacobian J = rho 1^T - diag(rho) is similar
+    to a symmetric matrix and has trace 0.  Off the poles -rho_i its
+    eigenvalues solve the secular equation f(lam) = sum_i rho_i / (lam +
+    rho_i) = 1 (Golub 1973), with one positive root; the trace makes that
+    root the largest modulus, and f falls on (0, inf), so the radius is
+    below L iff f(L) < 1.  Zero rho (no interior pair) adds no term.
     """
-    limit = np.asarray(limit)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        above = (rho / (limit + rho)).sum(axis=-1)
-        below = (rho / (rho - limit)).sum(axis=-1)
-    reach = np.count_nonzero(rho >= limit, axis=-1)
-    return (above < 1.0) & ((reach == 0) | ((reach == 1) & (below > 1.0)))
+    return (rho / (np.asarray(limit)[..., None] + rho)).sum(axis=-1) < 1.0
 
 
 def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
@@ -161,10 +156,10 @@ def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
 
     For a fixed price the branch of every pair is bid-independent, so the
     update is affine in the bids and converges iff the spectral radius of
-    its Jacobian (over the interior pairs) is below one.  It is found by
-    bisection on the secular-equation test of ``_radius_below``, from
-    sum(rho), which exceeds every root.  The contraction certificate
-    upper-bounds it by roughly a factor sqrt(N).
+    its Jacobian (over the interior pairs) is below one.  It is the
+    positive root of the secular equation of ``_radius_below``, found by
+    bisection from sum(rho), which exceeds it.  The contraction
+    certificate upper-bounds it by roughly a factor sqrt(N).
     """
     rho = response_weights(price, total_power, _block(g2, total_power, rows=False)[0][0])
     if np.count_nonzero(rho) <= 1:

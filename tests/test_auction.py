@@ -233,9 +233,9 @@ def test_spectral_radius_below_certificate(seed):
 )
 @settings(max_examples=150, deadline=None)
 def test_spectral_radius_matches_eigenvalues(seed, repeats):
-    # the secular-equation radius and its +-L test against np.linalg.eigvals
-    # of J = rho 1^T - diag(rho); repeated gains give repeated rho, whose
-    # -rho eigenvalue solves no secular equation
+    # the secular-equation radius and the f(L) < 1 filter against
+    # np.linalg.eigvals of J = rho 1^T - diag(rho); repeated gains give
+    # repeated rho, whose -rho eigenvalue solves no secular equation
     rng = np.random.default_rng(seed)
     g2, pr = rand_instance(rng, n=int(rng.integers(2, 11)))
     g2[: repeats + 1] = g2[0]

@@ -6,7 +6,7 @@ A relay harvests energy from the first-hop transmissions of M source nodes
 the M destinations.  The package provides channel sampling and the
 batched harvest (``model``), one batched kernel per allocation strategy
 behind ``strategies.allocate`` (individual, equal, water-filling, max-min;
-the per-trial auction kernel lives in ``auction``), closed-form and
+the auction's block kernel lives in ``auction``), closed-form and
 asymptotic outage expressions, a reproducible Monte Carlo engine, and a
 sweep CLI.
 """

@@ -6,10 +6,13 @@ built from two ingredients:
 
 * the decoding-set size N is binomial with success probability
   exp(-epsilon) where epsilon = a / P_s, and
-* conditioned on N = n, the sum of the decoded first-hop gains minus the
-  threshold mass, P_s * sum h^2 - n a, is Gamma(n, 1) distributed in units
-  of P_s, which turns outage averages into integrals of the form
-  int u^(n-1) exp(-z/u - u) du = 2 z^(n/2) K_n(2 sqrt z).
+* conditioned on N = n, the decoded gains above the threshold, S = sum
+  (h^2 - epsilon), are Gamma(n, 1), the relay budget is eta P_s S, and a
+  pair of threshold z fails with probability 1 - exp(-z/S) given S.
+
+Every exact outage is a binomial mixture over n of E[(1 - exp(-z/S))^k],
+the probability that k such pairs all fail; ``_fail_moment`` integrates it
+with no cancelling term and no clamp.
 
 Outage metrics:
 
@@ -65,11 +68,10 @@ ANALYTIC_METHODS = {
     ("waterfill", "worst"): ("asymptotic", "bounds"),
 }
 
-# Largest pair count for which the CLI evaluates "exact" and "bounds".
-# gamma_exp_integral has no order limit; this guards the alternating sums
-# of outage_equal and outage_wf_best, whose cancellation grows with the
-# pair count.
-MAX_CLOSED_FORM_PAIRS = 64
+# Largest pair count for which the CLI evaluates "exact" and "bounds":
+# wf_worst_bounds divides by (M-1)! as a float, which overflows from
+# M = 172 (the binomial weights of the exact forms overflow from M = 1030).
+MAX_CLOSED_FORM_PAIRS = 171
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,27 @@ def conditioned_sum_pdf(n: int, epsilon: float, y: float) -> float:
     return math.exp((n - 1) * math.log(u) - u - math.lgamma(n))
 
 
+def _fail_moment(n: int, z: float, k: int) -> float:
+    """E[(1 - exp(-z/S))^k] for S ~ Gamma(n, 1): k pairs of threshold z all fail.
+
+    A trapezoid rule in t = log S, in log space and normalized by the same
+    rule on the density alone (so it never exceeds 1), converges
+    geometrically on this smooth, doubly-exponentially decaying integrand
+    (Trefethen & Weideman, SIAM Rev. 56(3), 2014).  The step follows the
+    1/sqrt(n) width of the peak at t = log n; the range starts 36 nats
+    below both that peak and the knee at t = log z.
+    """
+    if z == 0.0:
+        return 0.0
+    log_n, log_z = math.log(n), math.log(z)
+    t = np.arange(min(log_n, log_z) - 36.0, log_n + 4.0, 0.25 / math.sqrt(n))
+    log_density = n * t - np.exp(t)
+    log_density -= log_density.max()
+    with np.errstate(divide="ignore", over="ignore"):  # z/S leaves float range at extreme z
+        log_fail = np.log(-np.expm1(-np.exp(log_z - t)))
+    return float(np.exp(log_density + k * log_fail).sum() / np.exp(log_density).sum())
+
+
 def outage_individual(config: SystemConfig) -> OutageSummary:
     """Outage metrics when each pair spends only its own harvest.
 
@@ -139,62 +162,40 @@ def outage_individual(config: SystemConfig) -> OutageSummary:
     """
     _require_unit_variances(config, "outage_individual")
     eps, eta = _eps_eta(config)
-    avg = 1.0 - math.exp(-eps) * gamma_exp_integral(1, eps / eta)
+    avg = -math.expm1(-eps) + math.exp(-eps) * _fail_moment(1, eps / eta, 1)
     m = config.pairs
-    return OutageSummary(
-        average=avg, best=avg**m, worst=1.0 - (1.0 - avg) ** m
-    )
-
-
-def _alternating_best_sum(n: int, z: float) -> float:
-    """sum_{i=0}^n C(n,i) (-1)^i 2 (iz)^(n/2) K_n(2 sqrt(iz)) / (n-1)!.
-
-    Equals P(best decoded pair fails | N = n) when z is the per-pair
-    threshold in Gamma units; the i = 0 term is the (n-1)! limit.
-    """
-    fact = float(math.factorial(n - 1))
-    terms = [
-        math.comb(n, i) * (-1.0) ** i * gamma_exp_integral(n, i * z) / fact
-        for i in range(n + 1)
-    ]
-    return math.fsum(terms)
+    worst = -math.expm1(m * math.log1p(-avg)) if avg < 1.0 else 1.0
+    return OutageSummary(average=avg, best=avg**m, worst=worst)
 
 
 def outage_equal(config: SystemConfig) -> OutageSummary:
-    """Outage metrics for the pooled equal-power allocation."""
+    """Outage metrics for the pooled equal-power allocation.
+
+    Given N = n each decoded pair has threshold z = n eps/eta.  The worst
+    case needs all M decoded and the least of their gains, Exp(M), above
+    z/S: one pair of threshold M z.
+    """
     _require_unit_variances(config, "outage_equal")
     eps, eta = _eps_eta(config)
     m = config.pairs
     p = math.exp(-eps)
     q = -math.expm1(-eps)
 
-    avg = q
-    best = q**m
+    avg, best = q, q**m
     for n in range(1, m + 1):
-        zn = n * eps / eta  # per-pair threshold n a / (eta P_s) given N = n
-        pn = math.comb(m, n) * p**n * q ** (m - n)
-        fail_marginal = 1.0 - gamma_exp_integral(n, zn) / float(math.factorial(n - 1))
-        # marginal outage: a decoded pair fails with the same probability as
-        # the conditioned one; weight is (n/M) C(M,n) = C(M-1, n-1)
-        avg += math.comb(m - 1, n - 1) * p**n * q ** (m - n) * fail_marginal
-        best += pn * _alternating_best_sum(n, zn)
-
-    worst = (
-        math.exp(-m * eps)
-        * (1.0 - gamma_exp_integral(m, m * m * eps / eta) / float(math.factorial(m - 1)))
-        - math.expm1(-m * eps)
-    )
-    # alternating sum can land below 0 by ~1e-16 once the true value
-    # underflows past float cancellation noise
-    return OutageSummary(average=avg, best=min(max(best, 0.0), 1.0), worst=worst)
+        zn = n * eps / eta
+        # a given pair is among the n decoded with weight C(M-1, n-1) p^n q^(M-n)
+        avg += math.comb(m - 1, n - 1) * p**n * q ** (m - n) * _fail_moment(n, zn, 1)
+        best += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, zn, n)
+    worst = math.exp(-m * eps) * _fail_moment(m, m * m * eps / eta, 1) - math.expm1(-m * eps)
+    return OutageSummary(average=avg, best=best, worst=worst)
 
 
 def outage_wf_best(config: SystemConfig) -> float:
     """Best-pair outage under water-filling (nobody gets served).
 
-    Same alternating sum as the equal-power best case but with the
-    single-pair threshold a / (eta P_s): the cheapest pair is served iff
-    the whole budget covers its requirement.
+    The equal-power best case with the single-pair threshold eps/eta: the
+    cheapest pair is served iff the whole budget covers its requirement.
     """
     _require_unit_variances(config, "outage_wf_best")
     eps, eta = _eps_eta(config)
@@ -203,9 +204,8 @@ def outage_wf_best(config: SystemConfig) -> float:
     q = -math.expm1(-eps)
     total = q**m
     for n in range(1, m + 1):
-        pn = math.comb(m, n) * p**n * q ** (m - n)
-        total += pn * _alternating_best_sum(n, eps / eta)
-    return min(max(total, 0.0), 1.0)
+        total += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, eps / eta, n)
+    return total
 
 
 def _a_of_y(y: float, pairs: int) -> float:
@@ -258,7 +258,7 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     pm = math.exp(-m * eps)
     miss = -math.expm1(-m * eps)  # P(N < M)
 
-    lower = pm * (1.0 - gamma_exp_integral(m, m * rate) / fact) + miss
+    lower = pm * _fail_moment(m, m * rate, 1) + miss
 
     # upper, nested quadrature; mapping the budget's Gamma(m, 1) shape
     # variable s through its own CDF bounds the integrand on [0, 1] and
@@ -304,8 +304,6 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
         upper_closed=upper_closed,
         quad_error=err,
     )
-
-
 
 
 def asymptotic_outage(

@@ -1,11 +1,12 @@
-"""The integral behind every closed form, as a thin layer over scipy.
+"""The Bessel integral of the worst-case bounds, as a thin layer over scipy.
 
-The closed-form outages all reduce to G_n(z) = int_0^inf u^(n-1)
-exp(-z/u - u) du = 2 z^(n/2) K_n(2 sqrt(z)).  ``gamma_exp_integral`` takes
-G_0 = 2 K_0(x) and G_1 = x K_1(x) at x = 2 sqrt(z) from scipy's scaled
-``k0e``/``k1e`` and runs the recurrence for K_n (DLMF 10.29.1) in G:
-G_{m+1} = m G_m + z G_{m-1}.  Every term is positive, so nothing cancels,
-and G_1 <= ... <= G_n, so nothing overflows unless G_n does.
+The worst-case upper bounds of :mod:`ehrelay.analytic` use
+G_n(z) = int_0^inf u^(n-1) exp(-z/u - u) du = 2 z^(n/2) K_n(2 sqrt(z)).
+``gamma_exp_integral`` takes G_0 = 2 K_0(x) and G_1 = x K_1(x) at
+x = 2 sqrt(z) from scipy's scaled ``k0e``/``k1e`` and runs the recurrence
+for K_n (DLMF 10.29.1) in G: G_{m+1} = m G_m + z G_{m-1}.  Every term is
+positive, so nothing cancels, and G_1 <= ... <= G_n, so nothing overflows
+unless G_n does.
 """
 
 from __future__ import annotations

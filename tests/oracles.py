@@ -21,6 +21,10 @@ These deliberately avoid the library code paths they are checking:
   direct mpmath quadrature of their defining probability integrals
   (exponential first hop, Gamma-distributed pooled budget, exponential
   second hop), bypassing every Bessel identity the library uses.
+* ``exact_outage_mp``: every exact outage from the alternating Bessel
+  sums, at a working precision that absorbs their cancellation.  Run this
+  file (``PYTHONPATH=src python tests/oracles.py``) to print the frozen
+  table of ``tests/test_exact_forms.py``.
 * ``power_split_theta``: the power-splitting ratio of one draw, the
   scalar statement of the split behind ``ehrelay.model.harvest``.
 * ``reference_draw``: a scalar, one-draw-at-a-time statement of the
@@ -262,8 +266,26 @@ def _binom_pmf(m: int, n: int, eps) -> mp.mpf:
     return mp.binomial(m, n) * p**n * (1 - p) ** (m - n)
 
 
-def _gamma_pdf(n: int, w) -> mp.mpf:
-    return w ** (n - 1) * mp.e ** (-w) / mp.factorial(n - 1)
+def _gamma_mean(n: int, g, knee) -> mp.mpf:
+    """E[g(W)] for W ~ Gamma(n, 1), by mp.quad in u = log w.
+
+    g is a failure probability with its knee near w = knee.  Breakpoints
+    bracket that knee and the Gamma peak at u = log n, whose width is
+    1/sqrt(n).  The range runs from 40 nats below both to at least 8 nats
+    above the peak, where the density has fallen by e^-2900n.  mp.quad stops
+    refining a panel once successive estimates agree in absolute terms, so
+    the integrand is scaled to a unit maximum over the breakpoints first;
+    unscaled, a value of 1e-30 passes that test at the coarsest level.
+    """
+    ln, lk, s = mp.log(n), mp.log(knee), 1 / mp.sqrt(n)
+    pts = sorted({
+        min(ln, lk) - 40, lk - 4, lk, lk + 4,
+        ln - 8 * s, ln - 2 * s, ln, ln + 2 * s, ln + 8 * s, ln + 8,
+    })
+    lg = mp.loggamma(n)
+    f = lambda u: mp.e ** (n * u - mp.e**u - lg) * g(mp.e**u)
+    scale = max(f(u) for u in pts)
+    return scale * mp.quad(lambda u: f(u) / scale, pts)
 
 
 def outage_individual_avg_quad(eps: float, eta: float, dps: int = 25) -> float:
@@ -293,11 +315,8 @@ def outage_equal_avg_quad(m: int, eps: float, eta: float, dps: int = 25) -> floa
         total = q  # own first hop failed
         for n in range(1, m + 1):
             z = n * e / eta
-            served = mp.quad(
-                lambda w: _gamma_pdf(n, w) * mp.e ** (-z / w), [0, mp.inf]
-            )
-            weight = mp.binomial(m - 1, n - 1) * p**n * q ** (m - n)
-            total += weight * (1 - served)
+            fail = _gamma_mean(n, lambda w: 1 - mp.e ** (-z / w), z)
+            total += mp.binomial(m - 1, n - 1) * p**n * q ** (m - n) * fail
         return float(total)
 
 
@@ -311,15 +330,10 @@ def outage_equal_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> flo
     """
     with mp.workdps(dps):
         e = mp.mpf(eps)
-        p = mp.e ** (-e)
-        q = 1 - p
-        total = q**m
+        total = (1 - mp.e ** (-e)) ** m
         for n in range(1, m + 1):
             z = n * e / eta
-            allfail = mp.quad(
-                lambda w: _gamma_pdf(n, w) * (1 - mp.e ** (-z / w)) ** n,
-                [0, mp.inf],
-            )
+            allfail = _gamma_mean(n, lambda w: (1 - mp.e ** (-z / w)) ** n, z)
             total += _binom_pmf(m, n, e) * allfail
         return float(total)
 
@@ -328,10 +342,8 @@ def outage_equal_worst_quad(m: int, eps: float, eta: float, dps: int = 25) -> fl
     """P(some pair fails) under equal split: 1 - P(all m decode and serve)."""
     with mp.workdps(dps):
         e = mp.mpf(eps)
-        z = m * e / eta
-        allgood = mp.quad(
-            lambda w: _gamma_pdf(m, w) * mp.e ** (-m * z / w), [0, mp.inf]
-        )
+        z = m * m * e / eta
+        allgood = _gamma_mean(m, lambda w: mp.e ** (-z / w), z)
         return float(1 - mp.e ** (-m * e) * allgood)
 
 
@@ -345,16 +357,114 @@ def outage_wf_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
     with mp.workdps(dps):
         e = mp.mpf(eps)
         z = e / eta
-        p = mp.e ** (-e)
-        q = 1 - p
-        total = q**m
+        total = (1 - mp.e ** (-e)) ** m
         for n in range(1, m + 1):
-            nofit = mp.quad(
-                lambda w: _gamma_pdf(n, w) * (1 - mp.e ** (-z / w)) ** n,
-                [0, mp.inf],
-            )
+            nofit = _gamma_mean(n, lambda w: (1 - mp.e ** (-z / w)) ** n, z)
             total += _binom_pmf(m, n, e) * nofit
         return float(total)
+
+
+def _alternating_fail_moment(n: int, z, k: int) -> mp.mpf:
+    """E[(1 - exp(-z/W))^k] for W ~ Gamma(n, 1), by binomial expansion.
+
+    sum_i C(k, i) (-1)^i E[exp(-i z/W)] with the Bessel identity
+    E[exp(-x/W)] = 2 x^(n/2) K_n(2 sqrt x) / (n-1)!.  The terms cancel down
+    to the size of the result, so the caller sets a working precision that
+    covers it.
+    """
+    total = mp.mpf(1)  # i = 0: E[1]
+    for i in range(1, k + 1):
+        x = i * z
+        bessel = 2 * x ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(x))
+        total += (-1) ** i * mp.binomial(k, i) * bessel / mp.factorial(n - 1)
+    return total
+
+
+def _best_case_mp(m: int, e, z_of) -> mp.mpf:
+    """P(all m pairs fail) when each of n decoded pairs has threshold z_of(n)."""
+    p = mp.e ** (-e)
+    q = 1 - p
+    return q**m + sum(
+        mp.binomial(m, n) * p**n * q ** (m - n) * _alternating_fail_moment(n, z_of(n), n)
+        for n in range(1, m + 1)
+    )
+
+
+# the exact forms of ehrelay.analytic, as exact_outage_mp names them
+EXACT_FORMS = (
+    "individual.average", "individual.best", "individual.worst",
+    "equal.average", "equal.best", "equal.worst",
+    "waterfill.best", "waterfill.worst.lower",
+)
+
+
+def exact_outage_mp(form: str, m: int, eps: float, eta: float, dps: int) -> float:
+    """One of EXACT_FORMS from the alternating Bessel sums at ``dps`` digits.
+
+    Given N = n decoded pairs the pooled budget W is Gamma(n, 1) and a pair
+    of threshold z fails with probability 1 - exp(-z/W): equal split has
+    z = n eps/eta per pair and its worst case one pair of threshold
+    m^2 eps/eta (all m served); the water-filling best case has threshold
+    eps/eta, its worst-case lower bound one pair of threshold m eps/eta.
+    """
+    with mp.workdps(dps):
+        e = mp.mpf(eps)
+        p = mp.e ** (-e)
+        q = 1 - p
+        if form.startswith("individual."):
+            ind = q + p * _alternating_fail_moment(1, e / eta, 1)
+            value = {"average": ind, "best": ind**m, "worst": 1 - (1 - ind) ** m}[form.partition(".")[2]]
+        elif form == "equal.average":
+            value = q + sum(
+                mp.binomial(m - 1, n - 1) * p**n * q ** (m - n)
+                * _alternating_fail_moment(n, n * e / eta, 1)
+                for n in range(1, m + 1)
+            )
+        elif form == "equal.best":
+            value = _best_case_mp(m, e, lambda n: n * e / eta)
+        elif form == "waterfill.best":
+            value = _best_case_mp(m, e, lambda n: e / eta)
+        else:  # all m decoded and one pair of threshold z served
+            z = {"equal.worst": m * m * e / eta, "waterfill.worst.lower": m * e / eta}[form]
+            value = 1 - p**m + p**m * _alternating_fail_moment(m, z, 1)
+        return float(value)
+
+
+def exact_reference_dps(k: int, snr_db: float) -> int:
+    """Digits for exact_outage_mp: a sum of k-th powers cancels ~k snr/10 digits."""
+    return 50 + math.ceil(1.2 * k * max(snr_db, 0.0) / 10.0)
+
+
+def print_exact_reference_table() -> None:
+    """Print the frozen tables of tests/test_exact_forms.py (rate 2, eta 1)."""
+    from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+
+    def value(form, m, snr, k):
+        config = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr))
+        eps = derive_params(config).decode_threshold
+        return exact_outage_mp(form, m, eps, 1.0, exact_reference_dps(k, snr))
+
+    print("REFERENCE = {")
+    for m in (1, 2, 3, 5, 8):
+        for snr in (0.0, 20.0, 40.0, 70.0, 110.0, 150.0, 200.0):
+            row = [value(form, m, snr, m) for form in EXACT_FORMS]
+            print(f"    ({m}, {snr!r}): (")
+            for i in range(0, len(row), 3):
+                print("        " + " ".join(f"{v!r}," for v in row[i:i + 3]))
+            print("    ),")
+    print("}")
+    # the best cases at more pairs; at the pair cap only the first-power
+    # forms, whose sums cancel ~snr/10 digits (the best cases underflow)
+    print("MANY_PAIRS_REFERENCE = {")
+    for form, m, snr, k in (
+        ("equal.best", 20, 30.0, 20),
+        ("equal.best", 64, 40.0, 64),
+        ("equal.average", 171, 40.0, 1),
+        ("equal.worst", 171, 40.0, 1),
+        ("waterfill.worst.lower", 171, 40.0, 1),
+    ):
+        print(f"    ({form!r}, {m}, {snr!r}): {value(form, m, snr, k)!r},")
+    print("}")
 
 
 def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> float:
@@ -428,3 +538,8 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
         raise ValueError(f"unknown strategy {strategy!r}")
     served = decoded & (powers >= a / g2)
     return ReferenceDraw(decoded=decoded, budget=budget, powers=powers, leftover=leftover, served=served)
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/oracles.py
+    print_exact_reference_table()

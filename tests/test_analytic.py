@@ -97,6 +97,12 @@ def test_individual_extremes_from_marginal():
     assert s.worst == pytest.approx(1.0 - (1.0 - s.average) ** 4, rel=1e-12)
 
 
+def test_individual_certain_outage_at_low_snr():
+    # no pair can decode: the marginal rounds to 1, whose log1p is -inf
+    s = outage_individual(cfg(3, -10.0))
+    assert (s.average, s.best, s.worst) == (1.0, 1.0, 1.0)
+
+
 def test_individual_vanishes_at_high_snr():
     assert outage_individual(cfg(1, 100.0)).average < 1e-6
 

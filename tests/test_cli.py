@@ -267,6 +267,15 @@ def test_main_writes_csv(tmp_path, capsys):
     assert lines[1].startswith("10.0,2,equal,average,mc,")
 
 
+def test_main_exact_best_case_at_64_pairs(capsys):
+    # both values are about 1e-145 and 3e-174; a cancelling sum read 1.0 here
+    argv = "--pairs 64 --snr 40 --mode exact --strategy equal,waterfill --metric best"
+    assert main(argv.split()) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[2], r[4]) for r in rows] == [("equal", "exact"), ("waterfill", "exact")]
+    assert all(0.0 < float(r[5]) < 1e-140 for r in rows)
+
+
 def test_main_flags_override_config(tmp_path, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text(dump_config(SMALL))
@@ -287,7 +296,7 @@ def test_main_preset_dump_round_trips(capsys):
     [
         ["--strategy", "nonsense"],
         ["--mode", "exact", "--strategy", "auction"],
-        ["--pairs", "70", "--mode", "exact", "--strategy", "equal", "--metric", "average", "--snr", "10"],
+        ["--pairs", "172", "--mode", "exact", "--strategy", "equal", "--metric", "average", "--snr", "10"],
         ["--snr", "abc"],
         ["--workers", "0"],
         ["--eta", "2.0"],
@@ -314,10 +323,10 @@ def test_main_refuses_negative_seed_in_config(tmp_path, capsys):
 
 
 def test_pair_limit_applies_only_to_closed_forms():
-    spec = dataclasses.replace(SMALL, pairs=(70,), snr_db=(30.0,), metrics=("average",), trials=5)
-    with pytest.raises(CLIError, match="pairs 70 exceeds 64"):
+    spec = dataclasses.replace(SMALL, pairs=(172,), snr_db=(30.0,), metrics=("average",), trials=5)
+    with pytest.raises(CLIError, match="pairs 172 exceeds 171"):
         run_sweep(dataclasses.replace(spec, mode="all"))
-    # Monte Carlo and the asymptotics run no alternating sums
+    # Monte Carlo and the asymptotics divide by no factorial
     assert run_sweep(dataclasses.replace(spec, mode="mc"))
     assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))
 

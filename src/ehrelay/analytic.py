@@ -21,8 +21,11 @@ Outage metrics:
 * ``worst``:   probability that some pair fails.
 
 The water-filling worst case has no closed form; ``wf_worst_bounds``
-returns a strict lower bound, a nested-quadrature upper bound, and a
-closed-form (single-quadrature) relaxation of that upper bound.
+returns a strict lower bound, an upper bound as a double integral, and a
+closed-form (single-integral) relaxation of it.  Both upper bounds run on
+fixed rules over numpy arrays: the trapezoid grid of ``_fail_moment`` over
+the budget and a Gauss-Legendre rule in log y; their error estimate is the
+difference to the same rules at lower order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .model import SystemConfig, derive_params
 from .specfun import gamma_exp_integral
@@ -87,7 +89,9 @@ class WorstCaseBounds:
 
     lower <= truth <= upper_integral <= upper_closed (the last one up to
     quadrature error; it equals upper_integral when its free parameter c
-    is zero).
+    is zero).  quad_error is an absolute error estimate of both upper
+    bounds: their change when the trapezoid step doubles and when the
+    Gauss-Legendre rule drops from 64 to 48 nodes.
     """
 
     lower: float
@@ -133,22 +137,31 @@ def conditioned_sum_pdf(n: int, epsilon: float, y: float) -> float:
     return math.exp((n - 1) * math.log(u) - u - math.lgamma(n))
 
 
+def _log_gamma_rule(n: int, log_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid nodes t = log S for S ~ Gamma(n, 1), and the log density there.
+
+    The rule converges geometrically on smooth, doubly-exponentially
+    decaying integrands (Trefethen & Weideman, SIAM Rev. 56(3), 2014).  The
+    step follows the 1/sqrt(n) width of the peak at t = log n, where the log
+    density is 0; the range starts 36 nats below both that peak and the knee
+    at t = log z of the function averaged.
+    """
+    log_n = math.log(n)
+    t = np.arange(min(log_n, log_z) - 36.0, log_n + 4.0, 0.25 / math.sqrt(n))
+    log_density = n * t - np.exp(t)
+    return t, log_density - log_density.max()
+
+
 def _fail_moment(n: int, z: float, k: int) -> float:
     """E[(1 - exp(-z/S))^k] for S ~ Gamma(n, 1): k pairs of threshold z all fail.
 
-    A trapezoid rule in t = log S, in log space and normalized by the same
-    rule on the density alone (so it never exceeds 1), converges
-    geometrically on this smooth, doubly-exponentially decaying integrand
-    (Trefethen & Weideman, SIAM Rev. 56(3), 2014).  The step follows the
-    1/sqrt(n) width of the peak at t = log n; the range starts 36 nats
-    below both that peak and the knee at t = log z.
+    On the ``_log_gamma_rule`` grid, in log space and normalized by the same
+    rule on the density alone, so it never exceeds 1.
     """
     if z == 0.0:
         return 0.0
-    log_n, log_z = math.log(n), math.log(z)
-    t = np.arange(min(log_n, log_z) - 36.0, log_n + 4.0, 0.25 / math.sqrt(n))
-    log_density = n * t - np.exp(t)
-    log_density -= log_density.max()
+    log_z = math.log(z)
+    t, log_density = _log_gamma_rule(n, log_z)
     with np.errstate(divide="ignore", over="ignore"):  # z/S leaves float range at extreme z
         log_fail = np.log(-np.expm1(-np.exp(log_z - t)))
     return float(np.exp(log_density + k * log_fail).sum() / np.exp(log_density).sum())
@@ -208,45 +221,39 @@ def outage_wf_best(config: SystemConfig) -> float:
     return total
 
 
-def _a_of_y(y: float, pairs: int) -> float:
-    """Substituted exponent scale of the inner worst-case integral.
+# Gauss-Legendre nodes and weights on [-1, 1]: the y-integrals of the
+# worst-case upper bounds use 64 nodes, and 48 for their error estimate
+_GAUSS = {k: np.polynomial.legendre.leggauss(k) for k in (48, 64)}
 
-    From v = w / (y+1) in int_{w/M}^{w} exp(-(M-1)^2/(w-v) - 1/v) / v^2 dv:
-    the exponent becomes -a(y)/w with a(y) = (y+1) ((M-1)^2 + y) / y.
+
+def _log_y_rule(w, c: float, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Legendre rule in log y for int_c^{M-1} dy, a row per budget w.
+
+    Each row starts at (M-1)^2 / (745 w) if that is above c: below it
+    exp(-a(y)/w) underflows.  Returns a(y) = (y+1) ((M-1)^2 + y) / y at the
+    nodes, the exponent scale of the inner worst-case integral (from
+    v = w / (y+1) in int_{w/M}^{w} exp(-(M-1)^2/(w-v) - 1/v) / v^2 dv), and
+    the weights of dy = y d(log y).
     """
-    if y <= 0.0:
-        return math.inf
-    return (y + 1.0) * ((pairs - 1.0) ** 2 + y) / y
-
-
-def _q5(w: float, pairs: int) -> float:
-    """(1/w) int_0^{M-1} exp(-a(y)/w) dy."""
-    if pairs == 1:
-        return 0.0
-
-    def integrand(y: float) -> float:
-        ay = _a_of_y(y, pairs)
-        if math.isinf(ay):
-            return 0.0
-        return math.exp(-ay / w)
-
-    val, _ = integrate.quad(
-        integrand, 0.0, pairs - 1.0, epsabs=1e-13, epsrel=1e-11, limit=200
-    )
-    return val / w
+    x, weight = _GAUSS[k]
+    lo = np.log(np.clip((pairs - 1.0) ** 2 / (745.0 * np.asarray(w)), c, pairs - 1.0))[..., None]
+    half = 0.5 * (math.log(pairs - 1.0) - lo)
+    y = np.exp(lo + half * (1.0 + x))
+    return (y + 1.0) * ((pairs - 1.0) ** 2 + y) / y, half * weight * y
 
 
 def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     """Lower/upper bounds on the water-filling worst-case outage.
 
     Conditioned on all pairs decoding, the worst case fails iff the budget
-    (in requirement units) w falls short of sum_i 1/|g_i|^2.  Replacing the
-    sum by its largest term gives the lower bound; by
-    z_(M) + (M-1) z_(M-1) gives the upper bound, evaluated either by nested
-    quadrature (``upper_integral``) or in closed form up to one remaining
-    y-integral (``upper_closed``).  ``c`` in [0, M-1] trades tightness of
-    the closed form for the validity range of its high-SNR reading; c = 0
-    reproduces ``upper_integral`` exactly.
+    (in requirement units) w = S / rate, S ~ Gamma(M, 1), falls short of
+    sum_i 1/|g_i|^2.  Replacing the sum by its largest term gives the lower
+    bound; by z_(M) + (M-1) z_(M-1) gives the upper bound: the mean over S
+    of f(w) = 1 - exp(-M^2/w) - M q(w), q(w) = (1/w) int_0^{M-1}
+    exp(-a(y)/w) dy (``upper_integral``), or with that mean taken inside
+    the y-integral in closed form (``upper_closed``).  ``c`` in [0, M-1]
+    trades tightness of the closed form for the validity range of its
+    high-SNR reading; c = 0 reproduces ``upper_integral`` exactly.
     """
     _require_unit_variances(config, "wf_worst_bounds")
     m = config.pairs
@@ -260,50 +267,38 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
 
     lower = pm * _fail_moment(m, m * rate, 1) + miss
 
-    # upper, nested quadrature; mapping the budget's Gamma(m, 1) shape
-    # variable s through its own CDF bounds the integrand on [0, 1] and
-    # keeps the error estimate honest for large m
-    def outer(u: float) -> float:
-        if u <= 0.0:
-            return 1.0
-        if u >= 1.0:
-            return 0.0
-        w = float(special.gammaincinv(m, u)) / rate
-        return -math.expm1(-m * m / w) - m * _q5(w, m)
-
-    val, err = integrate.quad(outer, 0.0, 1.0, epsabs=1e-11, epsrel=1e-10, limit=300)
-    upper_integral = pm * val + miss
-
-    # closed form: the w-average of each exponential is a Bessel kernel
-    head = gamma_exp_integral(m, m * m * rate) / fact
+    # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
+    t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
+    w, density = np.exp(t) / rate, np.exp(log_density)
+    head = -np.expm1(-m * m / w)  # the largest requirement alone fails
+    inner, tail = dict.fromkeys(_GAUSS, 0.0), dict.fromkeys(_GAUSS, 0.0)
     if m > 1:
-        tail, terr = integrate.quad(
-            lambda y: gamma_exp_integral(m - 1, _a_of_y(y, m) * rate),
-            c,
-            m - 1.0,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=200,
-        )
-        scale = m * rate / fact
-        tail *= scale
-        err += terr * scale
-    else:
-        tail = 0.0
-    upper_closed = 1.0 - pm * (head + tail)
+        for k in _GAUSS:
+            a, weight = _log_y_rule(w, 0.0, m, k)
+            inner[k] = m / w * (np.exp(-a / w[:, None]) * weight).sum(axis=1)
+            # closed form: the w-average of each exponential is a Bessel kernel;
+            # divide by (M-1)! before scaling by rate, as rate / (M-1)! can be subnormal
+            a, weight = _log_y_rule(w[-1], c, m, k)
+            tail[k] = m * rate * float(gamma_exp_integral(m - 1, a * rate) @ weight / fact)
 
+    def mean(f: np.ndarray, step: int = 1) -> float:
+        return float(density[::step] @ f[::step] / density[::step].sum())
+
+    val, head_val = mean(head - inner[64]), mean(head)
+    upper_integral = pm * val + miss
+    upper_closed = pm * (head_val - tail[64]) + miss
+    # change at twice the trapezoid step and at 48 Gauss-Legendre nodes
+    err = pm * (
+        abs(val - mean(head - inner[64], 2)) + abs(val - mean(head - inner[48]))
+        + abs(head_val - mean(head, 2)) + abs(tail[64] - tail[48])
+    )
     if err > 1e-7:
         warnings.warn(
             f"worst-case bound quadrature achieved only {err:.2e} absolute error",
             RuntimeWarning,
             stacklevel=2,
         )
-    return WorstCaseBounds(
-        lower=lower,
-        upper_integral=upper_integral,
-        upper_closed=upper_closed,
-        quad_error=err,
-    )
+    return WorstCaseBounds(lower, upper_integral, upper_closed, quad_error=err)
 
 
 def asymptotic_outage(

@@ -25,6 +25,10 @@ These deliberately avoid the library code paths they are checking:
   sums, at a working precision that absorbs their cancellation.  Run this
   file (``PYTHONPATH=src python tests/oracles.py``) to print the frozen
   table of ``tests/test_exact_forms.py``.
+* ``wf_worst_upper_mp``: the water-filling worst-case upper bound from its
+  Bessel-kernel form, by one mp.quad over y.  ``PYTHONPATH=src python
+  tests/oracles.py worst-upper`` prints the frozen table of
+  ``tests/test_worst_bounds.py``.
 * ``power_split_theta``: the power-splitting ratio of one draw, the
   scalar statement of the split behind ``ehrelay.model.harvest``.
 * ``reference_draw``: a scalar, one-draw-at-a-time statement of the
@@ -36,6 +40,7 @@ These deliberately avoid the library code paths they are checking:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -291,14 +296,16 @@ def _gamma_mean(n: int, g, knee) -> mp.mpf:
 def outage_individual_avg_quad(eps: float, eta: float, dps: int = 25) -> float:
     """Marginal outage when each pair spends its own harvest.
 
-    Success needs h > eps and g >= a/(eta P (h - eps)); integrating the
-    exponential h-density against the conditional g-tail gives
-    1 - int_eps^inf exp(-h - (eps/eta)/(h - eps)) dh.
+    The first hop fails with probability 1 - exp(-eps); past it the surplus
+    h - eps is Exp(1), and the pair fails with probability
+    1 - exp(-(eps/eta)/(h - eps)).  The failure probability is integrated
+    directly, so no complement cancels at high SNR.
     """
     with mp.workdps(dps):
-        e, k = mp.mpf(eps), mp.mpf(eps) / eta
-        good = mp.quad(lambda h: mp.e ** (-h - k / (h - e)), [e, mp.inf])
-        return float(1 - good)
+        e = mp.mpf(eps)
+        z = e / eta
+        fail = _gamma_mean(1, lambda w: -mp.expm1(-z / w), z)
+        return float(-mp.expm1(-e) + mp.e ** (-e) * fail)
 
 
 def outage_equal_avg_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
@@ -339,12 +346,17 @@ def outage_equal_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> flo
 
 
 def outage_equal_worst_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
-    """P(some pair fails) under equal split: 1 - P(all m decode and serve)."""
+    """P(some pair fails) under equal split.
+
+    Either not all m decode, or all do and the weakest second hop misses
+    the threshold m^2 eps/eta of the Gamma(m, 1) budget; both failure
+    probabilities are integrated directly, with no complement.
+    """
     with mp.workdps(dps):
         e = mp.mpf(eps)
         z = m * m * e / eta
-        allgood = _gamma_mean(m, lambda w: mp.e ** (-z / w), z)
-        return float(1 - mp.e ** (-m * e) * allgood)
+        fail = _gamma_mean(m, lambda w: -mp.expm1(-z / w), z)
+        return float(-mp.expm1(-m * e) + mp.e ** (-m * e) * fail)
 
 
 def outage_wf_best_quad(m: int, eps: float, eta: float, dps: int = 25) -> float:
@@ -467,6 +479,44 @@ def print_exact_reference_table() -> None:
     print("}")
 
 
+def wf_worst_upper_mp(m: int, eps: float, eta: float, c: float = 0.0, dps: int = 30) -> float:
+    """Water-filling worst-case upper bound (``upper_closed``) in mpmath.
+
+    1 - p^M (G_M(M^2 r) + M r int_c^{M-1} G_{M-1}(a(y) r) dy) / (M-1)! with
+    p = exp(-eps), r = eps/eta, a(y) = (y+1) ((M-1)^2 + y) / y and
+    G_n(x) = 2 x^(n/2) K_n(2 sqrt(x)) from ``mp.besselk``.  The y-integral is
+    one mp.quad split at the knee y = (M-1)^2 r, below which G_{M-1}(a(y) r)
+    cuts off, and scaled to a unit maximum over the breakpoints (see
+    ``_gamma_mean``).  At c = 0 this is also ``upper_integral``.
+    """
+    with mp.workdps(dps):
+        e, r = mp.mpf(eps), mp.mpf(eps) / eta
+        kernel = lambda n, x: 2 * x ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(x))
+        total = kernel(m, m * m * r)
+        if c < m - 1:
+            knee = (m - 1) ** 2 * r
+            inside = {y for y in (knee / 100, knee, 100 * knee) if c < y < m - 1}
+            pts = sorted({mp.mpf(c), mp.mpf(m - 1)} | inside)
+            g = lambda y: kernel(m - 1, (y + 1) * ((m - 1) ** 2 + y) / y * r) if y > 0 else mp.mpf(0)
+            scale = max(g(y) for y in pts)
+            total += m * r * scale * mp.quad(lambda y: g(y) / scale, pts)
+        return float(1 - mp.e ** (-m * e) * total / mp.factorial(m - 1))
+
+
+def print_worst_upper_table() -> None:
+    """Print the frozen table of tests/test_worst_bounds.py (rate 2, eta 1)."""
+    from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+
+    print("REFERENCE = {")
+    for m in (2, 3, 5, 10, 20):
+        for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0):
+            config = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr))
+            eps = derive_params(config).decode_threshold
+            row = [wf_worst_upper_mp(m, eps, 1.0, c) for c in (0.0, 1.0, m - 1.0)]
+            print(f"    ({m}, {snr!r}): ({row[0]!r}, {row[1]!r}, {row[2]!r}),", flush=True)
+    print("}")
+
+
 def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> float:
     """Fraction of received power routed to the energy harvester.
 
@@ -541,5 +591,6 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/oracles.py
-    print_exact_reference_table()
+    # PYTHONPATH=src python tests/oracles.py [exact | worst-upper]
+    table = sys.argv[1] if len(sys.argv) > 1 else "exact"
+    {"exact": print_exact_reference_table, "worst-upper": print_worst_upper_table}[table]()

@@ -132,6 +132,20 @@ def test_equal_live_oracle_cross_check():
     assert s.worst == pytest.approx(outage_equal_worst_quad(5, eps, 1.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("snr", [120.0, 200.0])
+def test_complement_free_oracles_at_high_snr(snr):
+    # both oracles integrate the failure probability itself; as 1 - P(success)
+    # at 25 digits they kept only ~7 significant digits at 200 dB
+    config = cfg(3, snr)
+    eps = derive_params(config).decode_threshold
+    assert outage_individual(config).average == pytest.approx(
+        outage_individual_avg_quad(eps, 1.0), rel=1e-12
+    )
+    assert outage_equal(config).worst == pytest.approx(
+        outage_equal_worst_quad(3, eps, 1.0), rel=1e-12
+    )
+
+
 def test_equal_reduces_to_individual_for_one_pair():
     a = outage_individual(cfg(1, 17.0))
     b = outage_equal(cfg(1, 17.0))

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -145,3 +146,19 @@ def test_gamma_exp_integral_bounds(n, z):
     # integrand is dominated by u^{n-1} e^{-u}: 0 < value < (n-1)!
     v = gamma_exp_integral(n, z)
     assert 0.0 < v < math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 20, 100])
+def test_gamma_exp_integral_array_matches_scalar_bitwise(n):
+    z = np.array([0.0, 1e-300, 2.5e-13, 1e-3, 0.37, 1.0, 100.0, 1e4, 1e6, math.inf])
+    got = gamma_exp_integral(n, z.reshape(2, 5))
+    assert got.shape == (2, 5)
+    want = [gamma_exp_integral(n, float(v)) for v in z]
+    assert all(type(v) is float for v in want)
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, [1.0, -1e-300], [0.0, math.nan]])
+def test_gamma_exp_integral_domain_error(bad):
+    with pytest.raises(ValueError, match="non-negative"):
+        gamma_exp_integral(3, bad)

@@ -40,7 +40,6 @@ from .model import SystemConfig, derive_params
 from .specfun import gamma_exp_integral
 
 __all__ = [
-    "ANALYTIC_METHODS",
     "MAX_CLOSED_FORM_PAIRS",
     "OutageSummary",
     "WorstCaseBounds",
@@ -55,20 +54,6 @@ __all__ = [
     "order_stat_diagnostics",
 ]
 
-
-# (strategy, metric) -> analytic methods that exist for it: "exact" closed
-# forms, "asymptotic" high-SNR approximations and the "bounds" sandwich.
-# Monte Carlo covers every combination and is not listed.
-ANALYTIC_METHODS = {
-    ("individual", "average"): ("exact", "asymptotic"),
-    ("individual", "best"): ("exact", "asymptotic"),
-    ("individual", "worst"): ("exact", "asymptotic"),
-    ("equal", "average"): ("exact", "asymptotic"),
-    ("equal", "best"): ("exact", "asymptotic"),
-    ("equal", "worst"): ("exact", "asymptotic"),
-    ("waterfill", "best"): ("exact",),
-    ("waterfill", "worst"): ("asymptotic", "bounds"),
-}
 
 # Largest pair count for which the CLI evaluates "exact" and "bounds":
 # wf_worst_bounds divides by (M-1)! as a float, which overflows from
@@ -167,6 +152,23 @@ def _fail_moment(n: int, z: float, k: int) -> float:
     return float(np.exp(log_density + k * log_fail).sum() / np.exp(log_density).sum())
 
 
+def _all_fail(m: int, eps: float, threshold) -> float:
+    """P(no pair is served) when each of the N = n decoded pairs has
+    threshold(n): the binomial mixture, summed from n = 0 up."""
+    p = math.exp(-eps)
+    q = -math.expm1(-eps)
+    total = q**m
+    for n in range(1, m + 1):
+        total += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, threshold(n), n)
+    return total
+
+
+def _some_fail(m: int, eps: float, z: float) -> float:
+    """P(N < M) + P(N = M) E[1 - exp(-z/S)], S ~ Gamma(M, 1): some pair fails
+    unless all M decode and one pair of threshold z is served."""
+    return math.exp(-m * eps) * _fail_moment(m, z, 1) - math.expm1(-m * eps)
+
+
 def outage_individual(config: SystemConfig) -> OutageSummary:
     """Outage metrics when each pair spends only its own harvest.
 
@@ -194,13 +196,12 @@ def outage_equal(config: SystemConfig) -> OutageSummary:
     p = math.exp(-eps)
     q = -math.expm1(-eps)
 
-    avg, best = q, q**m
+    avg = q
     for n in range(1, m + 1):
-        zn = n * eps / eta
         # a given pair is among the n decoded with weight C(M-1, n-1) p^n q^(M-n)
-        avg += math.comb(m - 1, n - 1) * p**n * q ** (m - n) * _fail_moment(n, zn, 1)
-        best += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, zn, n)
-    worst = math.exp(-m * eps) * _fail_moment(m, m * m * eps / eta, 1) - math.expm1(-m * eps)
+        avg += math.comb(m - 1, n - 1) * p**n * q ** (m - n) * _fail_moment(n, n * eps / eta, 1)
+    best = _all_fail(m, eps, lambda n: n * eps / eta)
+    worst = _some_fail(m, eps, m * m * eps / eta)
     return OutageSummary(average=avg, best=best, worst=worst)
 
 
@@ -212,13 +213,7 @@ def outage_wf_best(config: SystemConfig) -> float:
     """
     _require_unit_variances(config, "outage_wf_best")
     eps, eta = _eps_eta(config)
-    m = config.pairs
-    p = math.exp(-eps)
-    q = -math.expm1(-eps)
-    total = q**m
-    for n in range(1, m + 1):
-        total += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, eps / eta, n)
-    return total
+    return _all_fail(config.pairs, eps, lambda n: eps / eta)
 
 
 # Gauss-Legendre nodes and weights on [-1, 1]: the y-integrals of the
@@ -265,7 +260,7 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     pm = math.exp(-m * eps)
     miss = -math.expm1(-m * eps)  # P(N < M)
 
-    lower = pm * _fail_moment(m, m * rate, 1) + miss
+    lower = _some_fail(m, eps, m * rate)
 
     # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
     t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
@@ -312,7 +307,8 @@ def asymptotic_outage(
     :func:`wf_worst_bounds`.  Individual allocation decays like
     log(SNR)/SNR; the pooled strategies decay like 1/SNR.
     """
-    if "asymptotic" not in ANALYTIC_METHODS.get((strategy, metric), ()):
+    pooled = strategy == "equal" or (strategy, metric) == ("waterfill", "worst")
+    if metric not in ("average", "best", "worst") or not (strategy == "individual" or pooled):
         raise ValueError(f"no asymptotic form for ({strategy!r}, {metric!r})")
     _require_unit_variances(config, "asymptotic_outage")
     eps, eta = _eps_eta(config)

@@ -48,6 +48,8 @@ B_MAX = 1e12  # stand-in for an unbounded bid when T_i >= P_r
 # elements of the max-winners scan's (rows, 2 pairs + 1, pairs) arrays per
 # chunk of rows: bounds its memory and keeps each array in a core's cache
 _CHUNK_ELEMENTS = 1 << 14
+_TOLERANCE = 1e-10  # relative sup-norm stop of the best-response dynamics
+_MAX_ITERATIONS = 500  # and their iteration cap
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,8 @@ class AuctionConfig:
 
     price: float
     reserve: float
-    tolerance: float = 1e-10
-    max_iterations: int = 500
+    tolerance: float = _TOLERANCE
+    max_iterations: int = _MAX_ITERATIONS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.price) and self.price > 0.0):
@@ -329,7 +331,6 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_lim
 def allocate_auction(
     g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, params: DerivedParams, *,
     xi_fraction: float = 0.01, price_margin: float = 0.05, price_policy: str = "max-winners",
-    tolerance: float = 1e-10, max_iterations: int = 500,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Auction allocation for a block of draws, all trials' auctions at once.
 
@@ -359,11 +360,11 @@ def allocate_auction(
     else:
         price = select_price(gains, pr, price_margin)
     _, alloc, _, converged, residual = _bid_dynamics(
-        gains, pr, price, xi_fraction * pr, tolerance, max_iterations
+        gains, pr, price, xi_fraction * pr, _TOLERANCE, _MAX_ITERATIONS
     )
     if not converged.all():
         raise RuntimeError(
-            f"auction did not converge in {max_iterations} iterations (residual "
+            f"auction did not converge in {_MAX_ITERATIONS} iterations (residual "
             f"{residual[~converged].max():.3e}); the price certificate should make this impossible"
         )
     with np.errstate(divide="ignore"):

@@ -1,14 +1,9 @@
 """Command line sweep runner.
 
 Runs outage sweeps over SNR grids and writes one CSV row per
-(snr, pairs, strategy, metric, method) combination.  Methods:
-
-* ``mc``: Monte Carlo estimate with standard error,
-* ``exact``: closed-form value (where one exists),
-* ``asymptotic`` / ``asymptotic-lower`` / ``asymptotic-upper``: high-SNR
-  approximations (the water-filling worst case only has a sandwich),
-* ``bound-lower`` / ``bound-upper-integral`` / ``bound-upper-closed``:
-  water-filling worst-case bounds.
+(snr, pairs, strategy, metric, method) combination.  Method ``mc`` is the
+Monte Carlo estimate with its standard error; ``ANALYTIC_ROWS`` lists the
+closed-form, high-SNR and bound rows of each (strategy, metric).
 
 Sweeps are configured by flat ``key = value`` files, a named preset, or
 flags; flags override the file/preset.  Output is byte-deterministic for
@@ -21,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .analytic import (
-    ANALYTIC_METHODS,
     MAX_CLOSED_FORM_PAIRS,
     asymptotic_outage,
     outage_equal,
@@ -56,13 +52,39 @@ CSV_COLUMNS = ("snr_db", "pairs", "strategy", "metric", "method", "value", "stde
 
 MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
 
-# strategy -> closed form behind its "exact" rows (see ANALYTIC_METHODS), as
-# config -> {metric: value}; the functions are looked up in this module at
-# call time, so a substituted module attribute takes effect.
-EXACT_FORMS = {
-    "individual": lambda config: dataclasses.asdict(outage_individual(config)),
-    "equal": lambda config: dataclasses.asdict(outage_equal(config)),
-    "waterfill": lambda config: {"best": outage_wf_best(config)},
+# (strategy, metric) -> the analytic method groups that exist for it, in CSV
+# row order, each with the labels of the rows it writes.  Monte Carlo covers
+# every combination and is not listed.
+ANALYTIC_ROWS = {
+    **{
+        (strategy, metric): {"exact": ("exact",), "asymptotic": ("asymptotic",)}
+        for strategy in ("individual", "equal")
+        for metric in ("average", "best", "worst")
+    },
+    ("waterfill", "best"): {"exact": ("exact",)},
+    ("waterfill", "worst"): {
+        "asymptotic": ("asymptotic-lower", "asymptotic-upper"),
+        "bounds": ("bound-lower", "bound-upper-integral", "bound-upper-closed"),
+    },
+}
+# The pooled asymptotics divide by M - 1: at one pair mode "all" writes none
+# of their rows and mode "asymptotic" refuses the sweep.
+_POOLED_ASYMPTOTICS = {("equal", "asymptotic"), ("waterfill", "asymptotic")}
+
+# (strategy, group) -> (point, metric) -> the values of the group's labels;
+# point(f, *args) is f(*args, config), evaluated once per sweep point.  The
+# functions are looked up in this module at call time, so a substituted
+# module attribute takes effect.
+ANALYTIC_FORMS = {
+    ("individual", "exact"): lambda point, metric: (getattr(point(outage_individual), metric),),
+    ("equal", "exact"): lambda point, metric: (getattr(point(outage_equal), metric),),
+    ("waterfill", "exact"): lambda point, metric: (point(outage_wf_best),),
+    ("individual", "asymptotic"): lambda point, metric: (point(asymptotic_outage, "individual", metric),),
+    ("equal", "asymptotic"): lambda point, metric: (point(asymptotic_outage, "equal", metric),),
+    ("waterfill", "asymptotic"): lambda point, metric: point(asymptotic_outage, "waterfill", metric),
+    ("waterfill", "bounds"): lambda point, metric: attrgetter("lower", "upper_integral", "upper_closed")(
+        point(wf_worst_bounds)
+    ),
 }
 
 
@@ -268,8 +290,9 @@ PRESETS = {
 }
 
 
-def _validate_spec(spec: SweepSpec) -> dict[tuple[float, int], SystemConfig]:
-    """Refuse a bad sweep; returns its config for each (snr, pairs)."""
+def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfig], dict]:
+    """Refuse a bad sweep; returns its config for each (snr, pairs) and its
+    analytic plan (see _analytic_plan)."""
     if not spec.pairs:
         raise CLIError("pairs must be positive integers")
     if not spec.snr_db:
@@ -307,37 +330,43 @@ def _validate_spec(spec: SweepSpec) -> dict[tuple[float, int], SystemConfig]:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
 
+    unit_variances = next(iter(configs.values())).unit_variances
+    plan = _analytic_plan(spec, unit_variances)
     if spec.mode in ("exact", "asymptotic", "bounds"):
-        if not next(iter(configs.values())).unit_variances:
+        if not unit_variances:
             raise CLIError(f"mode {spec.mode!r} requires unit link variances")
         for s in spec.strategies:
             for m in spec.metrics:
-                if spec.mode not in ANALYTIC_METHODS.get((s, m), ()):
+                if spec.mode not in ANALYTIC_ROWS.get((s, m), {}):
                     raise CLIError(f"no {spec.mode} method for strategy {s!r}, metric {m!r}")
-    if spec.mode == "asymptotic" and any(p < 2 for p in spec.pairs) and any(
-        s != "individual" for s in spec.strategies
-    ):
-        raise CLIError("pooled asymptotics require at least two pairs")
-    closed_forms = {"exact", "bounds"} & _analytic_groups(spec, configs)
-    if max(spec.pairs) > MAX_CLOSED_FORM_PAIRS and any(
-        closed_forms.intersection(ANALYTIC_METHODS.get((s, m), ()))
-        for s in spec.strategies
-        for m in spec.metrics
+        if not all(plan.values()):  # only the pooled asymptotics drop a point's rows
+            raise CLIError("pooled asymptotics require at least two pairs")
+    if any(
+        pairs > MAX_CLOSED_FORM_PAIRS and group in ("exact", "bounds")
+        for (pairs, _, _), groups in plan.items()
+        for group, _ in groups
     ):
         raise CLIError(
             f"pairs {max(spec.pairs)} exceeds {MAX_CLOSED_FORM_PAIRS}, "
             "the largest pair count the closed forms support"
         )
-    return configs
+    return configs, plan
 
 
-def _analytic_groups(spec: SweepSpec, configs: dict) -> set[str]:
-    """Analytic method groups the sweep evaluates (see ANALYTIC_METHODS)."""
-    if spec.mode == "mc" or not next(iter(configs.values())).unit_variances:
-        return set()
-    if spec.mode == "all":
-        return {"exact", "asymptotic", "bounds"}
-    return {spec.mode}
+def _analytic_plan(spec: SweepSpec, unit_variances: bool) -> dict:
+    """(pairs, strategy, metric) -> the (group, labels) of the analytic rows
+    the sweep writes there, in row order (see ANALYTIC_ROWS)."""
+    return {
+        (pairs, s, m): [
+            (group, labels)
+            for group, labels in ANALYTIC_ROWS.get((s, m), {}).items()
+            if unit_variances and spec.mode in ("all", group)
+            and not (pairs < 2 and (s, group) in _POOLED_ASYMPTOTICS)
+        ]
+        for pairs in spec.pairs
+        for s in spec.strategies
+        for m in spec.metrics
+    }
 
 
 def _mc_value(report, metric: str) -> tuple[float, float]:
@@ -347,8 +376,7 @@ def _mc_value(report, metric: str) -> tuple[float, float]:
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     """Evaluate the sweep; returns CSV rows in deterministic order."""
-    configs = _validate_spec(spec)
-    groups = _analytic_groups(spec, configs)
+    configs, plan = _validate_spec(spec)
     # Monte Carlo reports by pair count, then by (snr index, strategy)
     mc = {}
     if spec.mode in ("mc", "all"):
@@ -370,51 +398,25 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     rows: list[dict] = []
 
     def add(snr, pairs, strategy, metric, method, value, stderr=None, trials=None):
-        rows.append(
-            {
-                "snr_db": repr(float(snr)),
-                "pairs": str(pairs),
-                "strategy": strategy,
-                "metric": metric,
-                "method": method,
-                "value": repr(float(value)),
-                "stderr": "" if stderr is None else repr(float(stderr)),
-                "trials": "" if trials is None else str(trials),
-                "seed": str(spec.seed),
-            }
-        )
+        fields = (repr(float(snr)), str(pairs), strategy, metric, method, repr(float(value)),
+                  "" if stderr is None else repr(float(stderr)),
+                  "" if trials is None else str(trials), str(spec.seed))
+        rows.append(dict(zip(CSV_COLUMNS, fields, strict=True)))
 
     for i, snr in enumerate(spec.snr_db):
         for pairs in spec.pairs:
             config = configs[snr, pairs]
-            exact_cache: dict[str, dict] = {}
-            bounds_cache = None
+            point = functools.cache(lambda f, *args: f(*args, config))
             for strategy in spec.strategies:
                 report = mc[pairs][i, strategy] if mc else None
                 for metric in spec.metrics:
-                    methods = groups.intersection(ANALYTIC_METHODS.get((strategy, metric), ()))
                     if report is not None:
                         value, stderr = _mc_value(report, metric)
                         add(snr, pairs, strategy, metric, "mc", value, stderr, report.trials)
-                    if "exact" in methods:
-                        if strategy not in exact_cache:
-                            exact_cache[strategy] = EXACT_FORMS[strategy](config)
-                        add(snr, pairs, strategy, metric, "exact", exact_cache[strategy][metric])
-                    if "asymptotic" in methods:
-                        if strategy == "waterfill":
-                            if pairs >= 2:
-                                lo, hi = asymptotic_outage("waterfill", "worst", config)
-                                add(snr, pairs, strategy, metric, "asymptotic-lower", lo)
-                                add(snr, pairs, strategy, metric, "asymptotic-upper", hi)
-                        elif strategy == "individual" or pairs >= 2:
-                            value = asymptotic_outage(strategy, metric, config)
-                            add(snr, pairs, strategy, metric, "asymptotic", value)
-                    if "bounds" in methods:
-                        if bounds_cache is None:
-                            bounds_cache = wf_worst_bounds(config)
-                        add(snr, pairs, strategy, metric, "bound-lower", bounds_cache.lower)
-                        add(snr, pairs, strategy, metric, "bound-upper-integral", bounds_cache.upper_integral)
-                        add(snr, pairs, strategy, metric, "bound-upper-closed", bounds_cache.upper_closed)
+                    for group, labels in plan[pairs, strategy, metric]:
+                        values = ANALYTIC_FORMS[strategy, group](point, metric)
+                        for label, value in zip(labels, values, strict=True):
+                            add(snr, pairs, strategy, metric, label, value)
     return rows
 
 
@@ -435,11 +437,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pairs", help="comma list of pair counts")
     parser.add_argument("--strategy", help="comma list of strategies")
     parser.add_argument("--metric", help="comma list of metrics")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
-    parser.add_argument("--rate", type=float, help="target rate (bits/s/Hz)")
-    parser.add_argument("--eta", type=float, help="harvesting efficiency")
-    parser.add_argument("--mode", choices=MODES, help="which methods to evaluate")
+    parser.add_argument("--trials", help="Monte Carlo trials per point")
+    parser.add_argument("--seed", help="Monte Carlo seed")
+    parser.add_argument("--rate", help="target rate (bits/s/Hz)")
+    parser.add_argument("--eta", help="harvesting efficiency")
+    parser.add_argument("--mode", help=f"which methods to evaluate: {', '.join(MODES)}")
     parser.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     parser.add_argument("--workers", type=int, default=1, help="worker threads")
     parser.add_argument(
@@ -449,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # flag -> SweepSpec field, parsed like the config key of that name
-_FLAG_KEYS = {"snr": "snr_db", "pairs": "pairs", "strategy": "strategies", "metric": "metrics"}
+_FLAG_KEYS = {"snr": "snr_db", "strategy": "strategies", "metric": "metrics"} | {
+    k: k for k in ("pairs", "trials", "seed", "rate", "eta", "mode")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -477,10 +480,6 @@ def main(argv: list[str] | None = None) -> int:
                     updates[field] = _PARSERS[field](raw)
                 except ValueError as exc:
                     raise CLIError(f"invalid --{flag}: {exc}") from None
-        for flag in ("trials", "seed", "rate", "eta", "mode"):
-            value = getattr(args, flag)
-            if value is not None:
-                updates[flag] = value
         spec = dataclasses.replace(spec, **updates)
 
         if args.workers < 1:

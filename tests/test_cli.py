@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import ehrelay
-from ehrelay.analytic import ANALYTIC_METHODS, outage_equal
+from ehrelay.analytic import outage_equal
 from ehrelay.cli import (
+    ANALYTIC_FORMS,
+    ANALYTIC_ROWS,
     CLIError,
     CSV_COLUMNS,
-    EXACT_FORMS,
     PRESETS,
     SweepSpec,
     dump_config,
@@ -209,10 +210,17 @@ def test_run_sweep_rejects_exact_with_scaled_variances():
 
 def test_exact_rows_come_from_the_closed_form_table(monkeypatch):
     config = SystemConfig(pairs=2, rate=2.0, source_power=power_from_snr_db(30.0))
-    exact = {(s, m) for (s, m), methods in ANALYTIC_METHODS.items() if "exact" in methods}
-    assert {s for s, _ in exact} == set(EXACT_FORMS)
-    for strategy, form in EXACT_FORMS.items():
-        assert set(form(config)) >= {m for s, m in exact if s == strategy}
+
+    def point(f, *args):
+        return f(*args, config)
+
+    used = {(s, group) for (s, _), groups in ANALYTIC_ROWS.items() for group in groups}
+    assert used == set(ANALYTIC_FORMS)
+    for (strategy, metric), groups in ANALYTIC_ROWS.items():
+        for group, labels in groups.items():
+            values = ANALYTIC_FORMS[strategy, group](point, metric)
+            assert len(values) == len(labels)
+            assert all(isinstance(v, float) for v in values)
     # the sweep calls the closed form through the module's name, once per point
     calls = []
 
@@ -226,6 +234,39 @@ def test_exact_rows_come_from_the_closed_form_table(monkeypatch):
     assert len(calls) == 2
     want = outage_equal(config)
     assert [r["value"] for r in rows[3:]] == [repr(getattr(want, m)) for m in spec.metrics]
+
+
+def test_one_pair_writes_no_pooled_asymptotics():
+    spec = SweepSpec(
+        pairs=(1,),
+        snr_db=(30.0,),
+        strategies=("individual", "equal", "waterfill"),
+        metrics=("best", "worst"),
+        trials=50,
+        mode="all",
+    )
+    rows = [(r["strategy"], r["metric"], r["method"]) for r in run_sweep(spec)]
+    assert rows == [
+        ("individual", "best", "mc"), ("individual", "best", "exact"), ("individual", "best", "asymptotic"),
+        ("individual", "worst", "mc"), ("individual", "worst", "exact"), ("individual", "worst", "asymptotic"),
+        ("equal", "best", "mc"), ("equal", "best", "exact"),
+        ("equal", "worst", "mc"), ("equal", "worst", "exact"),
+        ("waterfill", "best", "mc"), ("waterfill", "best", "exact"),
+        ("waterfill", "worst", "mc"),
+        ("waterfill", "worst", "bound-lower"),
+        ("waterfill", "worst", "bound-upper-integral"),
+        ("waterfill", "worst", "bound-upper-closed"),
+    ]
+
+
+@pytest.mark.parametrize("strategy, metric", [("equal", "average"), ("waterfill", "worst")])
+def test_pooled_asymptotics_refuse_one_pair(strategy, metric, capsys):
+    argv = ["--pairs", "1,2", "--mode", "asymptotic", "--strategy", strategy, "--metric", metric, "--snr", "30"]
+    for extra in (["--dump-config"], []):
+        assert main(argv + extra) == 2
+        assert "pooled asymptotics require at least two pairs" in capsys.readouterr().err
+    # the individual asymptotics exist at one pair
+    assert main(["--pairs", "1", "--mode", "asymptotic", "--strategy", "individual", "--snr", "30"]) == 0
 
 
 def test_csv_bytes_reproducible(tmp_path):
@@ -305,6 +346,11 @@ def test_main_preset_dump_round_trips(capsys):
         ["--rate", "600"],
         ["--snr", "1e6"],
         ["--snr=-1e6"],
+        ["--trials", "many"],
+        ["--seed", "1.5"],
+        ["--rate", "inf"],
+        ["--eta", "nan"],
+        ["--mode", "nonsense"],
     ],
 )
 def test_main_exit_code_2_on_bad_input(argv, capsys):

@@ -337,14 +337,17 @@ def asymptotic_outage(
             return (1.0 + m / ((m - 1.0) * eta)) * eps
         if metric == "best":
             # log coefficient: the half-log form; at m = 1 it must reduce
-            # to the single-pair expression, which fixes the 1/2
-            cm = math.fsum(
-                (n / eta) ** n
-                * math.factorial(m)
-                / (math.factorial(n - 1) * math.factorial(n) * math.factorial(m - n))
+            # to the single-pair expression, which fixes the 1/2.  The terms
+            # (n/eta)^n m! / ((n-1)! n! (m-n)!) and eps^m are combined as
+            # logs, so no intermediate overflows at any pair count
+            log_terms = [
+                n * math.log(n / eta) + math.lgamma(m + 1) - math.lgamma(n)
+                - math.lgamma(n + 1) - math.lgamma(m - n + 1)
                 for n in range(1, m + 1)
-            )
-            return eps**m * (1.0 - cm * math.log(eps))
+            ]
+            top = max(log_terms)
+            log_cm = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
+            return eps**m - math.log(eps) * math.exp(m * math.log(eps) + log_cm)
         return eps * m * (1.0 + m / (eta * (m - 1.0)))
 
     # waterfill worst-case sandwich

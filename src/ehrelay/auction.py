@@ -37,45 +37,41 @@ import numpy as np
 from .model import DerivedParams
 
 __all__ = [
-    "B_MAX", "LN2", "AuctionConfig", "AuctionState", "interior_target", "quit_price",
-    "full_budget_price", "response_weights", "contraction_modulus", "iteration_spectral_radius",
-    "predict_allocation", "run_auction", "select_price", "winner_maximizing_price",
-    "allocate_auction",
+    "B_MAX", "LN2", "PRICE_POLICIES", "AuctionConfig", "AuctionState", "interior_target",
+    "quit_price", "full_budget_price", "response_weights", "contraction_modulus",
+    "iteration_spectral_radius", "predict_allocation", "run_auction", "select_price",
+    "winner_maximizing_price", "allocate_auction",
 ]
 
 LN2 = math.log(2.0)
 B_MAX = 1e12  # stand-in for an unbounded bid when T_i >= P_r
+PRICE_POLICIES = ("max-winners", "certified")  # see allocate_auction
 # elements of the max-winners scan's (rows, 2 pairs + 1, pairs) arrays per
 # chunk of rows: bounds its memory and keeps each array in a core's cache
 _CHUNK_ELEMENTS = 1 << 14
 _TOLERANCE = 1e-10  # relative sup-norm stop of the best-response dynamics
 _MAX_ITERATIONS = 500  # and their iteration cap
+# spectral radius below which a max-winners candidate price counts as
+# comfortably convergent
+_RADIUS_LIMIT = 0.93
 
 
 @dataclass(frozen=True)
 class AuctionConfig:
     """Fixed parameters of one auction instance.
 
-    price:          unit power price pi > 0 announced by the relay
-    reserve:        relay reserve bid xi > 0
-    tolerance:      relative sup-norm stop for the bid iteration
-    max_iterations: iteration cap for the best-response dynamics
+    price:   unit power price pi > 0 announced by the relay
+    reserve: relay reserve bid xi > 0
     """
 
     price: float
     reserve: float
-    tolerance: float = _TOLERANCE
-    max_iterations: int = _MAX_ITERATIONS
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.price) and self.price > 0.0):
             raise ValueError(f"price must be positive, got {self.price!r}")
         if not (math.isfinite(self.reserve) and self.reserve > 0.0):
             raise ValueError(f"reserve must be positive, got {self.reserve!r}")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(eq=False)
@@ -200,13 +196,14 @@ def predict_allocation(price: float, total_power: float, g2, reserve: float) -> 
     return alloc[0] if exists[0] else None
 
 
-def _bid_dynamics(g2, total_power, price, reserve, tolerance, max_iterations):
+def _bid_dynamics(g2, total_power, price, reserve):
     """Best-response dynamics of every row from the all-ones bid vector.
 
-    A row stops updating once its residual is within tolerance, so its
-    bids, iteration count and residual are those of its own run.  Returns
-    (bids, allocation, iterations, converged, residual) per row; the
-    allocation applies the share rule to the final bids.
+    A row stops updating once its residual is within ``_TOLERANCE`` (or
+    after ``_MAX_ITERATIONS`` rounds), so its bids, iteration count and
+    residual are those of its own run.  Returns (bids, allocation,
+    iterations, converged, residual) per row; the allocation applies the
+    share rule to the final bids.
     """
     # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
@@ -216,7 +213,7 @@ def _bid_dynamics(g2, total_power, price, reserve, tolerance, max_iterations):
     iterations = np.zeros(g2.shape[0], dtype=int)
     residual = np.full(g2.shape[0], math.inf)
     live = np.arange(g2.shape[0])
-    for it in range(1, max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         b = bids[live]
         new = b.sum(axis=1, keepdims=True) - b
         new += reserve[live, None]
@@ -224,23 +221,22 @@ def _bid_dynamics(g2, total_power, price, reserve, tolerance, max_iterations):
         new += cap[live]
         residual[live] = np.abs(new - b).max(axis=1) / np.maximum(1.0, np.abs(new).max(axis=1))
         bids[live], iterations[live] = new, it
-        if not (live := live[~(residual[live] <= tolerance)]).size:
+        if not (live := live[~(residual[live] <= _TOLERANCE)]).size:
             break
     allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]
-    return bids, allocation, iterations, residual <= tolerance, residual
+    return bids, allocation, iterations, residual <= _TOLERANCE, residual
 
 
 def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
     """Synchronous best-response dynamics from the all-ones bid vector.
 
     Stops when the sup-norm bid change falls below
-    ``tolerance * max(1, ||b||_inf)`` or after ``max_iterations`` rounds.
+    ``_TOLERANCE * max(1, ||b||_inf)`` or after ``_MAX_ITERATIONS`` rounds.
     The returned allocation applies the share rule to the final bids.
     """
     g2, total_power, _ = _block(g2, total_power, rows=False)
     bids, allocation, iterations, converged, residual = _bid_dynamics(
-        g2, total_power, np.array([config.price]), np.array([config.reserve]),
-        config.tolerance, config.max_iterations,
+        g2, total_power, np.array([config.price]), np.array([config.reserve])
     )
     return AuctionState(
         bids[0], allocation[0], int(iterations[0]), bool(converged[0]), float(residual[0])
@@ -285,7 +281,7 @@ def select_price(g2, total_power, margin: float = 0.05):
     return float(price[0]) if single else price
 
 
-def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_limit: float = 0.93):
+def winner_maximizing_price(g2, total_power, snr_threshold: float):
     """Price that maximizes the number of served pairs at equilibrium.
 
     The served count is piecewise constant in the price, changing only
@@ -299,14 +295,12 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_lim
       pair; with every active pair capped the split matches equal shares).
 
     Candidates whose dynamics are not comfortably convergent (exact
-    spectral radius >= radius_limit, or interior demand exceeding the
+    spectral radius >= ``_RADIUS_LIMIT``, or interior demand exceeding the
     budget) are discarded.  Ties go to the higher price: it sells less
     power for the same service.  Falls back to the certified price when
     no candidate survives.  A block's ladders are scanned at once.
     """
     g2, total_power, single = _block(g2, total_power)
-    if not 0.0 < radius_limit < 1.0:
-        raise ValueError("radius_limit must lie in (0, 1)")
     p = total_power[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         candidates = np.concatenate([
@@ -320,7 +314,7 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float, *, radius_lim
         p = p[..., None]
         alloc, usable, rho = _predict(candidates[..., None], p, g2[:, None], 0.01 * p)
         served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
-    served[~(usable & (candidates > 0.0) & _radius_below(rho, radius_limit))] = -1
+    served[~(usable & (candidates > 0.0) & _radius_below(rho, _RADIUS_LIMIT))] = -1
     most = served.max(axis=1, keepdims=True)
     price = np.where(served == most, candidates, -np.inf).max(axis=1)
     if (fallback := most[:, 0] < 0).any():
@@ -344,7 +338,7 @@ def allocate_auction(
     in chunks of rows sized from the pair count.  Returns the served mask
     and the leftover budget per trial.
     """
-    if price_policy not in ("max-winners", "certified"):
+    if price_policy not in PRICE_POLICIES:
         raise ValueError(f"unknown price_policy {price_policy!r}")
     served = np.zeros_like(decoded)
     leftover = np.zeros(budget.shape[0])
@@ -359,9 +353,7 @@ def allocate_auction(
         ])
     else:
         price = select_price(gains, pr, price_margin)
-    _, alloc, _, converged, residual = _bid_dynamics(
-        gains, pr, price, xi_fraction * pr, _TOLERANCE, _MAX_ITERATIONS
-    )
+    _, alloc, _, converged, residual = _bid_dynamics(gains, pr, price, xi_fraction * pr)
     if not converged.all():
         raise RuntimeError(
             f"auction did not converge in {_MAX_ITERATIONS} iterations (residual "

@@ -31,6 +31,7 @@ from .analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
+from .auction import PRICE_POLICIES
 from .engine import run_group
 from .model import SystemConfig, power_from_snr_db
 from .strategies import STRATEGY_NAMES
@@ -165,9 +166,6 @@ def _parse_choice(valid: tuple[str, ...], kind: str):
 def _parse_names(valid: tuple[str, ...], kind: str):
     choice = _parse_choice(valid, kind)
     return lambda text: tuple(choice(p.strip()) for p in text.split(","))
-
-
-PRICE_POLICIES = ("max-winners", "certified")
 
 
 _PARSERS = {
@@ -329,6 +327,12 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     for m in spec.metrics:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
+    if not (math.isfinite(spec.xi_fraction) and spec.xi_fraction > 0.0):
+        raise CLIError(f"xi_fraction must be positive, got {spec.xi_fraction!r}")
+    if not (math.isfinite(spec.price_margin) and spec.price_margin >= 0.0):
+        raise CLIError(f"price_margin must be non-negative, got {spec.price_margin!r}")
+    if spec.price_policy not in PRICE_POLICIES:
+        raise CLIError(f"unknown price_policy {spec.price_policy!r}")
 
     unit_variances = next(iter(configs.values())).unit_variances
     plan = _analytic_plan(spec, unit_variances)

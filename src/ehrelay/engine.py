@@ -1,10 +1,12 @@
 """Monte Carlo outage engine.
 
-Trials are grouped into fixed-size blocks; block ``b`` draws its channels
-from a dedicated substream keyed by ``(seed, b)`` (see
+Trials are grouped into blocks of ``BLOCK_SIZE``; block ``b`` draws its
+channels from a dedicated substream keyed by ``(seed, b)`` (see
 :func:`ehrelay.model.sample_block`), and per-block statistics are reduced
 in block order.  Estimates are therefore bit-identical for any worker
-count and any assignment of blocks to workers.
+count and any assignment of blocks to workers.  The block size is part
+of that stream partition (it fixes which trial each draw belongs to), so
+it is a constant rather than an argument.
 
 The unit of work is a sweep group: configs that differ only in source
 power (SNR), evaluated under several strategies on the same draws.  Per
@@ -34,13 +36,13 @@ from .strategies import STRATEGY_NAMES, allocate
 
 __all__ = [
     "OutageReport",
-    "DEFAULT_BLOCK_SIZE",
+    "BLOCK_SIZE",
     "run_experiment",
     "run_group",
     "worst_case_equivalence_check",
 ]
 
-DEFAULT_BLOCK_SIZE = 16384
+BLOCK_SIZE = 16384
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,14 @@ def _binomial_stderr(count: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _block_results(b, configs, strategies, trials, seed, block_size, auction_opts=None):
+def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
     """Served mask and leftover of every (config, strategy) on block ``b``.
 
     The block's channels are drawn once, harvested once per config and
     allocated once per (config, strategy); yields
     ``(config index, strategy, served, leftover)``.
     """
-    h2, g2 = sample_block(seed, b, min(block_size, trials - b * block_size), configs[0])
+    h2, g2 = sample_block(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), configs[0])
     for i, config in enumerate(configs):
         params = derive_params(config)
         harvested = harvest(h2, config, params)
@@ -129,7 +131,6 @@ def run_group(
     seed: int,
     *,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     auction_opts: dict | None = None,
 ) -> dict[tuple[int, str], OutageReport]:
     """Estimate the outage metrics of every (config, strategy) on shared draws.
@@ -137,12 +138,12 @@ def run_group(
     ``configs`` may differ only in source power (SNR): every block's
     channels depend on (seed, block, pairs, variances) alone, so they are
     drawn once for the whole group.  Block b covers trials
-    [b * block_size, ...); each block reduces to one partial sum per
+    [b * BLOCK_SIZE, ...); each block reduces to one partial sum per
     (config, strategy), and the partials are merged in block order, so
     the reports do not depend on ``workers``.  Returns the report of each
     (config index, strategy).
     """
-    for name, value in (("trials", trials), ("block_size", block_size), ("workers", workers)):
+    for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
     for strategy in strategies:
@@ -155,15 +156,13 @@ def run_group(
 
     def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
         partials = {}
-        for i, s, served, leftover in _block_results(
-            b, configs, strategies, trials, seed, block_size, auction_opts
-        ):
+        for i, s, served, leftover in _block_results(b, configs, strategies, trials, seed, auction_opts):
             partials[i, s] = acc = _Accumulator()
             acc.add_block(served.sum(axis=1), leftover, pairs)
         return partials
 
     totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
-    n_blocks = (trials + block_size - 1) // block_size
+    n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for partials in (map if workers == 1 else pool.map)(one_block, range(n_blocks)):
             for key, partial in partials.items():
@@ -196,20 +195,17 @@ def run_experiment(
     seed: int,
     *,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
     auction_opts: dict | None = None,
 ) -> OutageReport:
     """Estimate the outage metrics of ``strategy`` over ``trials`` draws:
     :func:`run_group` on the one-config group."""
     return run_group(
         [config], (strategy,), trials, seed,
-        workers=workers, block_size=block_size, auction_opts=auction_opts,
+        workers=workers, auction_opts=auction_opts,
     )[0, strategy]
 
 
-def worst_case_equivalence_check(
-    config: SystemConfig, trials: int, seed: int, *, block_size: int = DEFAULT_BLOCK_SIZE
-) -> int:
+def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -> int:
     """Count trials where water-filling and max-min disagree on the
     worst-pair outage event.
 
@@ -217,12 +213,10 @@ def worst_case_equivalence_check(
     requirement, so the count should be zero.
     """
     mismatches = 0
-    for b in range((trials + block_size - 1) // block_size):
+    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         wf, mm = (
             served.sum(axis=1) < config.pairs
-            for *_, served, _ in _block_results(
-                b, [config], ("waterfill", "maxmin"), trials, seed, block_size
-            )
+            for *_, served, _ in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
         )
         mismatches += int((wf != mm).sum())
     return mismatches

@@ -7,8 +7,8 @@ enough and harvesting the surplus.  In the second phase the harvested
 budget is allocated across the decoded pairs' second hops.
 
 Noise variances are normalized to one, so ``source_power`` is the transmit
-SNR.  Squared channel magnitudes are exponential with mean equal to the
-per-link variance.
+SNR.  Squared channel magnitudes are i.i.d. exponential, with one mean
+(link variance) per hop shared by all pairs.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ def power_from_snr_db(snr_db: float) -> float:
     return 10.0 ** (snr_db / 10.0)
 
 
-def _as_variance_tuple(value, pairs: int, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        value = (float(value),) * pairs
-    else:
-        value = tuple(float(v) for v in value)
-    if len(value) != pairs:
-        raise ValueError(f"{name} must be scalar or length {pairs}, got {len(value)}")
-    if any(not math.isfinite(v) or v <= 0.0 for v in value):
-        raise ValueError(f"{name} entries must be finite and positive")
-    return value
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Static system parameters for one operating point.
@@ -54,16 +42,19 @@ class SystemConfig:
     rate:          target rate R in bit/s/Hz (two-phase transmission)
     source_power:  source transmit power = transmit SNR (unit noise)
     eta:           energy harvesting efficiency, in (0, 1]
-    h_variance:    first-hop |h|^2 means, scalar or per pair
-    g_variance:    second-hop |g|^2 means, scalar or per pair
+    h_variance:    first-hop |h|^2 mean, one finite positive float for all pairs
+    g_variance:    second-hop |g|^2 mean, likewise
+
+    Links are i.i.d. Rayleigh with one variance per hop, as in the
+    analysed model; a per-pair sequence of variances is refused.
     """
 
     pairs: int
     rate: float
     source_power: float
     eta: float = 1.0
-    h_variance: tuple[float, ...] | float = 1.0
-    g_variance: tuple[float, ...] | float = 1.0
+    h_variance: float = 1.0
+    g_variance: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.pairs, int) or self.pairs < 1:
@@ -74,18 +65,14 @@ class SystemConfig:
             raise ValueError(f"source_power must be positive, got {self.source_power!r}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
-        object.__setattr__(
-            self, "h_variance", _as_variance_tuple(self.h_variance, self.pairs, "h_variance")
-        )
-        object.__setattr__(
-            self, "g_variance", _as_variance_tuple(self.g_variance, self.pairs, "g_variance")
-        )
+        for name in ("h_variance", "g_variance"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite positive float, got {value!r}")
 
     @property
     def unit_variances(self) -> bool:
-        return all(v == 1.0 for v in self.h_variance) and all(
-            v == 1.0 for v in self.g_variance
-        )
+        return self.h_variance == self.g_variance == 1.0
 
 
 @dataclass(frozen=True)
@@ -120,12 +107,13 @@ def sample_block(
 
     Row t of the returned arrays is the draw for the t-th trial of the
     block.  All h2 values are drawn before all g2 values, so the block is
-    a pure function of (seed, block_index, size, config): any partition of
-    a trial range into blocks reproduces identical draws.
+    a pure function of (seed, block_index, size, config).  Which trial
+    gets which draw therefore depends on the block size, which is why
+    the engine holds it fixed (``ehrelay.engine.BLOCK_SIZE``).
     """
     rng = block_rng(seed, block_index)
-    h2 = rng.exponential(scale=np.asarray(config.h_variance), size=(size, config.pairs))
-    g2 = rng.exponential(scale=np.asarray(config.g_variance), size=(size, config.pairs))
+    h2 = rng.exponential(scale=config.h_variance, size=(size, config.pairs))
+    g2 = rng.exponential(scale=config.g_variance, size=(size, config.pairs))
     return h2, g2
 
 

@@ -47,7 +47,9 @@ from itertools import combinations
 import mpmath as mp
 import numpy as np
 
-from ehrelay.auction import B_MAX, LN2, AuctionConfig, AuctionState
+from ehrelay.auction import (
+    _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionConfig, AuctionState,
+)
 
 
 def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
@@ -173,11 +175,11 @@ def scalar_run_auction(g2: np.ndarray, total_power: float, config: AuctionConfig
     residual = math.inf
     converged = False
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         new = weights * (bids.sum() - bids + config.reserve) + cap
         residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
         bids = new
-        if residual <= config.tolerance:
+        if residual <= _TOLERANCE:
             converged = True
             break
     return AuctionState(
@@ -212,9 +214,7 @@ def scalar_select_price(g2: np.ndarray, total_power: float, margin: float = 0.05
     return price
 
 
-def scalar_winner_price(
-    g2: np.ndarray, total_power: float, snr_threshold: float, radius_limit: float = 0.93
-) -> float:
+def scalar_winner_price(g2: np.ndarray, total_power: float, snr_threshold: float) -> float:
     """Max-winners price of one auction by an ascending scan of the ladder."""
     requirement = snr_threshold / g2
     candidates = set(g2 / (2.0 * LN2 * (1.0 + total_power * g2)) * (1.0 - 1e-3))
@@ -223,7 +223,7 @@ def scalar_winner_price(
     best_price = -1.0
     best_served = -1
     for price in sorted(c for c in candidates if c > 0.0):
-        if eig_spectral_radius(price, total_power, g2) >= radius_limit:
+        if eig_spectral_radius(price, total_power, g2) >= _RADIUS_LIMIT:
             continue
         alloc = scalar_predict(price, total_power, g2, 0.01 * total_power)
         if alloc is None:

@@ -171,11 +171,11 @@ def test_run_auction_capped_pair_matches_scalar_iteration():
     config = AuctionConfig(price=price, reserve=0.01 * pr)
     state = run_auction(g2, pr, config)
     bids = np.ones_like(g2)
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, auction._MAX_ITERATIONS + 1):
         new = np.array([best_response(i, bids, price, pr, g2, config.reserve) for i in range(4)])
         residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
         bids = new
-        if residual <= config.tolerance:
+        if residual <= auction._TOLERANCE:
             break
     assert state.converged and state.iterations == iterations > 1
     assert state.residual == residual
@@ -344,8 +344,6 @@ def test_winner_maximizing_price_validation():
         winner_maximizing_price(np.array([1.0]), 0.0, 1.0)
     with pytest.raises(ValueError):
         winner_maximizing_price(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(ValueError):
-        winner_maximizing_price(np.array([1.0]), 1.0, 1.0, radius_limit=1.5)
 
 
 def _auction_setup(h2, g2, rate=0.5, power=10.0):

@@ -2,10 +2,12 @@
 
 import dataclasses
 import io
+import math
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -194,6 +196,66 @@ def test_wf_bounds_rows():
 def test_run_sweep_rejects_bad_eta():
     with pytest.raises(CLIError, match="eta"):
         run_sweep(dataclasses.replace(SMALL, eta=1.5))
+
+
+@pytest.mark.parametrize(
+    "strategy, metric, group",
+    [(s, m, group) for (s, m), groups in ANALYTIC_ROWS.items() for group in groups],
+)
+def test_analytic_rows_finite_at_large_pair_counts(strategy, metric, group):
+    # 171 is the closed forms' pair cap; 89 is where the equal/best
+    # asymptotic coefficient first overflowed a float
+    spec = SweepSpec(pairs=(89, 171), snr_db=(0.0, 30.0, 100.0), strategies=(strategy,),
+                     metrics=(metric,), trials=1, mode=group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics at 0 dB
+        rows = run_sweep(spec)
+    assert len(rows) == 6 * len(ANALYTIC_ROWS[strategy, metric][group])
+    assert all(math.isfinite(float(r["value"])) for r in rows)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("xi_fraction", 0.0, "xi_fraction must be positive"),
+        ("xi_fraction", math.inf, "xi_fraction must be positive"),
+        ("price_margin", -1.0, "price_margin must be non-negative"),
+        ("price_policy", "cheapest", "unknown price_policy"),
+    ],
+)
+def test_run_sweep_refuses_bad_auction_settings(field, value, match, monkeypatch):
+    # refused before any channel is drawn, whether or not the sweep runs the auction
+    monkeypatch.setattr("ehrelay.cli.run_group", None)
+    for strategies in (("auction",), ("equal",)):
+        spec = dataclasses.replace(SMALL, strategies=strategies, **{field: value})
+        with pytest.raises(CLIError, match=match):
+            run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("xi_fraction = 0\n", "xi_fraction must be positive"),
+        ("xi_fraction = -0.5\n", "xi_fraction must be positive"),
+        ("price_margin = -1\nprice_policy = certified\n", "price_margin must be non-negative"),
+    ],
+)
+def test_main_refuses_bad_auction_settings_in_config(text, message, tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("strategies = auction\ntrials = 10\n" + text)
+    for extra in (["--dump-config"], []):
+        assert main(["--config", str(path)] + extra) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_main_equal_best_asymptotic_beyond_ninety_nine_pairs(capsys):
+    argv = ["--pairs", "120", "--strategy", "equal", "--metric", "best", "--mode", "asymptotic"]
+    assert main(argv + ["--snr", "60"]) == 0
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split(",")[5] == "0.0"  # eps^120 underflows
+    assert main(argv + ["--snr", "30"]) == 0
+    value = float(capsys.readouterr().out.splitlines()[1].split(",")[5])
+    assert 0.0 < value < 1e-100
 
 
 def test_run_sweep_rejects_exact_for_auction():

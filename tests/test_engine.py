@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.analytic import outage_individual, wf_worst_bounds
+from ehrelay import engine
 from ehrelay.cli import SweepSpec, run_sweep
 from ehrelay.engine import run_experiment, run_group, worst_case_equivalence_check
 from ehrelay.model import (
@@ -49,7 +50,7 @@ def test_success_count_consistent_with_outage():
     for name in STRATEGY_NAMES:
         served, _ = evaluate_block(h2, g2, config, name)
         assert not (served & ~decoded).any()
-        report = run_experiment(config, name, trials, seed=0, block_size=trials)
+        report = run_experiment(config, name, trials, seed=0)
         assert report.mean_success == served.sum() / trials
         assert report.average == pytest.approx(1.0 - served.mean())
 
@@ -78,12 +79,13 @@ def test_individual_outage_equals_direct_condition():
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
-def test_vectorized_blocks_match_per_draw(name):
+def test_vectorized_blocks_match_per_draw(name, monkeypatch):
     # run_experiment's batched blocks must agree with the scalar per-draw
     # reference exactly; below 8 pairs both add up the budget bit for bit
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 16)
     config = cfg(pairs=3, snr_db=15.0)
     trials = 64
-    report = run_experiment(config, name, trials, seed=5, block_size=16)
+    report = run_experiment(config, name, trials, seed=5)
     fails_best = 0
     fails_worst = 0
     outage_total = 0
@@ -123,19 +125,19 @@ def test_trials_one_is_the_single_trial():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_group_matches_run_experiment(workers):
+def test_run_group_matches_run_experiment(workers, monkeypatch):
     # one draw per block serves every SNR and strategy of the group; each
     # report must equal the one-point run's bit for bit
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)  # 130 trials in blocks of 50, 50, 30
     configs = [cfg(pairs=3, snr_db=s) for s in (10.0, 15.0, 20.0)]
-    kw = dict(workers=workers, block_size=50)
-    group = run_group(configs, STRATEGY_NAMES, 130, seed=4, **kw)  # blocks of 50, 50, 30
+    group = run_group(configs, STRATEGY_NAMES, 130, seed=4, workers=workers)
     assert set(group) == {(i, s) for i in range(3) for s in STRATEGY_NAMES}
     for (i, name), report in group.items():
-        assert report == run_experiment(configs[i], name, 130, seed=4, **kw)
+        assert report == run_experiment(configs[i], name, 130, seed=4, workers=workers)
 
 
 def test_run_group_rejects_mixed_groups():
-    for other in (cfg(pairs=2), cfg(h_variance=0.5), cfg(g_variance=(1.0, 1.0, 2.0))):
+    for other in (cfg(pairs=2), cfg(h_variance=0.5), cfg(g_variance=2.0)):
         with pytest.raises(ValueError, match="share pairs"):
             run_group([cfg(), other], ("equal",), 10, seed=0)
 
@@ -167,11 +169,11 @@ def test_worker_count_invariance(name):
     assert r1 == r3  # frozen dataclass equality: bit-identical fields
 
 
-def test_rerun_determinism():
-    # block_size is part of the stream partition, so it must be held fixed
+def test_rerun_determinism(monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 512)  # many blocks
     config = cfg(pairs=2)
-    r1 = run_experiment(config, "maxmin", 10_000, seed=2, block_size=512)
-    r2 = run_experiment(config, "maxmin", 10_000, seed=2, block_size=512)
+    r1 = run_experiment(config, "maxmin", 10_000, seed=2)
+    r2 = run_experiment(config, "maxmin", 10_000, seed=2)
     assert r1 == r2
 
 

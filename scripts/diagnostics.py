@@ -1,7 +1,7 @@
 """Sanity experiments that do not fit the sweep CSV format.
 
 * paired check that the water-filling and max-min worst-case outage
-  events coincide draw by draw,
+  events coincide draw by draw (exit code 1 if any draw disagrees),
 * heavy-tail diagnostics for the inverse channel gains: the second
   largest has a finite mean, the largest does not.
 """
@@ -13,7 +13,7 @@ from ehrelay.engine import worst_case_equivalence_check
 from ehrelay.model import SystemConfig, power_from_snr_db
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--snr-db", type=float, default=20.0)
@@ -35,7 +35,8 @@ def main() -> None:
         print(f"  {n:>9d}: {value:.2f}")
     print(f"max CDF deviation of the inverse-gain marginal: "
           f"{diag.cdf_max_abs_dev:.4f}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

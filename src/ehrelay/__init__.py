@@ -19,7 +19,7 @@ from .model import (
     power_from_snr_db,
     sample_block,
 )
-from .strategies import STRATEGY_NAMES, allocate
+from .strategies import STRATEGY_NAMES, Block, allocate
 from .auction import allocate_auction
 from .analytic import (
     OrderStatDiagnostics,

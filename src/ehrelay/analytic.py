@@ -315,7 +315,8 @@ def asymptotic_outage(
     m = config.pairs
     if eps > 0.05:
         warnings.warn(
-            f"epsilon = {eps:.3g} is outside the high-SNR regime; "
+            f"({strategy}, {metric}) at {10.0 * math.log10(config.source_power):.4g} dB, "
+            f"{m} pairs: epsilon = {eps:.3g} is outside the high-SNR regime; "
             "the approximation may be poor",
             RuntimeWarning,
             stacklevel=2,

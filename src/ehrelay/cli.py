@@ -381,6 +381,16 @@ def _mc_value(report, metric: str) -> tuple[float, float]:
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     """Evaluate the sweep; returns CSV rows in deterministic order."""
     configs, plan = _validate_spec(spec)
+    # analytic values first, once per point: one that overflows refuses the sweep before any draw
+    analytic = {}
+    for (snr, pairs), config in configs.items():
+        point = functools.cache(lambda f, *args, config=config: f(*args, config))
+        for (p, s, m), groups in plan.items():
+            for group, _ in groups if p == pairs else ():
+                try:
+                    analytic[snr, p, s, m, group] = ANALYTIC_FORMS[s, group](point, m)
+                except OverflowError:
+                    raise CLIError(f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows") from None
     # Monte Carlo reports by pair count, then by (snr index, strategy)
     mc = {}
     if spec.mode in ("mc", "all"):
@@ -409,8 +419,6 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
 
     for i, snr in enumerate(spec.snr_db):
         for pairs in spec.pairs:
-            config = configs[snr, pairs]
-            point = functools.cache(lambda f, *args: f(*args, config))
             for strategy in spec.strategies:
                 report = mc[pairs][i, strategy] if mc else None
                 for metric in spec.metrics:
@@ -418,7 +426,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         value, stderr = _mc_value(report, metric)
                         add(snr, pairs, strategy, metric, "mc", value, stderr, report.trials)
                     for group, labels in plan[pairs, strategy, metric]:
-                        values = ANALYTIC_FORMS[strategy, group](point, metric)
+                        values = analytic[snr, pairs, strategy, metric, group]
                         for label, value in zip(labels, values, strict=True):
                             add(snr, pairs, strategy, metric, label, value)
     return rows

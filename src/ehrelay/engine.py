@@ -11,11 +11,11 @@ it is a constant rather than an argument.
 The unit of work is a sweep group: configs that differ only in source
 power (SNR), evaluated under several strategies on the same draws.  Per
 block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
-draws the channels once, :func:`ehrelay.model.harvest` finds the
-decoding sets and relay budgets once per SNR, and
-:func:`ehrelay.strategies.allocate` returns the served mask and the
-leftover budget once per (SNR, strategy).  Strategies and SNRs are thus
-compared on common channel realisations.
+draws the channels once into a :class:`ehrelay.strategies.Block`, which
+keeps what no SNR changes (the requirements, sorted once for water-filling);
+:func:`ehrelay.model.harvest` finds the decoding sets and budgets once per
+SNR, and :func:`ehrelay.strategies.allocate` the served mask and leftover
+once per (SNR, strategy), all on common channel realisations.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair
@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .model import SystemConfig, derive_params, harvest, sample_block
-from .strategies import STRATEGY_NAMES, allocate
+from .model import SystemConfig, derive_params, harvest, row_counts, sample_block
+from .strategies import STRATEGY_NAMES, Block, allocate
 
 __all__ = [
     "OutageReport",
@@ -117,11 +117,12 @@ def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
     ``(config index, strategy, served, leftover)``.
     """
     h2, g2 = sample_block(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), configs[0])
+    block = Block(h2, g2, derive_params(configs[0]).snr_threshold)
     for i, config in enumerate(configs):
         params = derive_params(config)
         harvested = harvest(h2, config, params)
         for s in strategies:
-            yield (i, s, *allocate(s, h2, g2, *harvested, config, params, auction_opts=auction_opts))
+            yield (i, s, *allocate(s, block, *harvested, config, params, auction_opts=auction_opts))
 
 
 def run_group(
@@ -135,13 +136,13 @@ def run_group(
 ) -> dict[tuple[int, str], OutageReport]:
     """Estimate the outage metrics of every (config, strategy) on shared draws.
 
-    ``configs`` may differ only in source power (SNR): every block's
-    channels depend on (seed, block, pairs, variances) alone, so they are
-    drawn once for the whole group.  Block b covers trials
-    [b * BLOCK_SIZE, ...); each block reduces to one partial sum per
-    (config, strategy), and the partials are merged in block order, so
-    the reports do not depend on ``workers``.  Returns the report of each
-    (config index, strategy).
+    ``configs`` may differ only in source power (SNR), which is checked:
+    every block's channels depend on (seed, block, pairs, variances) alone
+    and its requirement order on the rate, so both serve the whole group.
+    Block b covers trials [b * BLOCK_SIZE, ...); each block reduces to one
+    partial sum per (config, strategy), and the partials are merged in
+    block order, so the reports do not depend on ``workers``.  Returns the
+    report of each (config index, strategy).
     """
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
@@ -150,15 +151,15 @@ def run_group(
         if strategy not in STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")
     pairs = configs[0].pairs
-    link = (pairs, configs[0].h_variance, configs[0].g_variance)
-    if any((c.pairs, c.h_variance, c.g_variance) != link for c in configs):
-        raise ValueError("configs of one group must share pairs, h_variance and g_variance")
+    shared = replace(configs[0], source_power=1.0)
+    if any(replace(c, source_power=1.0) != shared for c in configs):
+        raise ValueError("configs of one group must share pairs, rate, eta and variances")
 
     def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
         partials = {}
         for i, s, served, leftover in _block_results(b, configs, strategies, trials, seed, auction_opts):
             partials[i, s] = acc = _Accumulator()
-            acc.add_block(served.sum(axis=1), leftover, pairs)
+            acc.add_block(row_counts(served), leftover, pairs)
         return partials
 
     totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
@@ -215,7 +216,7 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
     mismatches = 0
     for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         wf, mm = (
-            served.sum(axis=1) < config.pairs
+            row_counts(served) < config.pairs
             for *_, served, _ in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
         )
         mismatches += int((wf != mm).sum())

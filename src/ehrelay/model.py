@@ -24,8 +24,8 @@ __all__ = [
     "power_from_snr_db",
     "derive_params",
     "sample_block",
-    "block_rng",
     "harvest",
+    "row_counts",
 ]
 
 
@@ -95,11 +95,6 @@ def derive_params(config: SystemConfig) -> DerivedParams:
     return DerivedParams(snr_threshold=a, decode_threshold=a / config.source_power)
 
 
-def block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Generator for one trial block, independent across block indices."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
-
-
 def sample_block(
     seed: int, block_index: int, size: int, config: SystemConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +106,7 @@ def sample_block(
     gets which draw therefore depends on the block size, which is why
     the engine holds it fixed (``ehrelay.engine.BLOCK_SIZE``).
     """
-    rng = block_rng(seed, block_index)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
     h2 = rng.exponential(scale=config.h_variance, size=(size, config.pairs))
     g2 = rng.exponential(scale=config.g_variance, size=(size, config.pairs))
     return h2, g2
@@ -131,4 +126,12 @@ def harvest(
     decoded = h2 > params.decode_threshold
     surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
     budget = np.where(decoded, surplus, 0.0).sum(axis=1)
-    return decoded, decoded.sum(axis=1), budget
+    return decoded, row_counts(decoded), budget
+
+
+def row_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-row true counts of a (trials, pairs) mask, added column by column."""
+    counts = np.zeros(mask.shape[0], dtype=np.intp)
+    for column in mask.T:
+        counts += column
+    return counts

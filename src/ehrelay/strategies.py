@@ -1,9 +1,9 @@
 """Relay power-allocation strategies as batched kernels.
 
-Every kernel works on one block of draws: ``h2`` and ``g2`` have shape
-(trials, pairs), and ``decoded``, ``n`` and ``budget`` are the output of
-:func:`ehrelay.model.harvest`.  It returns the served mask (trials, pairs)
-and the budget each trial leaves unspent at the relay (trials,).
+Every kernel works on one :class:`Block` of draws (``h2`` and ``g2`` of
+shape (trials, pairs)) and on ``decoded``, ``n`` and ``budget``, the output
+of :func:`ehrelay.model.harvest` at one SNR.  It returns the served mask
+(trials, pairs) and the budget each trial leaves unspent at the relay.
 
 Pair i is served iff it is in the decoding set and its granted power
 covers the requirement ``a / |g_i|^2`` (equivalently, its received SNR
@@ -14,53 +14,75 @@ rounding.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .auction import allocate_auction
 from .model import DerivedParams, SystemConfig
 
-__all__ = ["allocate", "STRATEGY_NAMES"]
+__all__ = ["Block", "allocate", "STRATEGY_NAMES"]
 
 STRATEGY_NAMES = ("individual", "equal", "waterfill", "maxmin", "auction")
 
 
-def _individual(h2, g2, decoded, n, budget, config, params):
+class Block:
+    """One block of draws and what its allocations share at every SNR: ``need = a / g2``."""
+
+    def __init__(self, h2: np.ndarray, g2: np.ndarray, snr_threshold: float) -> None:
+        self.h2, self.g2, self.snr_threshold = h2, g2, snr_threshold
+        self.need = snr_threshold / g2
+
+    @cached_property
+    def waterfill_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending need, ties by ascending pair index: needs and ``h2`` in that
+        order, pairs-major (pairs, trials), and each pair's place (trials, pairs)."""
+        trials, pairs = self.need.shape
+        order = np.argsort(self.need, axis=1, kind="stable")
+        order += np.arange(0, trials * pairs, pairs)[:, None]  # flat row-major index
+        rank = np.empty(trials * pairs, dtype=np.min_scalar_type(pairs))
+        rank[order.ravel()] = np.tile(np.arange(pairs, dtype=rank.dtype), trials)
+        need, h2 = (np.take(x, order).T.copy() for x in (self.need, self.h2))
+        return need, h2, rank.reshape(trials, pairs)
+
+
+def _individual(block, decoded, n, budget, config, params):
     """Each pair spends exactly the energy its own first hop harvested.
 
     Distributed operation: no pooling, p_i = eta * (P_s |h_i|^2 - a) on the
     decoding set.
     """
-    p = config.eta * (config.source_power * h2 - params.snr_threshold)
-    return decoded & (p >= params.snr_threshold / g2), np.zeros(h2.shape[0])
+    p = config.eta * (config.source_power * block.h2 - params.snr_threshold)
+    return decoded & (p >= block.need), np.zeros(block.h2.shape[0])
 
 
-def _equal(h2, g2, decoded, n, budget, config, params):
-    """Pooled budget split evenly over the decoding set."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        share = np.where(n > 0, budget / np.maximum(n, 1), 0.0)
-    return decoded & (share[:, None] >= params.snr_threshold / g2), np.zeros(h2.shape[0])
+def _equal(block, decoded, n, budget, config, params):
+    """Pooled budget split evenly over the decoding set (empty sets serve no one)."""
+    share = budget / np.maximum(n, 1)
+    return decoded & (share[:, None] >= block.need), np.zeros(block.h2.shape[0])
 
 
-def _waterfill(h2, g2, decoded, n, budget, config, params):
+def _waterfill(block, decoded, n, budget, config, params):
     """Greedy allocation maximizing the number of served destinations.
 
     Decoded pairs are visited in ascending requirement a / |g|^2 (ties by
     ascending pair index); each is granted exactly its requirement while
     the remaining budget suffices, and the rest stays at the relay.
     Serving cheapest-first makes the served count the maximum achievable
-    within the budget.
+    within the budget.  In the block's order, undecoded pairs add nothing to
+    the prefix sums (row adds, as a sequential cumsum); a decoded pair is
+    served iff its place lies in the prefix the budget covers.
     """
-    need = np.where(decoded, params.snr_threshold / g2, np.inf)
-    order = np.argsort(need, axis=1, kind="stable")
-    sorted_need = np.take_along_axis(need, order, axis=1)
-    served_sorted = np.cumsum(sorted_need, axis=1) <= budget[:, None]
-    served = np.zeros_like(decoded)
-    np.put_along_axis(served, order, served_sorted, axis=1)
-    leftover = budget - np.where(served_sorted, sorted_need, 0.0).sum(axis=1)
-    return served & decoded, leftover
+    need, h2, rank = block.waterfill_order
+    spent = need * (h2 > params.decode_threshold)
+    for k in range(1, spent.shape[0]):
+        np.add(spent[k - 1], spent[k], out=spent[k])
+    fits = spent <= budget
+    served = decoded & (rank < fits.sum(axis=0, dtype=rank.dtype)[:, None])
+    return served, budget - np.where(fits, spent, 0.0).max(axis=0)
 
 
-def _maxmin(h2, g2, decoded, n, budget, config, params):
+def _maxmin(block, decoded, n, budget, config, params):
     """Max-min fair allocation: every decoded pair gets the same rate.
 
     The optimum equalizes received SNRs, p_i = (budget / sum_j 1/|g_j|^2)
@@ -68,9 +90,9 @@ def _maxmin(h2, g2, decoded, n, budget, config, params):
     or none do.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_sum = np.where(decoded, 1.0 / g2, 0.0).sum(axis=1)
+        inv_sum = np.where(decoded, 1.0 / block.g2, 0.0).sum(axis=1)
         common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
-    return decoded & (common_snr >= params.snr_threshold)[:, None], np.zeros(h2.shape[0])
+    return decoded & (common_snr >= params.snr_threshold)[:, None], np.zeros(block.h2.shape[0])
 
 
 _KERNELS = {
@@ -82,24 +104,19 @@ _KERNELS = {
 
 
 def allocate(
-    name: str,
-    h2: np.ndarray,
-    g2: np.ndarray,
-    decoded: np.ndarray,
-    n: np.ndarray,
-    budget: np.ndarray,
-    config: SystemConfig,
-    params: DerivedParams,
-    *,
-    auction_opts: dict | None = None,
+    name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray,
+    config: SystemConfig, params: DerivedParams, *, auction_opts: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Served mask and leftover budget of strategy ``name`` on one block.
+    """Served mask (in pair order) and leftover budget of strategy ``name``
+    on one block, at the SNR of ``config`` and the block's threshold ``a``.
 
     ``auction_opts`` are keyword options of
     :func:`ehrelay.auction.allocate_auction`; other strategies ignore them.
     """
+    if params.snr_threshold != block.snr_threshold:
+        raise ValueError(f"snr_threshold {params.snr_threshold!r} is not the block's {block.snr_threshold!r}")
     if name == "auction":
-        return allocate_auction(g2, decoded, budget, params, **(auction_opts or {}))
+        return allocate_auction(block.g2, decoded, budget, params, **(auction_opts or {}))
     if name not in _KERNELS:
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-    return _KERNELS[name](h2, g2, decoded, n, budget, config, params)
+    return _KERNELS[name](block, decoded, n, budget, config, params)

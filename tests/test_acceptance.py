@@ -40,7 +40,7 @@ from ehrelay.model import (
     power_from_snr_db,
 )
 from ehrelay.specfun import bessel_k
-from ehrelay.strategies import allocate
+from ehrelay.strategies import Block, allocate
 from oracles import bessel_k_quadrature, golden_section_max, brute_force_max_served, payoff
 
 SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
@@ -133,7 +133,7 @@ def test_greedy_allocation_serves_maximal_subsets():
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
         params = derive_params(config)
         decoded, n, budget = harvest(h2, config, params)
-        served, _ = allocate("waterfill", h2, g2, decoded, n, budget, config, params)
+        served, _ = allocate("waterfill", Block(h2, g2, params.snr_threshold), decoded, n, budget, config, params)
         required = params.snr_threshold / g2
         for t in range(h2.shape[0]):
             if served[t].sum() != brute_force_max_served(list(required[t]), budget[t]):

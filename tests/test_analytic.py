@@ -249,6 +249,16 @@ def test_asymptotic_warns_outside_regime():
         asymptotic_outage("individual", "average", cfg(1, 5.0))
 
 
+def test_asymptotic_warning_names_its_point():
+    with pytest.warns(RuntimeWarning) as caught:
+        asymptotic_outage("equal", "worst", cfg(4, 10.0))
+        asymptotic_outage("waterfill", "worst", cfg(5, 0.0))
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "(equal, worst) at 10 dB, 4 pairs",
+        "(waterfill, worst) at 0 dB, 5 pairs",
+    ]
+
+
 def test_asymptotic_ratio_tends_to_one():
     for snr in (50.0, 55.0, 60.0):
         config = cfg(3, snr)

@@ -258,6 +258,22 @@ def test_main_equal_best_asymptotic_beyond_ninety_nine_pairs(capsys):
     assert 0.0 < value < 1e-100
 
 
+@pytest.mark.parametrize("strategy", ["individual", "equal"])
+def test_main_refuses_an_asymptotic_value_that_overflows(strategy, monkeypatch, capsys):
+    # at 0 dB eps = 15, and the best-case asymptotic raises it (or a
+    # negative single-pair term) to the 300th power; the refusal names the
+    # point and, in mode all, comes before any Monte Carlo draw
+    argv = f"--strategy {strategy} --metric best --mode".split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # out of the high-SNR regime
+        assert main(argv + "asymptotic --pairs 300 --snr 0".split()) == 2
+        err = capsys.readouterr().err
+        assert f"asymptotic {strategy} best outage at snr 0.0 dB, 300 pairs overflows" in err
+        monkeypatch.setattr("ehrelay.cli.run_group", None)
+        assert main(argv + "all --pairs 100 --snr -30 --trials 10".split()) == 2
+    assert "at snr -30.0 dB, 100 pairs overflows" in capsys.readouterr().err
+
+
 def test_run_sweep_rejects_exact_for_auction():
     spec = dataclasses.replace(SMALL, strategies=("auction",), mode="exact")
     with pytest.raises(CLIError, match="no exact method"):

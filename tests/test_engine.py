@@ -19,7 +19,7 @@ from ehrelay.model import (
     power_from_snr_db,
     sample_block,
 )
-from ehrelay.strategies import STRATEGY_NAMES, allocate
+from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
 from oracles import reference_draw
 
 
@@ -32,7 +32,7 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
 def evaluate_block(h2, g2, config, name):
     """Served mask and leftover of ``name`` on one block of draws."""
     params = derive_params(config)
-    return allocate(name, h2, g2, *harvest(h2, config, params), config, params)
+    return allocate(name, Block(h2, g2, params.snr_threshold), *harvest(h2, config, params), config, params)
 
 
 def test_no_decode_means_all_outage():
@@ -140,6 +140,14 @@ def test_run_group_rejects_mixed_groups():
     for other in (cfg(pairs=2), cfg(h_variance=0.5), cfg(g_variance=2.0)):
         with pytest.raises(ValueError, match="share pairs"):
             run_group([cfg(), other], ("equal",), 10, seed=0)
+
+
+@pytest.mark.parametrize("other", [cfg(rate=1.0), cfg(eta=0.5)])
+def test_run_group_refuses_configs_that_differ_beyond_snr(other):
+    # the water-filling order of a block depends on the rate, and the
+    # harvest on eta: only the source power may vary within a group
+    with pytest.raises(ValueError, match="rate, eta"):
+        run_group([cfg(snr_db=10.0), other], ("waterfill",), 10, seed=0)
 
 
 def test_run_sweep_draws_once_per_block_and_pair_count(monkeypatch):

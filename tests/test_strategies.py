@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import SystemConfig, derive_params, harvest
-from ehrelay.strategies import STRATEGY_NAMES, allocate
+from ehrelay.model import SystemConfig, derive_params, harvest, power_from_snr_db, row_counts
+from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
 from oracles import brute_force_max_served, reference_draw
 
 
@@ -25,7 +25,7 @@ def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
     decoded, n, pr = harvest(h2, config, params)
     if budget is not None:
         pr = np.array([budget])
-    served, leftover = allocate(name, h2, g2, decoded, n, pr, config, params)
+    served, leftover = allocate(name, Block(h2, g2, params.snr_threshold), decoded, n, pr, config, params)
     return served[0], leftover[0], pr[0], params
 
 
@@ -142,6 +142,57 @@ def test_maxmin_equal_gains_match_equal_split():
         a = run("maxmin", h2, [1.5, 1.5, 1.5], budget=budget)
         b = run("equal", h2, [1.5, 1.5, 1.5], budget=budget)
         assert a[0].tolist() == b[0].tolist()
+
+
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_block_refuses_params_of_another_rate(name):
+    config = SystemConfig(pairs=2, rate=0.5, source_power=10.0)
+    params = derive_params(config)
+    other = derive_params(SystemConfig(pairs=2, rate=1.0, source_power=10.0))
+    h2 = np.full((1, 2), 0.5)
+    block = Block(h2, np.ones((1, 2)), other.snr_threshold)
+    with pytest.raises(ValueError, match="snr_threshold"):
+        allocate(name, block, *harvest(h2, config, params), config, params)
+
+
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    pairs=hst.sampled_from((1, 2, 5, 8, 20)),
+    ties=hst.integers(min_value=0, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ties):
+    # one Block serves every SNR of a group, its sort made at the first;
+    # each SNR's mask, counts and leftover must equal those of a Block built
+    # for that SNR alone, and the mask that of the per-draw reference.
+    # Copied g2 values tie requirements exactly: ascending index decides.
+    rng = np.random.default_rng(seed)
+    trials = 30
+    h2 = rng.exponential(size=(trials, pairs))
+    g2 = rng.exponential(size=(trials, pairs))
+    for _ in range(ties if pairs > 1 else 0):
+        t, (i, j) = rng.integers(trials), rng.integers(pairs, size=2)
+        g2[t, j] = g2[t, i]
+    configs = [
+        SystemConfig(pairs=pairs, rate=1.0, source_power=power_from_snr_db(snr))
+        for snr in (20.0, 0.0, 10.0, 30.0)
+    ]
+    shared = Block(h2, g2, derive_params(configs[0]).snr_threshold)
+    for config in configs:
+        params = derive_params(config)
+        harvested = harvest(h2, config, params)
+        served, leftover = allocate("waterfill", shared, *harvested, config, params)
+        alone = allocate("waterfill", Block(h2.copy(), g2.copy(), params.snr_threshold), *harvested, config, params)
+        assert np.array_equal(served, alone[0])
+        assert np.array_equal(leftover, alone[1])
+        counts = row_counts(served)
+        assert np.array_equal(counts, served.sum(axis=1))
+        assert np.array_equal(harvested[1], harvested[0].sum(axis=1))
+        for t in range(trials):
+            ref = reference_draw(h2[t], g2[t], config, "waterfill")
+            assert served[t].tolist() == ref.served.tolist()
+            assert counts[t] == ref.served.sum()
+            assert leftover[t] == pytest.approx(ref.leftover, rel=1e-12, abs=1e-12)
 
 
 def test_dispatch_unknown_name():

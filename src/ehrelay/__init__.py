@@ -22,16 +22,12 @@ from .model import (
 from .strategies import STRATEGY_NAMES, Block, allocate
 from .auction import allocate_auction
 from .analytic import (
-    OrderStatDiagnostics,
     OutageSummary,
     WorstCaseBounds,
     asymptotic_outage,
-    conditioned_sum_pdf,
-    order_stat_diagnostics,
     outage_equal,
     outage_individual,
     outage_wf_best,
-    prob_decoding_count,
     wf_worst_bounds,
 )
 from .engine import OutageReport, run_experiment, run_group, worst_case_equivalence_check

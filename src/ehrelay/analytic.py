@@ -21,11 +21,12 @@ Outage metrics:
 * ``worst``:   probability that some pair fails.
 
 The water-filling worst case has no closed form; ``wf_worst_bounds``
-returns a strict lower bound, an upper bound as a double integral, and a
-closed-form (single-integral) relaxation of it.  Both upper bounds run on
-fixed rules over numpy arrays: the trapezoid grid of ``_fail_moment`` over
-the budget and a Gauss-Legendre rule in log y; their error estimate is the
-difference to the same rules at lower order.
+returns a strict lower bound and one upper bound in two forms: a double
+integral, and the same bound with its inner mean in closed form (a single
+integral).  Both upper bounds run on fixed rules over numpy arrays: the
+trapezoid grid of ``_fail_moment`` over the budget and a Gauss-Legendre
+rule in log y; their error estimate is the difference to the same rules
+at lower order.
 """
 
 from __future__ import annotations
@@ -43,15 +44,11 @@ __all__ = [
     "MAX_CLOSED_FORM_PAIRS",
     "OutageSummary",
     "WorstCaseBounds",
-    "OrderStatDiagnostics",
-    "prob_decoding_count",
-    "conditioned_sum_pdf",
     "outage_individual",
     "outage_equal",
     "outage_wf_best",
     "wf_worst_bounds",
     "asymptotic_outage",
-    "order_stat_diagnostics",
 ]
 
 
@@ -72,11 +69,11 @@ class OutageSummary:
 class WorstCaseBounds:
     """Sandwich for the water-filling worst-case outage.
 
-    lower <= truth <= upper_integral <= upper_closed (the last one up to
-    quadrature error; it equals upper_integral when its free parameter c
-    is zero).  quad_error is an absolute error estimate of both upper
-    bounds: their change when the trapezoid step doubles and when the
-    Gauss-Legendre rule drops from 64 to 48 nodes.
+    lower <= truth <= upper_integral, and upper_closed is the same upper
+    bound with its inner mean in closed form, equal to upper_integral up
+    to quadrature error.  quad_error is an absolute error estimate of both
+    upper bounds: their change when the trapezoid step doubles and when
+    the Gauss-Legendre rule drops from 64 to 48 nodes.
     """
 
     lower: float
@@ -93,33 +90,6 @@ def _require_unit_variances(config: SystemConfig, what: str) -> None:
 def _eps_eta(config: SystemConfig) -> tuple[float, float]:
     params = derive_params(config)
     return params.decode_threshold, config.eta
-
-
-def prob_decoding_count(pairs: int, epsilon: float, n: int) -> float:
-    """P(N = n): binomial with per-pair decode probability exp(-epsilon)."""
-    if not 0 <= n <= pairs:
-        raise ValueError(f"n must lie in [0, {pairs}], got {n}")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
-    p = math.exp(-epsilon)
-    q = -math.expm1(-epsilon)
-    return math.comb(pairs, n) * p**n * q ** (pairs - n)
-
-
-def conditioned_sum_pdf(n: int, epsilon: float, y: float) -> float:
-    """Density of sum |h_i|^2 over the decoding set, given N = n >= 1.
-
-    A shifted Gamma: f(y) = (y - n eps)^(n-1) exp(-(y - n eps)) / (n-1)!
-    for y > n eps, zero otherwise (memorylessness of the exponential).
-    """
-    if n < 1:
-        raise ValueError("defined for n >= 1")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
-    u = y - n * epsilon
-    if u <= 0.0:
-        return 0.0
-    return math.exp((n - 1) * math.log(u) - u - math.lgamma(n))
 
 
 def _log_gamma_rule(n: int, log_z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -221,23 +191,23 @@ def outage_wf_best(config: SystemConfig) -> float:
 _GAUSS = {k: np.polynomial.legendre.leggauss(k) for k in (48, 64)}
 
 
-def _log_y_rule(w, c: float, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k-node Gauss-Legendre rule in log y for int_c^{M-1} dy, a row per budget w.
+def _log_y_rule(w, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k-node Gauss-Legendre rule in log y for int_0^{M-1} dy, a row per budget w.
 
-    Each row starts at (M-1)^2 / (745 w) if that is above c: below it
+    Each row starts at (M-1)^2 / (745 w), capped at M-1: below it
     exp(-a(y)/w) underflows.  Returns a(y) = (y+1) ((M-1)^2 + y) / y at the
     nodes, the exponent scale of the inner worst-case integral (from
     v = w / (y+1) in int_{w/M}^{w} exp(-(M-1)^2/(w-v) - 1/v) / v^2 dv), and
     the weights of dy = y d(log y).
     """
     x, weight = _GAUSS[k]
-    lo = np.log(np.clip((pairs - 1.0) ** 2 / (745.0 * np.asarray(w)), c, pairs - 1.0))[..., None]
+    lo = np.log(np.minimum((pairs - 1.0) ** 2 / (745.0 * np.asarray(w)), pairs - 1.0))[..., None]
     half = 0.5 * (math.log(pairs - 1.0) - lo)
     y = np.exp(lo + half * (1.0 + x))
     return (y + 1.0) * ((pairs - 1.0) ** 2 + y) / y, half * weight * y
 
 
-def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
+def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     """Lower/upper bounds on the water-filling worst-case outage.
 
     Conditioned on all pairs decoding, the worst case fails iff the budget
@@ -246,14 +216,10 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     bound; by z_(M) + (M-1) z_(M-1) gives the upper bound: the mean over S
     of f(w) = 1 - exp(-M^2/w) - M q(w), q(w) = (1/w) int_0^{M-1}
     exp(-a(y)/w) dy (``upper_integral``), or with that mean taken inside
-    the y-integral in closed form (``upper_closed``).  ``c`` in [0, M-1]
-    trades tightness of the closed form for the validity range of its
-    high-SNR reading; c = 0 reproduces ``upper_integral`` exactly.
+    the y-integral in closed form (``upper_closed``), the same bound.
     """
     _require_unit_variances(config, "wf_worst_bounds")
     m = config.pairs
-    if not 0.0 <= c <= max(m - 1.0, 0.0):
-        raise ValueError(f"c must lie in [0, {m - 1}], got {c}")
     eps, eta = _eps_eta(config)
     rate = eps / eta  # Gamma rate of the budget variable w
     fact = float(math.factorial(m - 1))
@@ -269,11 +235,11 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     inner, tail = dict.fromkeys(_GAUSS, 0.0), dict.fromkeys(_GAUSS, 0.0)
     if m > 1:
         for k in _GAUSS:
-            a, weight = _log_y_rule(w, 0.0, m, k)
+            a, weight = _log_y_rule(w, m, k)
             inner[k] = m / w * (np.exp(-a / w[:, None]) * weight).sum(axis=1)
             # closed form: the w-average of each exponential is a Bessel kernel;
             # divide by (M-1)! before scaling by rate, as rate / (M-1)! can be subnormal
-            a, weight = _log_y_rule(w[-1], c, m, k)
+            a, weight = _log_y_rule(w[-1], m, k)
             tail[k] = m * rate * float(gamma_exp_integral(m - 1, a * rate) @ weight / fact)
 
     def mean(f: np.ndarray, step: int = 1) -> float:
@@ -296,15 +262,12 @@ def wf_worst_bounds(config: SystemConfig, c: float = 0.0) -> WorstCaseBounds:
     return WorstCaseBounds(lower, upper_integral, upper_closed, quad_error=err)
 
 
-def asymptotic_outage(
-    strategy: str, metric: str, config: SystemConfig, c: float = 0.0
-):
+def asymptotic_outage(strategy: str, metric: str, config: SystemConfig):
     """High-SNR (epsilon -> 0) outage approximations.
 
     Returns a float for the individual and equal-power metrics.  The
     water-filling worst case has only a sandwich; ('waterfill', 'worst')
-    returns the (lower, upper) pair, with ``c`` the same knob as in
-    :func:`wf_worst_bounds`.  Individual allocation decays like
+    returns its (lower, upper) pair.  Individual allocation decays like
     log(SNR)/SNR; the pooled strategies decay like 1/SNR.
     """
     pooled = strategy == "equal" or (strategy, metric) == ("waterfill", "worst")
@@ -351,65 +314,8 @@ def asymptotic_outage(
             return eps**m - math.log(eps) * math.exp(m * math.log(eps) + log_cm)
         return eps * m * (1.0 + m / (eta * (m - 1.0)))
 
-    # waterfill worst-case sandwich
-    if not 0.0 <= c <= m - 1.0:
-        raise ValueError(f"c must lie in [0, {m - 1}], got {c}")
+    # waterfill worst-case sandwich; the middle term is M/eta, kept in the
+    # form the y-integral over [0, M-1] gives, which fixes its rounding
     lower = eps * m * (1.0 + 1.0 / (eta * (m - 1.0)))
-    upper = eps * (
-        m
-        + m * (m - 1.0 - c) / ((m - 1.0) * eta)
-        + m * m / ((m - 1.0) * eta)
-    )
+    upper = eps * (m + m * (m - 1.0) / ((m - 1.0) * eta) + m * m / ((m - 1.0) * eta))
     return lower, upper
-
-
-@dataclass(frozen=True)
-class OrderStatDiagnostics:
-    """Monte Carlo witnesses for the inverse-gain order statistics.
-
-    The requirement variables z = 1/|g|^2 are heavy tailed: the largest
-    one has infinite mean (its sample mean keeps growing with the sample
-    size), while the second largest has a finite mean below (M-1)^2.
-    """
-
-    mean_second_largest: float
-    largest_running_means: tuple[float, ...]
-    checkpoints: tuple[int, ...]
-    cdf_max_abs_dev: float
-
-
-def order_stat_diagnostics(
-    pairs: int, samples: int, seed: int = 0
-) -> OrderStatDiagnostics:
-    if pairs < 2:
-        raise ValueError("order statistics need at least two pairs")
-    if samples < 10:
-        raise ValueError("need at least 10 samples")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0))))
-    g2 = rng.exponential(size=(samples, pairs))
-    z = 1.0 / g2
-    marginal = z[:, 0].copy()  # one coordinate, before the row sort
-    z.sort(axis=1)
-    second = z[:, -2]
-    largest = z[:, -1]
-
-    checkpoints = []
-    n = 100
-    while n < samples:
-        checkpoints.append(n)
-        n *= 10
-    checkpoints.append(samples)
-    running = tuple(float(largest[:k].mean()) for k in checkpoints)
-
-    # empirical CDF of a single z against exp(-1/z) on a quantile grid
-    zs = np.sort(marginal)
-    grid = np.quantile(zs, np.linspace(0.05, 0.95, 19))
-    emp = np.searchsorted(zs, grid, side="right") / samples
-    dev = float(np.abs(emp - np.exp(-1.0 / grid)).max())
-
-    return OrderStatDiagnostics(
-        mean_second_largest=float(second.mean()),
-        largest_running_means=running,
-        checkpoints=tuple(checkpoints),
-        cdf_max_abs_dev=dev,
-    )

@@ -325,7 +325,7 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
 def allocate_auction(
     g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, params: DerivedParams, *,
     xi_fraction: float = 0.01, price_margin: float = 0.05, price_policy: str = "max-winners",
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Auction allocation for a block of draws, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
@@ -335,13 +335,11 @@ def allocate_auction(
     "certified" taking the cheapest contraction-certified price (scaled by
     ``1 + price_margin``).  Pairs priced out of the market get nothing;
     the unsold remainder stays at the relay.  The max-winners scan runs
-    in chunks of rows sized from the pair count.  Returns the served mask
-    and the leftover budget per trial.
+    in chunks of rows sized from the pair count.  Returns the served mask.
     """
     if price_policy not in PRICE_POLICIES:
         raise ValueError(f"unknown price_policy {price_policy!r}")
     served = np.zeros_like(decoded)
-    leftover = np.zeros(budget.shape[0])
     rows = np.flatnonzero(decoded.any(axis=1))
     gains = np.where(decoded[rows], g2[rows], 0.0)
     pr = budget[rows]
@@ -361,5 +359,4 @@ def allocate_auction(
         )
     with np.errstate(divide="ignore"):
         served[rows] = alloc >= params.snr_threshold / gains
-    leftover[rows] = pr - alloc.sum(axis=1)
-    return served, leftover
+    return served

@@ -33,7 +33,7 @@ from .analytic import (
 )
 from .auction import PRICE_POLICIES
 from .engine import run_group
-from .model import SystemConfig, power_from_snr_db
+from .model import SystemConfig, derive_params, power_from_snr_db
 from .strategies import STRATEGY_NAMES
 
 __all__ = [
@@ -309,7 +309,7 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
             raise CLIError(f"snr {snr!r} dB overflows the source power") from None
         for pairs in spec.pairs:
             try:
-                configs[snr, pairs] = SystemConfig(
+                config = configs[snr, pairs] = SystemConfig(
                     pairs=pairs,
                     rate=spec.rate,
                     source_power=power,
@@ -319,6 +319,14 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
                 )
             except ValueError as exc:
                 raise CLIError(str(exc)) from None
+            # the closed forms take the log of epsilon/eta, the budget's Gamma rate; it
+            # rounds to 0 when 2^(2 rate) - 1 or epsilon underflows, to inf at a tiny eta
+            ratio = derive_params(config).decode_threshold / config.eta
+            if not 0.0 < ratio < math.inf:
+                raise CLIError(
+                    f"snr {snr!r} dB, rate {spec.rate!r}, eta {spec.eta!r}: "
+                    f"epsilon/eta = {ratio!r} is not a positive finite float"
+                )
     if spec.mode not in MODES:
         raise CLIError(f"unknown mode {spec.mode!r}")
     for s in spec.strategies:

@@ -14,8 +14,8 @@ block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
 draws the channels once into a :class:`ehrelay.strategies.Block`, which
 keeps what no SNR changes (the requirements, sorted once for water-filling);
 :func:`ehrelay.model.harvest` finds the decoding sets and budgets once per
-SNR, and :func:`ehrelay.strategies.allocate` the served mask and leftover
-once per (SNR, strategy), all on common channel realisations.
+SNR, and :func:`ehrelay.strategies.allocate` the served mask once per
+(SNR, strategy), all on common channel realisations.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair
@@ -67,7 +67,6 @@ class OutageReport:
     worst_stderr: float
     mean_success: float
     mean_success_stderr: float
-    mean_leftover: float
 
 
 @dataclass
@@ -79,9 +78,8 @@ class _Accumulator:
     any_fail: int = 0
     success_sum: float = 0.0
     success_sq_sum: float = 0.0
-    leftover_sum: float = 0.0
 
-    def add_block(self, counts: np.ndarray, leftover: np.ndarray, pairs: int) -> None:
+    def add_block(self, counts: np.ndarray, pairs: int) -> None:
         frac = 1.0 - counts / pairs
         self.trials += counts.shape[0]
         self.frac_sum += float(frac.sum())
@@ -90,7 +88,6 @@ class _Accumulator:
         self.any_fail += int((counts < pairs).sum())
         self.success_sum += float(counts.sum())
         self.success_sq_sum += float((counts.astype(float) ** 2).sum())
-        self.leftover_sum += float(leftover.sum())
 
     def merge(self, other: "_Accumulator") -> None:
         for f in fields(self):
@@ -110,11 +107,11 @@ def _binomial_stderr(count: int, n: int) -> float:
 
 
 def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
-    """Served mask and leftover of every (config, strategy) on block ``b``.
+    """Served mask of every (config, strategy) on block ``b``.
 
     The block's channels are drawn once, harvested once per config and
     allocated once per (config, strategy); yields
-    ``(config index, strategy, served, leftover)``.
+    ``(config index, strategy, served)``.
     """
     h2, g2 = sample_block(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), configs[0])
     block = Block(h2, g2, derive_params(configs[0]).snr_threshold)
@@ -122,7 +119,7 @@ def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
         params = derive_params(config)
         harvested = harvest(h2, config, params)
         for s in strategies:
-            yield (i, s, *allocate(s, block, *harvested, config, params, auction_opts=auction_opts))
+            yield i, s, allocate(s, block, *harvested, config, params, auction_opts=auction_opts)
 
 
 def run_group(
@@ -157,9 +154,9 @@ def run_group(
 
     def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
         partials = {}
-        for i, s, served, leftover in _block_results(b, configs, strategies, trials, seed, auction_opts):
+        for i, s, served in _block_results(b, configs, strategies, trials, seed, auction_opts):
             partials[i, s] = acc = _Accumulator()
-            acc.add_block(row_counts(served), leftover, pairs)
+            acc.add_block(row_counts(served), pairs)
         return partials
 
     totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
@@ -185,7 +182,6 @@ def _report(strategy: str, seed: int, acc: _Accumulator) -> OutageReport:
         worst_stderr=_binomial_stderr(acc.any_fail, t),
         mean_success=acc.success_sum / t,
         mean_success_stderr=_sample_stderr(acc.success_sum, acc.success_sq_sum, t),
-        mean_leftover=acc.leftover_sum / t,
     )
 
 
@@ -217,7 +213,7 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
     for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         wf, mm = (
             row_counts(served) < config.pairs
-            for *_, served, _ in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
+            for *_, served in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
         )
         mismatches += int((wf != mm).sum())
     return mismatches

@@ -17,26 +17,7 @@ import operator
 import numpy as np
 from scipy import special
 
-__all__ = ["bessel_k", "gamma_exp_integral"]
-
-
-def _check_order(n: int, least: int) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"order must be an integer, got {n!r}") from None
-    if n < least:
-        raise ValueError(f"order must be >= {least}, got {n}")
-    return n
-
-
-def bessel_k(n: int, x: float) -> float:
-    """K_n(x) for integer n >= 0; underflows to 0.0 only where exp(-x) does."""
-    n = _check_order(n, 0)
-    x = float(x)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"argument must be a finite positive real, got {x!r}")
-    return float(special.kve(n, x)) * math.exp(-x)
+__all__ = ["gamma_exp_integral"]
 
 
 def gamma_exp_integral(n: int, z: float | np.ndarray) -> float | np.ndarray:
@@ -45,7 +26,12 @@ def gamma_exp_integral(n: int, z: float | np.ndarray) -> float | np.ndarray:
     Equals 2 z^(n/2) K_n(2 sqrt(z)) for z > 0 and Gamma(n) = (n-1)! in the
     z -> 0 limit.  Elementwise over an array ``z``; a scalar gives a float.
     """
-    n = _check_order(n, 1)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     z = np.asarray(z, dtype=float)
     bad = z[~(z >= 0.0)]
     if bad.size:

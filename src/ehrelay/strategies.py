@@ -3,7 +3,7 @@
 Every kernel works on one :class:`Block` of draws (``h2`` and ``g2`` of
 shape (trials, pairs)) and on ``decoded``, ``n`` and ``budget``, the output
 of :func:`ehrelay.model.harvest` at one SNR.  It returns the served mask
-(trials, pairs) and the budget each trial leaves unspent at the relay.
+(trials, pairs).
 
 Pair i is served iff it is in the decoding set and its granted power
 covers the requirement ``a / |g_i|^2`` (equivalently, its received SNR
@@ -53,13 +53,13 @@ def _individual(block, decoded, n, budget, config, params):
     decoding set.
     """
     p = config.eta * (config.source_power * block.h2 - params.snr_threshold)
-    return decoded & (p >= block.need), np.zeros(block.h2.shape[0])
+    return decoded & (p >= block.need)
 
 
 def _equal(block, decoded, n, budget, config, params):
     """Pooled budget split evenly over the decoding set (empty sets serve no one)."""
     share = budget / np.maximum(n, 1)
-    return decoded & (share[:, None] >= block.need), np.zeros(block.h2.shape[0])
+    return decoded & (share[:, None] >= block.need)
 
 
 def _waterfill(block, decoded, n, budget, config, params):
@@ -77,9 +77,8 @@ def _waterfill(block, decoded, n, budget, config, params):
     spent = need * (h2 > params.decode_threshold)
     for k in range(1, spent.shape[0]):
         np.add(spent[k - 1], spent[k], out=spent[k])
-    fits = spent <= budget
-    served = decoded & (rank < fits.sum(axis=0, dtype=rank.dtype)[:, None])
-    return served, budget - np.where(fits, spent, 0.0).max(axis=0)
+    covered = (spent <= budget).sum(axis=0, dtype=rank.dtype)
+    return decoded & (rank < covered[:, None])
 
 
 def _maxmin(block, decoded, n, budget, config, params):
@@ -92,7 +91,7 @@ def _maxmin(block, decoded, n, budget, config, params):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sum = np.where(decoded, 1.0 / block.g2, 0.0).sum(axis=1)
         common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
-    return decoded & (common_snr >= params.snr_threshold)[:, None], np.zeros(block.h2.shape[0])
+    return decoded & (common_snr >= params.snr_threshold)[:, None]
 
 
 _KERNELS = {
@@ -106,9 +105,9 @@ _KERNELS = {
 def allocate(
     name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray,
     config: SystemConfig, params: DerivedParams, *, auction_opts: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Served mask (in pair order) and leftover budget of strategy ``name``
-    on one block, at the SNR of ``config`` and the block's threshold ``a``.
+) -> np.ndarray:
+    """Served mask (in pair order) of strategy ``name`` on one block, at
+    the SNR of ``config`` and the block's threshold ``a``.
 
     ``auction_opts`` are keyword options of
     :func:`ehrelay.auction.allocate_auction`; other strategies ignore them.

@@ -6,6 +6,8 @@ These deliberately avoid the library code paths they are checking:
   integral representation K_n(x) = int_0^inf exp(-x cosh t) cosh(nt) dt,
   evaluated with mpmath at elevated working precision.  No library Bessel
   routine is involved.
+* ``bessel_k``: K_n(x) from scipy's scaled ``kve``, the float Bessel
+  function the quadrature above is held against.
 * ``golden_section_max``: derivative-free scalar maximizer, for checking
   best-response outputs against a direct payoff search.
 * ``payoff``: a pair's rate-minus-cost utility under the share rule, and
@@ -17,6 +19,10 @@ These deliberately avoid the library code paths they are checking:
   reference for the library's block-batched auction.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
+* ``prob_decoding_count`` and ``conditioned_sum_pdf``: the two
+  distribution kernels of the closed forms, the binomial decoding-set
+  size and the shifted-Gamma sum of the decoded first-hop gains, in float
+  arithmetic for goodness-of-fit checks against raw draws.
 * ``outage_*_quad``: the closed-form outage probabilities recomputed by
   direct mpmath quadrature of their defining probability integrals
   (exponential first hop, Gamma-distributed pooled budget, exponential
@@ -40,12 +46,14 @@ These deliberately avoid the library code paths they are checking:
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 import mpmath as mp
 import numpy as np
+from scipy import special
 
 from ehrelay.auction import (
     _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionConfig, AuctionState,
@@ -70,6 +78,20 @@ def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
         f = lambda t: mp.exp(-xm * mp.cosh(t)) * mp.cosh(n * t)
         val = mp.quad(f, [0, mp.mpf(tp), mp.mpf(tcut)])
         return float(val)
+
+
+def bessel_k(n: int, x: float) -> float:
+    """K_n(x) for integer n >= 0; underflows to 0.0 only where exp(-x) does."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"order must be an integer, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"argument must be a finite positive real, got {x!r}")
+    return float(special.kve(n, x)) * math.exp(-x)
 
 
 def golden_section_max(fun, lo: float, hi: float, iters: int = 200) -> float:
@@ -263,6 +285,33 @@ def brute_force_max_served(required: list[float], budget: float) -> int:
                 best = k
                 break
     return best
+
+
+def prob_decoding_count(pairs: int, epsilon: float, n: int) -> float:
+    """P(N = n): binomial with per-pair decode probability exp(-epsilon)."""
+    if not 0 <= n <= pairs:
+        raise ValueError(f"n must lie in [0, {pairs}], got {n}")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
+    p = math.exp(-epsilon)
+    q = -math.expm1(-epsilon)
+    return math.comb(pairs, n) * p**n * q ** (pairs - n)
+
+
+def conditioned_sum_pdf(n: int, epsilon: float, y: float) -> float:
+    """Density of sum |h_i|^2 over the decoding set, given N = n >= 1.
+
+    A shifted Gamma: f(y) = (y - n eps)^(n-1) exp(-(y - n eps)) / (n-1)!
+    for y > n eps, zero otherwise (memorylessness of the exponential).
+    """
+    if n < 1:
+        raise ValueError("defined for n >= 1")
+    if epsilon < 0.0:
+        raise ValueError("epsilon must be non-negative")
+    u = y - n * epsilon
+    if u <= 0.0:
+        return 0.0
+    return math.exp((n - 1) * math.log(u) - u - math.lgamma(n))
 
 
 def _binom_pmf(m: int, n: int, eps) -> mp.mpf:
@@ -479,24 +528,24 @@ def print_exact_reference_table() -> None:
     print("}")
 
 
-def wf_worst_upper_mp(m: int, eps: float, eta: float, c: float = 0.0, dps: int = 30) -> float:
+def wf_worst_upper_mp(m: int, eps: float, eta: float, dps: int = 30) -> float:
     """Water-filling worst-case upper bound (``upper_closed``) in mpmath.
 
-    1 - p^M (G_M(M^2 r) + M r int_c^{M-1} G_{M-1}(a(y) r) dy) / (M-1)! with
+    1 - p^M (G_M(M^2 r) + M r int_0^{M-1} G_{M-1}(a(y) r) dy) / (M-1)! with
     p = exp(-eps), r = eps/eta, a(y) = (y+1) ((M-1)^2 + y) / y and
     G_n(x) = 2 x^(n/2) K_n(2 sqrt(x)) from ``mp.besselk``.  The y-integral is
     one mp.quad split at the knee y = (M-1)^2 r, below which G_{M-1}(a(y) r)
     cuts off, and scaled to a unit maximum over the breakpoints (see
-    ``_gamma_mean``).  At c = 0 this is also ``upper_integral``.
+    ``_gamma_mean``).  This is also ``upper_integral``.
     """
     with mp.workdps(dps):
         e, r = mp.mpf(eps), mp.mpf(eps) / eta
         kernel = lambda n, x: 2 * x ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(x))
         total = kernel(m, m * m * r)
-        if c < m - 1:
+        if m > 1:
             knee = (m - 1) ** 2 * r
-            inside = {y for y in (knee / 100, knee, 100 * knee) if c < y < m - 1}
-            pts = sorted({mp.mpf(c), mp.mpf(m - 1)} | inside)
+            inside = {y for y in (knee / 100, knee, 100 * knee) if 0 < y < m - 1}
+            pts = sorted({mp.mpf(0), mp.mpf(m - 1)} | inside)
             g = lambda y: kernel(m - 1, (y + 1) * ((m - 1) ** 2 + y) / y * r) if y > 0 else mp.mpf(0)
             scale = max(g(y) for y in pts)
             total += m * r * scale * mp.quad(lambda y: g(y) / scale, pts)
@@ -512,8 +561,7 @@ def print_worst_upper_table() -> None:
         for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0):
             config = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr))
             eps = derive_params(config).decode_threshold
-            row = [wf_worst_upper_mp(m, eps, 1.0, c) for c in (0.0, 1.0, m - 1.0)]
-            print(f"    ({m}, {snr!r}): ({row[0]!r}, {row[1]!r}, {row[2]!r}),", flush=True)
+            print(f"    ({m}, {snr!r}): {wf_worst_upper_mp(m, eps, 1.0)!r},", flush=True)
     print("}")
 
 
@@ -537,14 +585,13 @@ def power_split_theta(source_power: float, h2: float, snr_threshold: float) -> f
 class ReferenceDraw:
     """One draw under one strategy: per-pair powers and the outcome.
 
-    ``powers.sum() + leftover == budget``; a pair is served iff it is
-    decoded and its power covers the requirement ``a / |g|^2``.
+    ``powers.sum() <= budget``; a pair is served iff it is decoded and its
+    power covers the requirement ``a / |g|^2``.
     """
 
     decoded: np.ndarray
     budget: float
     powers: np.ndarray
-    leftover: float
     served: np.ndarray
 
 
@@ -558,7 +605,6 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
     budget = config.eta * float(surplus[decoded].sum())
     idx = np.flatnonzero(decoded)
     powers = np.zeros(config.pairs)
-    leftover = 0.0
     if strategy == "individual":
         powers[idx] = config.eta * surplus[idx]
     elif strategy == "equal":
@@ -567,13 +613,13 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
     elif strategy == "waterfill":
         # descending gain, ascending index among ties; stop at the first
         # pair the remaining budget cannot cover
-        leftover = budget
+        remaining = budget
         for i in sorted(idx, key=lambda i: (-g2[i], i)):
             need = a / g2[i]
-            if need > leftover:
+            if need > remaining:
                 break
             powers[i] = need
-            leftover -= need
+            remaining -= need
     elif strategy == "maxmin":
         if idx.size:
             inv = 1.0 / g2[idx]
@@ -583,11 +629,10 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
             state = scalar_auction_row(g2[idx], budget, a, **(auction_opts or {}))
             assert state.converged
             powers[idx] = state.allocation
-            leftover = budget - float(state.allocation.sum())
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     served = decoded & (powers >= a / g2)
-    return ReferenceDraw(decoded=decoded, budget=budget, powers=powers, leftover=leftover, served=served)
+    return ReferenceDraw(decoded=decoded, budget=budget, powers=powers, served=served)
 
 
 if __name__ == "__main__":

@@ -17,11 +17,9 @@ import scipy.stats
 
 from ehrelay.analytic import (
     asymptotic_outage,
-    conditioned_sum_pdf,
     outage_equal,
     outage_individual,
     outage_wf_best,
-    prob_decoding_count,
     wf_worst_bounds,
 )
 from ehrelay.auction import (
@@ -39,9 +37,16 @@ from ehrelay.model import (
     harvest,
     power_from_snr_db,
 )
-from ehrelay.specfun import bessel_k
 from ehrelay.strategies import Block, allocate
-from oracles import bessel_k_quadrature, golden_section_max, brute_force_max_served, payoff
+from oracles import (
+    bessel_k,
+    bessel_k_quadrature,
+    brute_force_max_served,
+    conditioned_sum_pdf,
+    golden_section_max,
+    payoff,
+    prob_decoding_count,
+)
 
 SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 
@@ -133,7 +138,7 @@ def test_greedy_allocation_serves_maximal_subsets():
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
         params = derive_params(config)
         decoded, n, budget = harvest(h2, config, params)
-        served, _ = allocate("waterfill", Block(h2, g2, params.snr_threshold), decoded, n, budget, config, params)
+        served = allocate("waterfill", Block(h2, g2, params.snr_threshold), decoded, n, budget, config, params)
         required = params.snr_threshold / g2
         for t in range(h2.shape[0]):
             if served[t].sum() != brute_force_max_served(list(required[t]), budget[t]):

@@ -8,21 +8,20 @@ from scipy import integrate
 
 from ehrelay.analytic import (
     asymptotic_outage,
-    conditioned_sum_pdf,
-    order_stat_diagnostics,
     outage_equal,
     outage_individual,
     outage_wf_best,
-    prob_decoding_count,
     wf_worst_bounds,
 )
 from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
 from oracles import (
+    conditioned_sum_pdf,
     outage_equal_avg_quad,
     outage_equal_best_quad,
     outage_equal_worst_quad,
     outage_individual_avg_quad,
     outage_wf_best_quad,
+    prob_decoding_count,
 )
 
 
@@ -213,21 +212,8 @@ def test_wf_worst_bound_ordering(m, snr):
 
 @pytest.mark.parametrize("m", [3, 10])
 def test_wf_worst_closed_equals_integral_at_c_zero(m):
-    b = wf_worst_bounds(cfg(m, 25.0), c=0.0)
+    b = wf_worst_bounds(cfg(m, 25.0))
     assert abs(b.upper_closed - b.upper_integral) <= 1e-6
-
-
-def test_wf_worst_closed_loosens_with_c():
-    lo = wf_worst_bounds(cfg(5, 25.0), c=0.0).upper_closed
-    hi = wf_worst_bounds(cfg(5, 25.0), c=3.0).upper_closed
-    assert hi >= lo - 1e-12
-
-
-def test_wf_worst_bounds_c_validation():
-    with pytest.raises(ValueError):
-        wf_worst_bounds(cfg(3, 20.0), c=2.5)
-    with pytest.raises(ValueError):
-        wf_worst_bounds(cfg(3, 20.0), c=-0.1)
 
 
 # ------------------------------------------------------------- asymptotics
@@ -317,30 +303,3 @@ def test_asymptotic_unsupported_combo():
 def test_asymptotic_pooled_needs_two_pairs():
     with pytest.raises(ValueError):
         asymptotic_outage("equal", "average", cfg(1, 50.0))
-
-
-# --------------------------------------------------------- order statistics
-
-
-def test_order_stat_second_largest_mean_bound():
-    for m in (3, 5, 10):
-        d = order_stat_diagnostics(m, 200_000, seed=4)
-        assert d.mean_second_largest < (m - 1) ** 2
-
-
-def test_order_stat_largest_mean_keeps_growing():
-    d = order_stat_diagnostics(4, 1_000_000, seed=4)
-    assert len(d.largest_running_means) >= 4
-    assert d.largest_running_means[-1] > 2.0 * d.largest_running_means[0]
-
-
-def test_order_stat_cdf_matches_inverse_exponential():
-    d = order_stat_diagnostics(3, 200_000, seed=4)
-    assert d.cdf_max_abs_dev < 0.01
-
-
-def test_order_stat_validation():
-    with pytest.raises(ValueError):
-        order_stat_diagnostics(1, 1000)
-    with pytest.raises(ValueError):
-        order_stat_diagnostics(3, 5)

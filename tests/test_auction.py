@@ -356,16 +356,17 @@ def _auction_setup(h2, g2, rate=0.5, power=10.0):
 
 def test_allocate_auction_budget_and_masks():
     g2, decoded, budget, params = _auction_setup([0.5, 0.05, 2.0], [0.8, 1.0, 1.5])
-    served, leftover = allocate_auction(g2, decoded, budget, params)
+    served = allocate_auction(g2, decoded, budget, params)
     assert not served[0, 1]  # not decoded
-    assert leftover[0] > 0.0  # reserve share withheld
-    assert leftover[0] < budget[0]
+    gains, pr = g2[0, decoded[0]], budget[0]
+    price = winner_maximizing_price(gains, pr, params.snr_threshold)
+    granted = run_auction(gains, pr, AuctionConfig(price, 0.01 * pr)).allocation.sum()
+    assert 0.0 < granted < pr  # reserve share withheld
 
 
 def test_allocate_auction_empty_set():
     g2, decoded, budget, params = _auction_setup([0.01, 0.02], [1.0, 1.0])
-    served, leftover = allocate_auction(g2, decoded, budget, params)
-    assert not served.any() and leftover[0] == 0.0
+    assert not allocate_auction(g2, decoded, budget, params).any()
 
 
 def test_allocate_auction_rejects_unknown_policy():
@@ -376,15 +377,14 @@ def test_allocate_auction_rejects_unknown_policy():
 
 def test_allocate_auction_policies_differ_only_in_price():
     g2, decoded, budget, params = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
-    a, _ = allocate_auction(g2, decoded, budget, params, price_policy="max-winners")
-    b, _ = allocate_auction(g2, decoded, budget, params, price_policy="certified")
+    a = allocate_auction(g2, decoded, budget, params, price_policy="max-winners")
+    b = allocate_auction(g2, decoded, budget, params, price_policy="certified")
     assert int(a.sum()) >= int(b.sum())
 
 
 def _oracle_block(g2, decoded, budget, a, **opts):
-    """Served mask and leftover of the scalar oracle, one auction per row."""
+    """Served mask and allocation of the scalar oracle, one auction per row."""
     served = np.zeros_like(decoded)
-    leftover = np.zeros(len(budget))
     allocation = np.zeros(g2.shape)
     for t in np.flatnonzero(decoded.any(axis=1)):
         idx = np.flatnonzero(decoded[t])
@@ -392,8 +392,7 @@ def _oracle_block(g2, decoded, budget, a, **opts):
         assert state.converged
         allocation[t, idx] = state.allocation
         served[t, idx] = state.allocation >= a / g2[t, idx]
-        leftover[t] = budget[t] - float(state.allocation.sum())
-    return served, leftover, allocation
+    return served, allocation
 
 
 def _edge_block(rng, pairs, rows=90):
@@ -422,11 +421,10 @@ def test_allocate_auction_matches_scalar_oracle(pairs, policy):
     rng = np.random.default_rng(100 + pairs)
     g2, decoded, budget = _edge_block(rng, pairs)
     params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
-    served, leftover = allocate_auction(g2, decoded, budget, params, price_policy=policy)
-    want, want_leftover, _ = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+    served = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+    want, _ = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
     assert served.tolist() == want.tolist()
-    assert leftover.tobytes() == want_leftover.tobytes()
-    assert leftover[0] == 0.0 and not served[0].any()
+    assert not served[0].any()
     assert not served[2].any()
     if pairs >= 3:
         row = 3 if policy == "max-winners" else 4
@@ -437,16 +435,15 @@ def test_allocate_auction_matches_scalar_oracle(pairs, policy):
 
 def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
     # at 20 pairs the block and the oracle add up in different orders:
-    # served masks agree away from requirement ties, leftovers to 1e-12
+    # served masks agree away from requirement ties
     rng = np.random.default_rng(120)
     g2, decoded, budget = _edge_block(rng, 20, rows=60)
     params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
     for policy in ("max-winners", "certified"):
-        served, leftover = allocate_auction(g2, decoded, budget, params, price_policy=policy)
-        want, want_leftover, allocation = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+        served = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+        want, allocation = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
         tie = np.abs(allocation - 1.0 / g2) <= 1e-6 / g2
         assert (served == want)[~tie].all()
-        assert np.abs(leftover - want_leftover).max() <= 1e-12 * max(1.0, budget.max())
 
 
 def test_allocate_auction_certified_fallback(monkeypatch):
@@ -462,11 +459,10 @@ def test_allocate_auction_certified_fallback(monkeypatch):
         lambda rho, limit: radius_below(rho, limit) & (np.arange(len(rho)) % 2 == 0)[:, None],
     )
     params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
-    served, leftover = allocate_auction(g2, decoded, budget, params)
+    served = allocate_auction(g2, decoded, budget, params)
     for policy, rows in (("max-winners", slice(0, None, 2)), ("certified", slice(1, None, 2))):
-        want, want_leftover, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, price_policy=policy)
+        want, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, price_policy=policy)
         assert served[rows].tolist() == want.tolist()
-        assert leftover[rows].tobytes() == want_leftover.tobytes()
 
 
 def test_allocate_auction_memory_is_chunked():

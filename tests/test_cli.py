@@ -429,6 +429,13 @@ def test_main_preset_dump_round_trips(capsys):
         ["--rate", "inf"],
         ["--eta", "nan"],
         ["--mode", "nonsense"],
+        # epsilon/eta rounds to 0 (the threshold, or epsilon, underflows) or to inf
+        ["--pairs", "2", "--rate", "1e-300", "--snr", "30", "--mode", "asymptotic"],
+        ["--pairs", "3", "--rate", "1e-300", "--mode", "bounds", "--strategy", "waterfill", "--metric", "worst"],
+        ["--rate", "1e-16", "--snr", "3080"],
+        ["--pairs", "3", "--eta", "5e-324", "--snr", "30", "--mode", "bounds", "--strategy", "waterfill",
+         "--metric", "worst"],
+        ["--pairs", "3", "--eta", "5e-324", "--snr", "30", "--mode", "asymptotic"],
     ],
 )
 def test_main_exit_code_2_on_bad_input(argv, capsys):

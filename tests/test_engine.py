@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from ehrelay.analytic import outage_individual, wf_worst_bounds
 from ehrelay import engine
@@ -30,16 +28,15 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
 
 
 def evaluate_block(h2, g2, config, name):
-    """Served mask and leftover of ``name`` on one block of draws."""
+    """Served mask of ``name`` on one block of draws."""
     params = derive_params(config)
     return allocate(name, Block(h2, g2, params.snr_threshold), *harvest(h2, config, params), config, params)
 
 
 def test_no_decode_means_all_outage():
     config = cfg(pairs=2, rate=2.0, snr_db=0.0)
-    served, leftover = evaluate_block(np.array([[0.1, 0.2]]), np.ones((1, 2)), config, "equal")
+    served = evaluate_block(np.array([[0.1, 0.2]]), np.ones((1, 2)), config, "equal")
     assert not served.any()
-    assert leftover[0] == 0.0
 
 
 def test_success_count_consistent_with_outage():
@@ -48,7 +45,7 @@ def test_success_count_consistent_with_outage():
     h2, g2 = sample_block(0, 0, trials, config)
     decoded = h2 > derive_params(config).decode_threshold
     for name in STRATEGY_NAMES:
-        served, _ = evaluate_block(h2, g2, config, name)
+        served = evaluate_block(h2, g2, config, name)
         assert not (served & ~decoded).any()
         report = run_experiment(config, name, trials, seed=0)
         assert report.mean_success == served.sum() / trials
@@ -58,10 +55,9 @@ def test_success_count_consistent_with_outage():
 def test_block_evaluation_deterministic():
     config = cfg()
     h2, g2 = sample_block(9, 0, 200, config)
-    a_served, a_left = evaluate_block(h2, g2, config, "waterfill")
-    b_served, b_left = evaluate_block(*sample_block(9, 0, 200, config), config, "waterfill")
+    a_served = evaluate_block(h2, g2, config, "waterfill")
+    b_served = evaluate_block(*sample_block(9, 0, 200, config), config, "waterfill")
     assert np.array_equal(a_served, b_served)
-    assert np.array_equal(a_left, b_left)
 
 
 def test_individual_outage_equals_direct_condition():
@@ -74,7 +70,7 @@ def test_individual_outage_equals_direct_condition():
         config.eta * (config.source_power * h2 - params.snr_threshold) * g2
         < params.snr_threshold
     )
-    served, _ = evaluate_block(h2, g2, config, "individual")
+    served = evaluate_block(h2, g2, config, "individual")
     assert np.array_equal(~served, direct)
 
 
@@ -90,26 +86,22 @@ def test_vectorized_blocks_match_per_draw(name, monkeypatch):
     fails_worst = 0
     outage_total = 0
     success_total = 0
-    leftover_total = 0.0
     for block in range(4):
         h2, g2 = sample_block(5, block, 16, config)
         budget = harvest(h2, config, derive_params(config))[2]
-        served, leftover = evaluate_block(h2, g2, config, name)
+        served = evaluate_block(h2, g2, config, name)
         for t in range(16):
             ref = reference_draw(h2[t], g2[t], config, name)
             assert budget[t] == ref.budget
             assert np.array_equal(served[t], ref.served)
-            assert leftover[t] == pytest.approx(ref.leftover, rel=1e-12, abs=1e-12)
             fails_best += int(not ref.served.any())
             fails_worst += int(not ref.served.all())
             outage_total += int((~ref.served).sum())
             success_total += int(ref.served.sum())
-            leftover_total += ref.leftover
     assert report.best == pytest.approx(fails_best / trials)
     assert report.worst == pytest.approx(fails_worst / trials)
     assert report.average == pytest.approx(outage_total / (trials * config.pairs))
     assert report.mean_success == pytest.approx(success_total / trials)
-    assert report.mean_leftover == pytest.approx(leftover_total / trials, rel=1e-12, abs=1e-12)
 
 
 def test_trials_one_is_the_single_trial():
@@ -214,9 +206,9 @@ def test_waterfill_worst_within_analytic_bounds():
 def test_waterfill_success_dominates_others_per_draw():
     config = cfg(pairs=4, snr_db=12.0)
     h2, g2 = sample_block(31, 0, 400, config)
-    wf = evaluate_block(h2, g2, config, "waterfill")[0].sum(axis=1)
+    wf = evaluate_block(h2, g2, config, "waterfill").sum(axis=1)
     for other in ("individual", "equal", "maxmin", "auction"):
-        assert (wf >= evaluate_block(h2, g2, config, other)[0].sum(axis=1)).all()
+        assert (wf >= evaluate_block(h2, g2, config, other).sum(axis=1)).all()
 
 
 def test_binomial_stderr_formula():
@@ -231,7 +223,6 @@ def test_report_metadata():
     assert report.trials == 500
     assert report.seed == 42
     assert dataclasses.is_dataclass(report)
-    assert report.mean_leftover >= 0.0
 
 
 def test_equivalence_check_zero_violations():
@@ -246,20 +237,3 @@ def test_rejects_bad_arguments():
         run_experiment(cfg(), "nope", 10, seed=0)
     with pytest.raises(ValueError):
         run_experiment(cfg(), "equal", 10, seed=0, workers=0)
-
-
-@given(
-    seed=hst.integers(min_value=0, max_value=2**31 - 1),
-    pairs=hst.integers(min_value=1, max_value=6),
-)
-@settings(max_examples=60, deadline=None)
-def test_leftover_only_for_waterfill_and_auction(seed, pairs):
-    config = cfg(pairs=pairs, snr_db=10.0)
-    h2, g2 = sample_block(seed, 0, 3, config)
-    for name in ("individual", "equal", "maxmin"):
-        _, leftover = evaluate_block(h2, g2, config, name)
-        assert not leftover.any()
-    budget = harvest(h2, config, derive_params(config))[2]
-    for name in ("waterfill", "auction"):
-        _, leftover = evaluate_block(h2, g2, config, name)
-        assert ((leftover >= -1e-12) & (leftover <= budget)).all()

@@ -231,12 +231,13 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
     t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
     w, density = np.exp(t) / rate, np.exp(log_density)
-    head = -np.expm1(-m * m / w)  # the largest requirement alone fails
     inner, tail = dict.fromkeys(_GAUSS, 0.0), dict.fromkeys(_GAUSS, 0.0)
-    if m > 1:
-        for k in _GAUSS:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # w = 0 at a huge rate
+        head = -np.expm1(-m * m / w)  # the largest requirement alone fails
+        for k in _GAUSS if m > 1 else ():
             a, weight = _log_y_rule(w, m, k)
-            inner[k] = m / w * (np.exp(-a / w[:, None]) * weight).sum(axis=1)
+            y_sum = (np.exp(-a / w[:, None]) * weight).sum(axis=1)
+            inner[k] = np.where(y_sum > 0.0, m / w * y_sum, 0.0)  # (M/w) exp(-a/w) -> 0 as w -> 0
             # closed form: the w-average of each exponential is a Bessel kernel;
             # divide by (M-1)! before scaling by rate, as rate / (M-1)! can be subnormal
             a, weight = _log_y_rule(w[-1], m, k)

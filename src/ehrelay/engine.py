@@ -12,10 +12,11 @@ The unit of work is a sweep group: configs that differ only in source
 power (SNR), evaluated under several strategies on the same draws.  Per
 block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
 draws the channels once into a :class:`ehrelay.strategies.Block`, which
-keeps what no SNR changes (the requirements, sorted once for water-filling);
-:func:`ehrelay.model.harvest` finds the decoding sets and budgets once per
-SNR, and :func:`ehrelay.strategies.allocate` the served mask once per
-(SNR, strategy), all on common channel realisations.
+stores them column-major and keeps what no SNR changes (the requirements,
+sorted once for water-filling); :func:`ehrelay.model.harvest` finds the
+decoding sets and budgets once per SNR, and :func:`ehrelay.strategies.allocate`
+the served mask once per (SNR, strategy), all on common channel realisations.
+Every per-trial sum over pairs is a few contiguous column adds.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair
@@ -31,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .model import SystemConfig, derive_params, harvest, row_counts, sample_block
+from .model import SystemConfig, derive_params, harvest, sample_block
 from .strategies import STRATEGY_NAMES, Block, allocate
 
 __all__ = [
@@ -109,15 +110,15 @@ def _binomial_stderr(count: int, n: int) -> float:
 def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
     """Served mask of every (config, strategy) on block ``b``.
 
-    The block's channels are drawn once, harvested once per config and
-    allocated once per (config, strategy); yields
-    ``(config index, strategy, served)``.
+    The block's channels are drawn once into a column-major Block (the
+    row-major draws are not kept), harvested once per config and allocated
+    once per (config, strategy); yields ``(config index, strategy, served)``.
     """
-    h2, g2 = sample_block(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), configs[0])
-    block = Block(h2, g2, derive_params(configs[0]).snr_threshold)
+    size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+    block = Block(*sample_block(seed, b, size, configs[0]), derive_params(configs[0]).snr_threshold)
     for i, config in enumerate(configs):
         params = derive_params(config)
-        harvested = harvest(h2, config, params)
+        harvested = harvest(block.h2, config, params)
         for s in strategies:
             yield i, s, allocate(s, block, *harvested, config, params, auction_opts=auction_opts)
 
@@ -156,7 +157,7 @@ def run_group(
         partials = {}
         for i, s, served in _block_results(b, configs, strategies, trials, seed, auction_opts):
             partials[i, s] = acc = _Accumulator()
-            acc.add_block(row_counts(served), pairs)
+            acc.add_block(served.sum(axis=1), pairs)
         return partials
 
     totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
@@ -212,7 +213,7 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
     mismatches = 0
     for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         wf, mm = (
-            row_counts(served) < config.pairs
+            served.sum(axis=1) < config.pairs
             for *_, served in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
         )
         mismatches += int((wf != mm).sum())

@@ -25,7 +25,6 @@ __all__ = [
     "derive_params",
     "sample_block",
     "harvest",
-    "row_counts",
 ]
 
 
@@ -121,17 +120,11 @@ def harvest(
     gain strictly exceeds the decode threshold; each decoded pair
     contributes eta * (P_s |h|^2 - a) to the relay budget (the surplus
     past what decoding itself consumes).  Returns the decoded mask, the
-    number of decoded pairs per trial and the budget per trial.
+    number of decoded pairs per trial and the budget per trial (-0.0 if none
+    decodes).  On a Block's column-major ``h2`` both sums add the pair columns
+    in pair order, which below 8 pairs gives the bits of numpy's row sum.
     """
     decoded = h2 > params.decode_threshold
     surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
-    budget = np.where(decoded, surplus, 0.0).sum(axis=1)
-    return decoded, row_counts(decoded), budget
-
-
-def row_counts(mask: np.ndarray) -> np.ndarray:
-    """Per-row true counts of a (trials, pairs) mask, added column by column."""
-    counts = np.zeros(mask.shape[0], dtype=np.intp)
-    for column in mask.T:
-        counts += column
-    return counts
+    surplus *= decoded
+    return decoded, decoded.sum(axis=1), surplus.sum(axis=1)

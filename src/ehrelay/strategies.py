@@ -1,9 +1,9 @@
 """Relay power-allocation strategies as batched kernels.
 
 Every kernel works on one :class:`Block` of draws (``h2`` and ``g2`` of
-shape (trials, pairs)) and on ``decoded``, ``n`` and ``budget``, the output
-of :func:`ehrelay.model.harvest` at one SNR.  It returns the served mask
-(trials, pairs).
+shape (trials, pairs), stored column-major) and on ``decoded``, ``n`` and
+``budget``, the output of :func:`ehrelay.model.harvest` at one SNR.  It
+returns the served mask (trials, pairs).
 
 Pair i is served iff it is in the decoding set and its granted power
 covers the requirement ``a / |g_i|^2`` (equivalently, its received SNR
@@ -27,23 +27,27 @@ STRATEGY_NAMES = ("individual", "equal", "waterfill", "maxmin", "auction")
 
 
 class Block:
-    """One block of draws and what its allocations share at every SNR: ``need = a / g2``."""
+    """One block of draws and what its allocations share at every SNR: ``need = a / g2``.
+
+    ``h2``, ``g2`` and ``need`` are (trials, pairs), stored column-major."""
 
     def __init__(self, h2: np.ndarray, g2: np.ndarray, snr_threshold: float) -> None:
-        self.h2, self.g2, self.snr_threshold = h2, g2, snr_threshold
-        self.need = snr_threshold / g2
+        self.h2, self.g2 = np.asfortranarray(h2), np.asfortranarray(g2)
+        self.snr_threshold = snr_threshold
+        self.need = snr_threshold / self.g2
 
     @cached_property
     def waterfill_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending need, ties by ascending pair index: needs and ``h2`` in that
         order, pairs-major (pairs, trials), and each pair's place (trials, pairs)."""
         trials, pairs = self.need.shape
-        order = np.argsort(self.need, axis=1, kind="stable")
-        order += np.arange(0, trials * pairs, pairs)[:, None]  # flat row-major index
+        order = np.argsort(self.need, axis=1, kind="stable").T.copy()  # (pairs, trials)
+        order *= trials
+        order += np.arange(trials)  # flat column-major index
         rank = np.empty(trials * pairs, dtype=np.min_scalar_type(pairs))
-        rank[order.ravel()] = np.tile(np.arange(pairs, dtype=rank.dtype), trials)
-        need, h2 = (np.take(x, order).T.copy() for x in (self.need, self.h2))
-        return need, h2, rank.reshape(trials, pairs)
+        rank[order] = np.arange(pairs, dtype=rank.dtype)[:, None]
+        need, h2 = (np.take(x.T.ravel(), order) for x in (self.need, self.h2))
+        return need, h2, rank.reshape(pairs, trials).T
 
 
 def _individual(block, decoded, n, budget, config, params):

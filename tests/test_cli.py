@@ -395,6 +395,17 @@ def test_main_exact_best_case_at_64_pairs(capsys):
     assert all(0.0 < float(r[5]) < 1e-140 for r in rows)
 
 
+def test_main_wf_bounds_finite_at_huge_eps_over_eta(capsys):
+    # the budget grid underflows to w = 0; the integral bound read nan there
+    argv = "--pairs 3 --eta 1e-300 --snr 30 --mode bounds --strategy waterfill --metric worst"
+    assert main(argv.split()) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    values = {r[4]: float(r[5]) for r in rows}
+    assert list(values) == ["bound-lower", "bound-upper-integral", "bound-upper-closed"]
+    assert all(math.isfinite(v) for v in values.values())
+    assert values["bound-lower"] <= values["bound-upper-integral"] * (1 + 1e-12)
+
+
 def test_main_flags_override_config(tmp_path, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text(dump_config(SMALL))

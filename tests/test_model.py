@@ -14,6 +14,7 @@ from ehrelay.model import (
     power_from_snr_db,
     sample_block,
 )
+from ehrelay.strategies import Block
 from oracles import power_split_theta
 
 
@@ -117,6 +118,53 @@ def test_harvest_increasing_in_decoded_gain():
     params = derive_params(c)
     budget = harvest(np.array([[0.5, 0.3], [0.6, 0.3]]), c, params)[2]
     assert budget[1] > budget[0]
+
+
+def _row_major_budget(h2, config, params):
+    """The budget as numpy sums each row of a C-order block."""
+    h2 = np.ascontiguousarray(h2)
+    surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
+    return np.where(h2 > params.decode_threshold, surplus, 0.0).sum(axis=1)
+
+
+def _block_budgets(pairs):
+    """(budget of a Block's column-major h2, row-major reference) over SNRs and etas."""
+    h2, g2 = sample_block(11, 0, 4096, cfg(pairs=pairs))
+    block = Block(h2, g2, derive_params(cfg(pairs=pairs)).snr_threshold)
+    for snr in (0.0, 20.0, 40.0):
+        for eta in (1.0, 0.37):
+            config = cfg(pairs=pairs, power=power_from_snr_db(snr), eta=eta)
+            params = derive_params(config)
+            yield harvest(block.h2, config, params)[2], _row_major_budget(h2, config, params)
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 5, 7])
+def test_harvest_budget_bits_match_row_major_sum_below_eight_pairs(pairs):
+    # numpy sums rows of fewer than 8 in pair order, as the column adds do;
+    # the committed CSV bytes rely on it.  Only an empty row's zero differs
+    # (-0.0), so both sides are compared after adding +0.0.
+    for got, want in _block_budgets(pairs):
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal((got + 0.0).view(np.uint64), (want + 0.0).view(np.uint64))
+
+
+@pytest.mark.parametrize("pairs", [8, 20])
+def test_harvest_budget_near_row_major_sum_from_eight_pairs(pairs):
+    # rows of 8 or more are summed pairwise by numpy: the last bit may move
+    for got, want in _block_budgets(pairs):
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def test_harvest_on_column_major_block():
+    c = cfg(pairs=5, power=1000.0, eta=0.5)
+    params = derive_params(c)
+    h2, g2 = sample_block(2, 0, 64, c)
+    block = Block(h2, g2, params.snr_threshold)
+    decoded, n, budget = harvest(block.h2, c, params)
+    assert decoded.flags.f_contiguous
+    assert n.tolist() == [sum(row) for row in decoded.tolist()]
+    assert np.array_equal(decoded, h2 > params.decode_threshold)
+    assert (budget[n == 0] == 0.0).all()
 
 
 def test_sample_block_deterministic_per_seed():

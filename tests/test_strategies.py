@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import SystemConfig, derive_params, harvest, power_from_snr_db, row_counts
+from ehrelay.model import SystemConfig, derive_params, harvest, power_from_snr_db
 from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
 from oracles import brute_force_max_served, reference_draw
 
@@ -171,17 +171,55 @@ def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ti
     shared = Block(h2, g2, derive_params(configs[0]).snr_threshold)
     for config in configs:
         params = derive_params(config)
-        harvested = harvest(h2, config, params)
+        harvested = harvest(shared.h2, config, params)
         served = allocate("waterfill", shared, *harvested, config, params)
         alone = allocate("waterfill", Block(h2.copy(), g2.copy(), params.snr_threshold), *harvested, config, params)
         assert np.array_equal(served, alone)
-        counts = row_counts(served)
-        assert np.array_equal(counts, served.sum(axis=1))
-        assert np.array_equal(harvested[1], harvested[0].sum(axis=1))
+        counts = served.sum(axis=1)  # the engine's per-trial count
+        assert counts.tolist() == [sum(row) for row in served.tolist()]
+        assert harvested[1].tolist() == [sum(row) for row in harvested[0].tolist()]
         for t in range(trials):
             ref = reference_draw(h2[t], g2[t], config, "waterfill")
             assert served[t].tolist() == ref.served.tolist()
             assert counts[t] == ref.served.sum()
+
+
+def _row_major_waterfill_order(need, h2):
+    """Sorted needs and h2 (pairs, trials) and ranks (trials, pairs), built on C-order rows."""
+    trials, pairs = need.shape
+    order = np.argsort(need, axis=1, kind="stable")
+    order += np.arange(0, trials * pairs, pairs)[:, None]
+    rank = np.empty(trials * pairs, dtype=np.min_scalar_type(pairs))
+    rank[order.ravel()] = np.tile(np.arange(pairs, dtype=rank.dtype), trials)
+    return (*(np.take(x, order).T for x in (need, h2)), rank.reshape(trials, pairs))
+
+
+def test_block_arrays_are_column_major():
+    rng = np.random.default_rng(4)
+    h2, g2 = rng.exponential(size=(2, 50, 3))
+    block = Block(h2, g2, 15.0)
+    for x in (block.h2, block.g2, block.need):
+        assert x.shape == (50, 3) and x.flags.f_contiguous
+    assert np.array_equal(block.h2, h2) and np.array_equal(block.g2, g2)
+    need, sorted_h2, rank = block.waterfill_order
+    assert need.flags.c_contiguous and sorted_h2.flags.c_contiguous  # one row per place
+    assert rank.flags.f_contiguous
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 3, 5, 20, 300])
+def test_waterfill_order_matches_row_major_construction(pairs):
+    rng = np.random.default_rng(pairs)
+    trials = 500
+    h2, g2 = rng.exponential(size=(2, trials, pairs))
+    if pairs > 1:  # rows with copied gains: ties resolve by ascending pair index
+        g2[::3, 1:] = g2[::3, :1]
+        g2[1::7, -1] = g2[1::7, 0]
+    block = Block(h2, g2, 15.0)
+    got = block.waterfill_order
+    want = _row_major_waterfill_order(15.0 / g2, h2)
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert np.array_equal(x, y)
 
 
 def test_dispatch_unknown_name():

@@ -209,20 +209,37 @@ def _bid_dynamics(g2, total_power, price, reserve):
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
     weights = response_weights(price[:, None], total_power[:, None], g2)
     cap = np.where(interior_target(price[:, None], g2) >= total_power[:, None], B_MAX, 0.0)
-    bids = (g2 > 0.0).astype(float)
-    iterations = np.zeros(g2.shape[0], dtype=int)
-    residual = np.full(g2.shape[0], math.inf)
-    live = np.arange(g2.shape[0])
+    bids = np.empty_like(weights)
+    iterations = np.full(g2.shape[0], _MAX_ITERATIONS)
+    residual = np.empty(g2.shape[0])
+    # the working set: rows[k] is row k of b, w, xi and cap; a row that stops is
+    # recorded and marked off, and the set is compacted once a quarter has stopped
+    rows = np.arange(g2.shape[0])
+    b, w, xi = (g2 > 0.0).astype(float), weights, reserve[:, None]
+    active = np.ones(rows.size, dtype=bool)
     for it in range(1, _MAX_ITERATIONS + 1):
-        b = bids[live]
         new = b.sum(axis=1, keepdims=True) - b
-        new += reserve[live, None]
-        new *= weights[live]
-        new += cap[live]
-        residual[live] = np.abs(new - b).max(axis=1) / np.maximum(1.0, np.abs(new).max(axis=1))
-        bids[live], iterations[live] = new, it
-        if not (live := live[~(residual[live] <= _TOLERANCE)]).size:
+        new += xi
+        new *= w
+        new += cap
+        b -= new
+        np.abs(b, out=b)
+        # bids are non-negative, so |new| is new; a max is exact in any order, and
+        # numpy takes it over a column-major copy faster than over short rows
+        res = np.asfortranarray(b).max(axis=1) / np.maximum(1.0, np.asfortranarray(new).max(axis=1))
+        b = new
+        done = active & (res <= _TOLERANCE)
+        if done.any():
+            stop = rows[done]
+            bids[stop], iterations[stop], residual[stop] = b[done], it, res[done]
+            active &= ~done
+        if not (left := np.count_nonzero(active)):
             break
+        if 4 * left < 3 * rows.size:
+            rows, b, w, xi, cap, res = (a[active] for a in (rows, b, w, xi, cap, res))
+            active = np.ones(rows.size, dtype=bool)
+    else:
+        bids[rows[active]], residual[rows[active]] = b[active], res[active]
     allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]
     return bids, allocation, iterations, residual <= _TOLERANCE, residual
 
@@ -310,11 +327,16 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
             g2 / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
             quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
         ], axis=1)
-        # reserve 0.01 P_r for ranking only; xi shifts capped shares by O(xi/B_MAX)
-        p = p[..., None]
-        alloc, usable, rho = _predict(candidates[..., None], p, g2[:, None], 0.01 * p)
-        served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
-    served[~(usable & (candidates > 0.0) & _radius_below(rho, _RADIUS_LIMIT))] = -1
+        # only a positive price can win (an undecoded pair adds two zero rungs):
+        # score the live rungs, each on its row's contiguous pairs; the reserve
+        # 0.01 P_r is for ranking only, xi shifts capped shares by O(xi/B_MAX)
+        r, c = np.nonzero(candidates > 0.0)
+        gains, p = g2[r], p[r]
+        alloc, usable, rho = _predict(candidates[r, c, None], p, gains, 0.01 * p)
+        count = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
+    ok = usable & _radius_below(rho, _RADIUS_LIMIT)
+    served = np.full(candidates.shape, -1)
+    served[r[ok], c[ok]] = count[ok]
     most = served.max(axis=1, keepdims=True)
     price = np.where(served == most, candidates, -np.inf).max(axis=1)
     if (fallback := most[:, 0] < 0).any():

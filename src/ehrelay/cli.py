@@ -32,7 +32,7 @@ from .analytic import (
     wf_worst_bounds,
 )
 from .auction import PRICE_POLICIES
-from .engine import run_group
+from .engine import MAX_WORKERS, run_group
 from .model import SystemConfig, derive_params, power_from_snr_db
 from .strategies import STRATEGY_NAMES
 
@@ -463,7 +463,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--eta", help="harvesting efficiency")
     parser.add_argument("--mode", help=f"which methods to evaluate: {', '.join(MODES)}")
     parser.add_argument("--out", type=Path, help="CSV output path (default stdout)")
-    parser.add_argument("--workers", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--workers", type=int, default=1, help=f"worker threads, 1 to {MAX_WORKERS}"
+    )
     parser.add_argument(
         "--dump-config", action="store_true", help="print the resolved sweep and exit"
     )
@@ -502,8 +504,8 @@ def main(argv: list[str] | None = None) -> int:
                     raise CLIError(f"invalid --{flag}: {exc}") from None
         spec = dataclasses.replace(spec, **updates)
 
-        if args.workers < 1:
-            raise CLIError("--workers must be >= 1")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise CLIError(f"--workers must be between 1 and {MAX_WORKERS}")
         if args.dump_config:
             _validate_spec(spec)
             sys.stdout.write(dump_config(spec))

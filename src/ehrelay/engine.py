@@ -38,12 +38,16 @@ from .strategies import STRATEGY_NAMES, Block, allocate
 __all__ = [
     "OutageReport",
     "BLOCK_SIZE",
+    "MAX_WORKERS",
     "run_experiment",
     "run_group",
     "worst_case_equivalence_check",
 ]
 
 BLOCK_SIZE = 16384
+# most worker threads a group may ask for: the pool starts one per block up to
+# this many, so a huge count would start that many threads for nothing
+MAX_WORKERS = 256
 
 
 @dataclass(frozen=True)
@@ -81,14 +85,18 @@ class _Accumulator:
     success_sq_sum: float = 0.0
 
     def add_block(self, counts: np.ndarray, pairs: int) -> None:
+        # the count moments are exact integer sums over the histogram of counts;
+        # the fractions keep the float sums over the trials that set their bits
         frac = 1.0 - counts / pairs
+        hist = np.bincount(counts, minlength=pairs + 1)
+        k = np.arange(pairs + 1)
         self.trials += counts.shape[0]
         self.frac_sum += float(frac.sum())
         self.frac_sq_sum += float((frac * frac).sum())
-        self.all_fail += int((counts == 0).sum())
-        self.any_fail += int((counts < pairs).sum())
-        self.success_sum += float(counts.sum())
-        self.success_sq_sum += float((counts.astype(float) ** 2).sum())
+        self.all_fail += int(hist[0])
+        self.any_fail += counts.shape[0] - int(hist[pairs])
+        self.success_sum += float(hist @ k)
+        self.success_sq_sum += float(hist @ (k * k))
 
     def merge(self, other: "_Accumulator") -> None:
         for f in fields(self):
@@ -145,6 +153,8 @@ def run_group(
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     for strategy in strategies:
         if strategy not in STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGY_NAMES}")

@@ -17,6 +17,10 @@ These deliberately avoid the library code paths they are checking:
   loops over the candidate prices, the bisection steps and the bid
   rounds, and the exact spectral radius from ``np.linalg.eigvals``; the
   reference for the library's block-batched auction.
+* ``ladder_winner_price``: the max-winners price scan that scores every
+  rung of every row's ladder on (rows, 2 pairs + 1, pairs) arrays, zero
+  and negative rungs included; the bitwise reference for the library's
+  scan over the live rungs alone.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
 * ``prob_decoding_count`` and ``conditioned_sum_pdf``: the two
@@ -55,6 +59,7 @@ import mpmath as mp
 import numpy as np
 from scipy import special
 
+from ehrelay import auction
 from ehrelay.auction import (
     _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionConfig, AuctionState,
 )
@@ -257,6 +262,32 @@ def scalar_winner_price(g2: np.ndarray, total_power: float, snr_threshold: float
     if best_served < 0:
         return scalar_select_price(g2, total_power)
     return best_price
+
+
+def ladder_winner_price(g2, total_power, snr_threshold: float) -> np.ndarray:
+    """Max-winners price of each row of a block, every rung of the ladder scored.
+
+    The rungs are those of ``ehrelay.auction.winner_maximizing_price``;
+    each one's served count is reduced over its row's contiguous pairs,
+    and a rung <= 0 (two per zero gain) is discarded after scoring.
+    """
+    g2, total_power, _ = auction._block(g2, total_power)
+    p = total_power[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        candidates = np.concatenate([
+            auction.full_budget_price(g2, p) * (1.0 - 1e-3),
+            g2 / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
+            auction.quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
+        ], axis=1)
+        p = p[..., None]
+        alloc, usable, rho = auction._predict(candidates[..., None], p, g2[:, None], 0.01 * p)
+        served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
+    served[~(usable & (candidates > 0.0) & auction._radius_below(rho, _RADIUS_LIMIT))] = -1
+    most = served.max(axis=1, keepdims=True)
+    price = np.where(served == most, candidates, -np.inf).max(axis=1)
+    if (fallback := most[:, 0] < 0).any():
+        price[fallback] = auction.select_price(g2[fallback], total_power[fallback])
+    return price
 
 
 def scalar_auction_row(

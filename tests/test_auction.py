@@ -37,8 +37,10 @@ from oracles import (
     best_response,
     eig_spectral_radius,
     golden_section_max,
+    ladder_winner_price,
     payoff,
     scalar_auction_row,
+    scalar_run_auction,
 )
 
 
@@ -446,6 +448,75 @@ def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
         assert (served == want)[~tie].all()
 
 
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    pairs=hst.integers(min_value=1, max_value=40),
+    rows=hst.integers(min_value=2, max_value=16),
+)
+@settings(max_examples=40, deadline=None)
+def test_bid_dynamics_match_scalar_oracle_bit_for_bit(seed, pairs, rows):
+    # rows at max-winners and certified prices stop at different rounds, so the
+    # working set is compacted under rows still running; from two pairs the last
+    # row's price is non-contracting (radius 1.5) and runs to the iteration cap,
+    # and from three pairs row 0 has a capped pair
+    rng = np.random.default_rng(seed)
+    g2 = rng.exponential(1.0, (rows, pairs)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1)) + 1e-9
+    budget = 10.0 ** rng.uniform(-2.0, 1.5, rows)
+    price = np.where(
+        rng.random(rows) < 0.5,
+        winner_maximizing_price(g2, budget, 1.0), select_price(g2, budget),
+    )
+    if pairs >= 3:
+        g2[0, :3], budget[0] = (0.221, 0.067, 1.215), 8.397
+        g2[0, 3:] = 1e-3
+        price[0] = winner_maximizing_price(g2[0], budget[0], 1.0)
+        assert (interior_target(price[0], g2[0]) >= budget[0]).any()
+    if pairs >= 2:
+        # equal gains 1 at budget 1: every pair's weight is 1.5 / (pairs - 1)
+        target = 1.5 / (pairs - 1) / (1.0 + 1.5 / (pairs - 1))
+        g2[-1], budget[-1], price[-1] = 1.0, 1.0, 1.0 / (2.0 * LN2 * (target + 1.0))
+    reserve = 0.01 * budget
+    bids, allocation, iterations, converged, residual = auction._bid_dynamics(
+        g2, budget, price, reserve
+    )
+    for i in range(rows):
+        want = scalar_run_auction(g2[i], float(budget[i]), AuctionConfig(price[i], reserve[i]))
+        assert bids[i].tobytes() == want.bids.tobytes()
+        assert allocation[i].tobytes() == want.allocation.tobytes()
+        assert (iterations[i], converged[i]) == (want.iterations, want.converged)
+        assert residual[i] == want.residual
+    assert converged[:-1].all()
+    if pairs >= 2:
+        assert iterations[-1] == auction._MAX_ITERATIONS and not converged[-1]
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 8, 20])
+def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
+    # undecoded pairs (zero gains) add zero rungs that the library never scores;
+    # its prices equal the full ladder scan's bit for bit
+    rng = np.random.default_rng(200 + pairs)
+    g2, decoded, budget = _edge_block(rng, pairs, rows=120)
+    keep = decoded.any(axis=1)
+    gains, budget = np.where(decoded, g2, 0.0)[keep], budget[keep]
+    assert pairs == 1 or (gains == 0.0).any(axis=1).mean() > 0.5
+    for snr_threshold in (1e-3, 1.0, 30.0):
+        price = winner_maximizing_price(gains, budget, snr_threshold)
+        assert price.tobytes() == ladder_winner_price(gains, budget, snr_threshold).tobytes()
+    # every rung of every third row is rejected (the rows are told apart by
+    # their largest gain), so those rows take the certified price
+    fallback = np.arange(len(gains)) % 3 == 0
+    predict, rejected = auction._predict, gains[fallback].max(axis=1)
+
+    def rejecting(price, total_power, g, reserve):
+        alloc, exists, rho = predict(price, total_power, g, reserve)
+        return alloc, exists & ~np.isin(g.max(axis=-1), rejected), rho
+
+    monkeypatch.setattr(auction, "_predict", rejecting)
+    price = winner_maximizing_price(gains, budget, 1.0)
+    assert price.tobytes() == ladder_winner_price(gains, budget, 1.0).tobytes()
+    assert price[fallback].tobytes() == select_price(gains[fallback], budget[fallback]).tobytes()
+
+
 def test_allocate_auction_certified_fallback(monkeypatch):
     # a max-winners row whose every candidate is rejected takes the
     # certified price; odd rows of the block are made to fall back
@@ -453,11 +524,15 @@ def test_allocate_auction_certified_fallback(monkeypatch):
     g2 = rng.exponential(1.0, (40, 3))
     decoded = np.ones((40, 3), dtype=bool)
     budget = 10.0 ** rng.uniform(-1.0, 1.0, 40)
-    radius_below = auction._radius_below
-    monkeypatch.setattr(
-        auction, "_radius_below",
-        lambda rho, limit: radius_below(rho, limit) & (np.arange(len(rho)) % 2 == 0)[:, None],
-    )
+    # every candidate scored on an odd row's gains (told apart by the first
+    # gain, which no two rows share) is made to have no equilibrium
+    predict, odd = auction._predict, g2[1::2, 0]
+
+    def rejecting(price, total_power, gains, reserve):
+        alloc, exists, rho = predict(price, total_power, gains, reserve)
+        return alloc, exists & ~np.isin(gains[..., 0], odd), rho
+
+    monkeypatch.setattr(auction, "_predict", rejecting)
     params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
     served = allocate_auction(g2, decoded, budget, params)
     for policy, rows in (("max-winners", slice(0, None, 2)), ("certified", slice(1, None, 2))):

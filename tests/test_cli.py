@@ -456,6 +456,16 @@ def test_main_exit_code_2_on_bad_input(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--workers", "257", "--trials", "10"], ["--workers", "50000", "--trials", "1000000000"]]
+)
+def test_main_refuses_more_than_max_workers(argv, monkeypatch, capsys):
+    # refused before the sweep (and its thread pool) starts
+    monkeypatch.setattr("ehrelay.cli.run_sweep", None)
+    assert main(argv) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_main_refuses_negative_seed_in_config(tmp_path, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text("seed = -3\n")

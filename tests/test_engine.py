@@ -237,3 +237,26 @@ def test_rejects_bad_arguments():
         run_experiment(cfg(), "nope", 10, seed=0)
     with pytest.raises(ValueError):
         run_experiment(cfg(), "equal", 10, seed=0, workers=0)
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 20, 171])
+def test_accumulator_sums_equal_direct_float_sums(pairs):
+    # the histogram moments are exact integers; the direct float sums of
+    # integer-valued counts and squares are exact too, so the bits agree
+    rng = np.random.default_rng(pairs)
+    for trials in (1, 7, engine.BLOCK_SIZE):
+        counts = rng.integers(0, pairs + 1, trials)
+        acc = engine._Accumulator()
+        acc.add_block(counts, pairs)
+        frac = 1.0 - counts / pairs
+        assert dataclasses.astuple(acc) == (
+            trials, float(frac.sum()), float((frac * frac).sum()), int((counts == 0).sum()),
+            int((counts < pairs).sum()), float(counts.sum()), float((counts.astype(float) ** 2).sum()),
+        )
+
+
+def test_run_group_refuses_more_than_max_workers(monkeypatch):
+    # refused before any pool is built
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", None)
+    with pytest.raises(ValueError, match="workers"):
+        run_experiment(cfg(), "equal", 10, seed=0, workers=engine.MAX_WORKERS + 1)

@@ -31,6 +31,7 @@ at lower order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -186,9 +187,15 @@ def outage_wf_best(config: SystemConfig) -> float:
     return _all_fail(config.pairs, eps, lambda n: eps / eta)
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: the y-integrals of the
-# worst-case upper bounds use 64 nodes, and 48 for their error estimate
-_GAUSS = {k: np.polynomial.legendre.leggauss(k) for k in (48, 64)}
+# Gauss-Legendre node counts: the y-integrals of the worst-case upper
+# bounds use 64 nodes, and 48 for their error estimate
+_GAUSS_NODES = (48, 64)
+
+
+@functools.cache
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(k)
 
 
 def _log_y_rule(w, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +207,7 @@ def _log_y_rule(w, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     v = w / (y+1) in int_{w/M}^{w} exp(-(M-1)^2/(w-v) - 1/v) / v^2 dv), and
     the weights of dy = y d(log y).
     """
-    x, weight = _GAUSS[k]
+    x, weight = _gauss_legendre(k)
     lo = np.log(np.minimum((pairs - 1.0) ** 2 / (745.0 * np.asarray(w)), pairs - 1.0))[..., None]
     half = 0.5 * (math.log(pairs - 1.0) - lo)
     y = np.exp(lo + half * (1.0 + x))
@@ -231,10 +238,10 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
     t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
     w, density = np.exp(t) / rate, np.exp(log_density)
-    inner, tail = dict.fromkeys(_GAUSS, 0.0), dict.fromkeys(_GAUSS, 0.0)
+    inner, tail = dict.fromkeys(_GAUSS_NODES, 0.0), dict.fromkeys(_GAUSS_NODES, 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # w = 0 at a huge rate
         head = -np.expm1(-m * m / w)  # the largest requirement alone fails
-        for k in _GAUSS if m > 1 else ():
+        for k in _GAUSS_NODES if m > 1 else ():
             a, weight = _log_y_rule(w, m, k)
             y_sum = (np.exp(-a / w[:, None]) * weight).sum(axis=1)
             inner[k] = np.where(y_sum > 0.0, m / w * y_sum, 0.0)  # (M/w) exp(-a/w) -> 0 as w -> 0

@@ -15,6 +15,7 @@ Carlo engine itself is reproducible for any worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -477,6 +478,20 @@ _FLAG_KEYS = {"snr": "snr_db", "strategy": "strategies", "metric": "metrics"} | 
     k: k for k in ("pairs", "trials", "seed", "rate", "eta", "mode")}
 
 
+def _open_out(path: Path | None):
+    """The CSV stream: ``path`` opened for writing, or stdout.
+
+    Opened before the sweep runs, so an unwritable path is refused before
+    any channel is drawn; a sweep that fails after that leaves it empty.
+    """
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise CLIError(f"cannot write {path}: {exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -485,8 +500,8 @@ def main(argv: list[str] | None = None) -> int:
             raise CLIError("--config and --preset are mutually exclusive")
         if args.config is not None:
             try:
-                text = args.config.read_text()
-            except OSError as exc:
+                text = args.config.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
                 raise CLIError(f"cannot read {args.config}: {exc}") from None
             spec = parse_config(text)
         elif args.preset is not None:
@@ -506,17 +521,13 @@ def main(argv: list[str] | None = None) -> int:
 
         if not 1 <= args.workers <= MAX_WORKERS:
             raise CLIError(f"--workers must be between 1 and {MAX_WORKERS}")
+        _validate_spec(spec)  # a bad sweep is refused before --out is opened and emptied
         if args.dump_config:
-            _validate_spec(spec)
             sys.stdout.write(dump_config(spec))
             return 0
 
-        rows = run_sweep(spec, workers=args.workers)
-        if args.out is not None:
-            with open(args.out, "w", newline="") as fh:
-                write_csv(rows, fh)
-        else:
-            write_csv(rows, sys.stdout)
+        with _open_out(args.out) as stream:
+            write_csv(run_sweep(spec, workers=args.workers), stream)
         return 0
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,10 @@ x = 2 sqrt(z) from scipy's scaled ``k0e``/``k1e`` and runs the recurrence
 for K_n (DLMF 10.29.1) in G: G_{m+1} = m G_m + z G_{m-1}, elementwise over
 an array of z.  Every term is positive, so nothing cancels, and
 G_1 <= ... <= G_n, so nothing overflows unless G_n does.
+
+``scipy.special`` is reached as an attribute of ``scipy``, which loads it
+on first access: importing it costs more than the rest of the package, and
+only the worst-case closed-form bound calls this function.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import math
 import operator
 
 import numpy as np
-from scipy import special
+import scipy
 
 __all__ = ["gamma_exp_integral"]
 
@@ -41,7 +45,7 @@ def gamma_exp_integral(n: int, z: float | np.ndarray) -> float | np.ndarray:
     # z = 0 and z = inf give 0 * inf here and are set from their limits below
     with np.errstate(invalid="ignore", over="ignore"):
         scale = np.exp(-x)
-        g0, g1 = 2.0 * special.k0e(x) * scale, x * special.k1e(x) * scale
+        g0, g1 = 2.0 * scipy.special.k0e(x) * scale, x * scipy.special.k1e(x) * scale
         for m in range(1, n):
             g0, g1 = g1, m * g1 + z * g0
     g1 = np.where(np.isinf(z), 0.0, g1)

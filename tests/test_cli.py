@@ -513,6 +513,66 @@ def test_main_missing_config_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_main_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["--config", str(path)]) == 2
+    assert f"error: cannot read {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["/nonexistent/x.csv", "."])
+def test_main_refuses_unwritable_out_before_the_sweep(out, monkeypatch, capsys):
+    # a missing directory, and a directory: refused before the sweep runs
+    monkeypatch.setattr("ehrelay.cli.run_sweep", None)
+    assert main(["--trials", "10", "--out", out]) == 2
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
+def test_main_refused_sweep_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    out.write_text("kept\n")
+    assert main(["--trials", "0", "--out", str(out)]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+_COLD_START = """
+import sys
+{prelude}
+import ehrelay.cli
+loaded_at_import = "scipy.special" in sys.modules
+assert ehrelay.cli.main(sys.argv[1:]) == 0
+print(loaded_at_import, "scipy.special" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+def _cold_start(argv: list[str], out: Path, prelude: str = "") -> list[str]:
+    """Run main in a fresh interpreter; whether scipy.special was loaded at
+    import and after the run, and whether scipy was."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ehrelay.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START.format(prelude=prelude), *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_scipy_special_loads_only_for_the_bessel_bound(tmp_path):
+    # in child processes: the filterwarnings setting names a scipy warning
+    # class, so the pytest process has scipy.special loaded already
+    argv = ["--snr", "30", "--trials", "200", "--mode", "all", "--strategy", "equal,waterfill,auction",
+            "--metric", "average,best"]
+    assert _cold_start(argv, tmp_path / "all.csv") == ["False", "False", "True"]
+    assert "bound-" not in (tmp_path / "all.csv").read_text()
+    # the closed-form worst-case bound is the one user of the Bessel kernel
+    argv = ["--snr", "0,30", "--pairs", "5", "--strategy", "waterfill", "--metric", "worst", "--mode", "bounds"]
+    assert _cold_start(argv, tmp_path / "cold.csv") == ["False", "True", "True"]
+    warm = _cold_start(argv, tmp_path / "warm.csv", prelude="import scipy.special")
+    assert warm == ["True", "True", "True"]
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+
 def test_main_exit_code_3_on_engine_failure(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("did not converge")

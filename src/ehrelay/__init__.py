@@ -11,14 +11,7 @@ asymptotic outage expressions, a reproducible Monte Carlo engine, and a
 sweep CLI.
 """
 
-from .model import (
-    DerivedParams,
-    SystemConfig,
-    derive_params,
-    harvest,
-    power_from_snr_db,
-    sample_block,
-)
+from .model import SystemConfig, harvest, power_from_snr_db, sample_block
 from .strategies import STRATEGY_NAMES, Block, allocate
 from .auction import allocate_auction
 from .analytic import (

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, derive_params
+from .model import SystemConfig
 from .specfun import gamma_exp_integral
 
 __all__ = [
@@ -86,11 +86,6 @@ class WorstCaseBounds:
 def _require_unit_variances(config: SystemConfig, what: str) -> None:
     if not config.unit_variances:
         raise ValueError(f"{what} assumes unit channel variances")
-
-
-def _eps_eta(config: SystemConfig) -> tuple[float, float]:
-    params = derive_params(config)
-    return params.decode_threshold, config.eta
 
 
 def _log_gamma_rule(n: int, log_z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +142,7 @@ def outage_individual(config: SystemConfig) -> OutageSummary:
     independence.
     """
     _require_unit_variances(config, "outage_individual")
-    eps, eta = _eps_eta(config)
+    eps, eta = config.decode_threshold, config.eta
     avg = -math.expm1(-eps) + math.exp(-eps) * _fail_moment(1, eps / eta, 1)
     m = config.pairs
     worst = -math.expm1(m * math.log1p(-avg)) if avg < 1.0 else 1.0
@@ -162,7 +157,7 @@ def outage_equal(config: SystemConfig) -> OutageSummary:
     z/S: one pair of threshold M z.
     """
     _require_unit_variances(config, "outage_equal")
-    eps, eta = _eps_eta(config)
+    eps, eta = config.decode_threshold, config.eta
     m = config.pairs
     p = math.exp(-eps)
     q = -math.expm1(-eps)
@@ -183,7 +178,7 @@ def outage_wf_best(config: SystemConfig) -> float:
     cheapest pair is served iff the whole budget covers its requirement.
     """
     _require_unit_variances(config, "outage_wf_best")
-    eps, eta = _eps_eta(config)
+    eps, eta = config.decode_threshold, config.eta
     return _all_fail(config.pairs, eps, lambda n: eps / eta)
 
 
@@ -227,7 +222,7 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     """
     _require_unit_variances(config, "wf_worst_bounds")
     m = config.pairs
-    eps, eta = _eps_eta(config)
+    eps, eta = config.decode_threshold, config.eta
     rate = eps / eta  # Gamma rate of the budget variable w
     fact = float(math.factorial(m - 1))
     pm = math.exp(-m * eps)
@@ -282,7 +277,7 @@ def asymptotic_outage(strategy: str, metric: str, config: SystemConfig):
     if metric not in ("average", "best", "worst") or not (strategy == "individual" or pooled):
         raise ValueError(f"no asymptotic form for ({strategy!r}, {metric!r})")
     _require_unit_variances(config, "asymptotic_outage")
-    eps, eta = _eps_eta(config)
+    eps, eta = config.decode_threshold, config.eta
     m = config.pairs
     if eps > 0.05:
         warnings.warn(

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams
-
 __all__ = [
     "B_MAX", "LN2", "PRICE_POLICIES", "AuctionConfig", "AuctionState", "interior_target",
     "quit_price", "full_budget_price", "response_weights", "contraction_modulus",
@@ -54,6 +52,8 @@ _MAX_ITERATIONS = 500  # and their iteration cap
 # spectral radius below which a max-winners candidate price counts as
 # comfortably convergent
 _RADIUS_LIMIT = 0.93
+_RESERVE_FRACTION = 0.01  # the relay's reserve bid xi, as a fraction of its budget P_r
+_PRICE_MARGIN = 0.05  # the certified price's back-off above the certificate threshold
 
 
 @dataclass(frozen=True)
@@ -260,21 +260,19 @@ def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
     )
 
 
-def select_price(g2, total_power, margin: float = 0.05):
+def select_price(g2, total_power):
     """Cheapest price with a contraction certificate, plus a safety margin.
 
     Bisects over (min_i full_budget_price, max_i quit_price) for the
     smallest price with mu < 1 (mu -> 0 at the quit price of the best
     pair, so a certified price exists) and returns the threshold scaled
-    by ``1 + margin``, kept strictly below the upper endpoint so the best
-    pair stays in the market.  If the scaled price lands on an
+    by ``1 + _PRICE_MARGIN``, kept strictly below the upper endpoint so
+    the best pair stays in the market.  If the scaled price lands on an
     uncertified pocket (the modulus is only piecewise monotone once pairs
     start capping), it is nudged toward the upper endpoint until
     certified.  Each row of a block bisects until its own stop.
     """
     g2, total_power, single = _block(g2, total_power)
-    if margin < 0.0:
-        raise ValueError("margin must be non-negative")
     lo = np.where(g2 > 0.0, full_budget_price(g2, total_power[:, None]), np.inf).min(axis=1)
     upper = quit_price(g2).max(axis=1)
     hi = upper.copy()
@@ -289,7 +287,8 @@ def select_price(g2, total_power, margin: float = 0.05):
         lo[live] = np.where(ok, lo[live], mid)
         if not (live := live[~(hi[live] - lo[live] <= 1e-14 * hi[live])]).size:
             break
-    price = np.where(hi * (1.0 + margin) >= upper, 0.5 * (hi + upper), hi * (1.0 + margin))
+    scaled = hi * (1.0 + _PRICE_MARGIN)
+    price = np.where(scaled >= upper, 0.5 * (hi + upper), scaled)
     live = np.flatnonzero(certified)
     # mu -> 0 as the price approaches the best pair's quit price
     while (live := live[contraction_modulus(price[live], total_power[live], g2[live]) >= 1.0]).size:
@@ -329,10 +328,10 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
         ], axis=1)
         # only a positive price can win (an undecoded pair adds two zero rungs):
         # score the live rungs, each on its row's contiguous pairs; the reserve
-        # 0.01 P_r is for ranking only, xi shifts capped shares by O(xi/B_MAX)
+        # is for ranking only, xi shifts capped shares by O(xi/B_MAX)
         r, c = np.nonzero(candidates > 0.0)
         gains, p = g2[r], p[r]
-        alloc, usable, rho = _predict(candidates[r, c, None], p, gains, 0.01 * p)
+        alloc, usable, rho = _predict(candidates[r, c, None], p, gains, _RESERVE_FRACTION * p)
         count = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
     ok = usable & _radius_below(rho, _RADIUS_LIMIT)
     served = np.full(candidates.shape, -1)
@@ -345,19 +344,20 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
 
 
 def allocate_auction(
-    g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, params: DerivedParams, *,
-    xi_fraction: float = 0.01, price_margin: float = 0.05, price_policy: str = "max-winners",
+    g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, snr_threshold: float, *,
+    price_policy: str = "max-winners",
 ) -> np.ndarray:
     """Auction allocation for a block of draws, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
     (trials,).  In each trial the decoded pairs bid for the budget P_r:
-    the relay reserves ``xi = xi_fraction * P_r`` and prices the budget by
-    policy, "max-winners" scanning for the price serving the most pairs,
-    "certified" taking the cheapest contraction-certified price (scaled by
-    ``1 + price_margin``).  Pairs priced out of the market get nothing;
-    the unsold remainder stays at the relay.  The max-winners scan runs
-    in chunks of rows sized from the pair count.  Returns the served mask.
+    the relay reserves ``xi = 0.01 P_r`` and prices the budget by policy,
+    "max-winners" scanning for the price serving the most pairs against
+    the requirement ``snr_threshold / g2``, "certified" taking the cheapest
+    contraction-certified price (scaled by 1.05).  Pairs priced out of the
+    market get nothing; the unsold remainder stays at the relay.  The
+    max-winners scan runs in chunks of rows sized from the pair count.
+    Returns the served mask.
     """
     if price_policy not in PRICE_POLICIES:
         raise ValueError(f"unknown price_policy {price_policy!r}")
@@ -368,17 +368,17 @@ def allocate_auction(
     if price_policy == "max-winners":
         chunk = max(1, _CHUNK_ELEMENTS // ((2 * g2.shape[1] + 1) * g2.shape[1]))
         price = np.concatenate([np.zeros(0)] + [
-            winner_maximizing_price(gains[i:i + chunk], pr[i:i + chunk], params.snr_threshold)
+            winner_maximizing_price(gains[i:i + chunk], pr[i:i + chunk], snr_threshold)
             for i in range(0, rows.size, chunk)
         ])
     else:
-        price = select_price(gains, pr, price_margin)
-    _, alloc, _, converged, residual = _bid_dynamics(gains, pr, price, xi_fraction * pr)
+        price = select_price(gains, pr)
+    _, alloc, _, converged, residual = _bid_dynamics(gains, pr, price, _RESERVE_FRACTION * pr)
     if not converged.all():
         raise RuntimeError(
             f"auction did not converge in {_MAX_ITERATIONS} iterations (residual "
             f"{residual[~converged].max():.3e}); the price certificate should make this impossible"
         )
     with np.errstate(divide="ignore"):
-        served[rows] = alloc >= params.snr_threshold / gains
+        served[rows] = alloc >= snr_threshold / gains
     return served

@@ -34,7 +34,7 @@ from .analytic import (
 )
 from .auction import PRICE_POLICIES
 from .engine import MAX_WORKERS, run_group
-from .model import SystemConfig, derive_params, power_from_snr_db
+from .model import SystemConfig, power_from_snr_db
 from .strategies import STRATEGY_NAMES
 
 __all__ = [
@@ -110,8 +110,6 @@ class SweepSpec:
     mode: str = "mc"
     h_variance: float = 1.0
     g_variance: float = 1.0
-    xi_fraction: float = 0.01
-    price_margin: float = 0.05
     price_policy: str = "max-winners"
 
 
@@ -181,8 +179,6 @@ _PARSERS = {
     "mode": _parse_choice(MODES, "mode"),
     "h_variance": _parse_float,
     "g_variance": _parse_float,
-    "xi_fraction": _parse_float,
-    "price_margin": _parse_float,
     "price_policy": _parse_choice(PRICE_POLICIES, "price policy"),
     "distance_source_relay": _parse_float,
     "distance_relay_destination": _parse_float,
@@ -322,7 +318,7 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
                 raise CLIError(str(exc)) from None
             # the closed forms take the log of epsilon/eta, the budget's Gamma rate; it
             # rounds to 0 when 2^(2 rate) - 1 or epsilon underflows, to inf at a tiny eta
-            ratio = derive_params(config).decode_threshold / config.eta
+            ratio = config.decode_threshold / config.eta
             if not 0.0 < ratio < math.inf:
                 raise CLIError(
                     f"snr {snr!r} dB, rate {spec.rate!r}, eta {spec.eta!r}: "
@@ -336,10 +332,6 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     for m in spec.metrics:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
-    if not (math.isfinite(spec.xi_fraction) and spec.xi_fraction > 0.0):
-        raise CLIError(f"xi_fraction must be positive, got {spec.xi_fraction!r}")
-    if not (math.isfinite(spec.price_margin) and spec.price_margin >= 0.0):
-        raise CLIError(f"price_margin must be non-negative, got {spec.price_margin!r}")
     if spec.price_policy not in PRICE_POLICIES:
         raise CLIError(f"unknown price_policy {spec.price_policy!r}")
 
@@ -403,11 +395,6 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     # Monte Carlo reports by pair count, then by (snr index, strategy)
     mc = {}
     if spec.mode in ("mc", "all"):
-        auction_opts = {
-            "xi_fraction": spec.xi_fraction,
-            "price_margin": spec.price_margin,
-            "price_policy": spec.price_policy,
-        }
         for pairs in spec.pairs:
             mc[pairs] = run_group(
                 [configs[snr, pairs] for snr in spec.snr_db],
@@ -415,7 +402,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                 spec.trials,
                 spec.seed,
                 workers=workers,
-                auction_opts=auction_opts,
+                price_policy=spec.price_policy,
             )
 
     rows: list[dict] = []
@@ -529,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         with _open_out(args.out) as stream:
             write_csv(run_sweep(spec, workers=args.workers), stream)
         return 0
-    except CLIError as exc:
+    except (CLIError, MemoryError) as exc:  # a block too large to allocate is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

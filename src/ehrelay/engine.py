@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .model import SystemConfig, derive_params, harvest, sample_block
+from .model import SystemConfig, harvest, sample_block
 from .strategies import STRATEGY_NAMES, Block, allocate
 
 __all__ = [
@@ -115,7 +115,7 @@ def _binomial_stderr(count: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
+def _block_results(b, configs, strategies, trials, seed, price_policy="max-winners"):
     """Served mask of every (config, strategy) on block ``b``.
 
     The block's channels are drawn once into a column-major Block (the
@@ -123,12 +123,11 @@ def _block_results(b, configs, strategies, trials, seed, auction_opts=None):
     once per (config, strategy); yields ``(config index, strategy, served)``.
     """
     size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-    block = Block(*sample_block(seed, b, size, configs[0]), derive_params(configs[0]).snr_threshold)
+    block = Block(*sample_block(seed, b, size, configs[0]), configs[0].snr_threshold)
     for i, config in enumerate(configs):
-        params = derive_params(config)
-        harvested = harvest(block.h2, config, params)
+        harvested = harvest(block.h2, config)
         for s in strategies:
-            yield i, s, allocate(s, block, *harvested, config, params, auction_opts=auction_opts)
+            yield i, s, allocate(s, block, *harvested, config, price_policy=price_policy)
 
 
 def run_group(
@@ -138,7 +137,7 @@ def run_group(
     seed: int,
     *,
     workers: int = 1,
-    auction_opts: dict | None = None,
+    price_policy: str = "max-winners",
 ) -> dict[tuple[int, str], OutageReport]:
     """Estimate the outage metrics of every (config, strategy) on shared draws.
 
@@ -147,8 +146,9 @@ def run_group(
     and its requirement order on the rate, so both serve the whole group.
     Block b covers trials [b * BLOCK_SIZE, ...); each block reduces to one
     partial sum per (config, strategy), and the partials are merged in
-    block order, so the reports do not depend on ``workers``.  Returns the
-    report of each (config index, strategy).
+    block order, so the reports do not depend on ``workers``.  The auction
+    prices by ``price_policy`` (see :func:`ehrelay.auction.allocate_auction`).
+    Returns the report of each (config index, strategy).
     """
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
@@ -165,7 +165,7 @@ def run_group(
 
     def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
         partials = {}
-        for i, s, served in _block_results(b, configs, strategies, trials, seed, auction_opts):
+        for i, s, served in _block_results(b, configs, strategies, trials, seed, price_policy):
             partials[i, s] = acc = _Accumulator()
             acc.add_block(served.sum(axis=1), pairs)
         return partials
@@ -203,13 +203,13 @@ def run_experiment(
     seed: int,
     *,
     workers: int = 1,
-    auction_opts: dict | None = None,
+    price_policy: str = "max-winners",
 ) -> OutageReport:
     """Estimate the outage metrics of ``strategy`` over ``trials`` draws:
     :func:`run_group` on the one-config group."""
     return run_group(
         [config], (strategy,), trials, seed,
-        workers=workers, auction_opts=auction_opts,
+        workers=workers, price_policy=price_policy,
     )[0, strategy]
 
 

@@ -20,9 +20,7 @@ import numpy as np
 
 __all__ = [
     "SystemConfig",
-    "DerivedParams",
     "power_from_snr_db",
-    "derive_params",
     "sample_block",
     "harvest",
 ]
@@ -73,25 +71,18 @@ class SystemConfig:
     def unit_variances(self) -> bool:
         return self.h_variance == self.g_variance == 1.0
 
+    @property
+    def snr_threshold(self) -> float:
+        """a = 2^(2R) - 1, the post-processing SNR a link must clear for
+        decoding at rate R over half the slot."""
+        return 2.0 ** (2.0 * self.rate) - 1.0
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from (rate, source_power).
-
-    snr_threshold:    a = 2^(2R) - 1, the post-processing SNR a link must
-                      clear for decoding at rate R over half the slot
-    decode_threshold: epsilon = a / source_power, the |h|^2 level above
-                      which the relay decodes (and below which the power
-                      splitter sends everything to the energy harvester)
-    """
-
-    snr_threshold: float
-    decode_threshold: float
-
-
-def derive_params(config: SystemConfig) -> DerivedParams:
-    a = 2.0 ** (2.0 * config.rate) - 1.0
-    return DerivedParams(snr_threshold=a, decode_threshold=a / config.source_power)
+    @property
+    def decode_threshold(self) -> float:
+        """epsilon = a / source_power, the |h|^2 level above which the relay
+        decodes (and below which the power splitter sends everything to the
+        energy harvester)."""
+        return self.snr_threshold / self.source_power
 
 
 def sample_block(
@@ -111,9 +102,7 @@ def sample_block(
     return h2, g2
 
 
-def harvest(
-    h2: np.ndarray, config: SystemConfig, params: DerivedParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def harvest(h2: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decoding sets and harvested budgets for a block of draws.
 
     ``h2`` has shape (trials, pairs).  A pair is decoded iff its first-hop
@@ -124,7 +113,7 @@ def harvest(
     decodes).  On a Block's column-major ``h2`` both sums add the pair columns
     in pair order, which below 8 pairs gives the bits of numpy's row sum.
     """
-    decoded = h2 > params.decode_threshold
-    surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
+    decoded = h2 > config.decode_threshold
+    surplus = config.eta * (config.source_power * h2 - config.snr_threshold)
     surplus *= decoded
     return decoded, decoded.sum(axis=1), surplus.sum(axis=1)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .auction import allocate_auction
-from .model import DerivedParams, SystemConfig
+from .model import SystemConfig
 
 __all__ = ["Block", "allocate", "STRATEGY_NAMES"]
 
@@ -50,23 +50,23 @@ class Block:
         return need, h2, rank.reshape(pairs, trials).T
 
 
-def _individual(block, decoded, n, budget, config, params):
+def _individual(block, decoded, n, budget, config):
     """Each pair spends exactly the energy its own first hop harvested.
 
     Distributed operation: no pooling, p_i = eta * (P_s |h_i|^2 - a) on the
     decoding set.
     """
-    p = config.eta * (config.source_power * block.h2 - params.snr_threshold)
+    p = config.eta * (config.source_power * block.h2 - config.snr_threshold)
     return decoded & (p >= block.need)
 
 
-def _equal(block, decoded, n, budget, config, params):
+def _equal(block, decoded, n, budget, config):
     """Pooled budget split evenly over the decoding set (empty sets serve no one)."""
     share = budget / np.maximum(n, 1)
     return decoded & (share[:, None] >= block.need)
 
 
-def _waterfill(block, decoded, n, budget, config, params):
+def _waterfill(block, decoded, n, budget, config):
     """Greedy allocation maximizing the number of served destinations.
 
     Decoded pairs are visited in ascending requirement a / |g|^2 (ties by
@@ -78,14 +78,14 @@ def _waterfill(block, decoded, n, budget, config, params):
     served iff its place lies in the prefix the budget covers.
     """
     need, h2, rank = block.waterfill_order
-    spent = need * (h2 > params.decode_threshold)
+    spent = need * (h2 > config.decode_threshold)
     for k in range(1, spent.shape[0]):
         np.add(spent[k - 1], spent[k], out=spent[k])
     covered = (spent <= budget).sum(axis=0, dtype=rank.dtype)
     return decoded & (rank < covered[:, None])
 
 
-def _maxmin(block, decoded, n, budget, config, params):
+def _maxmin(block, decoded, n, budget, config):
     """Max-min fair allocation: every decoded pair gets the same rate.
 
     The optimum equalizes received SNRs, p_i = (budget / sum_j 1/|g_j|^2)
@@ -95,7 +95,7 @@ def _maxmin(block, decoded, n, budget, config, params):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sum = np.where(decoded, 1.0 / block.g2, 0.0).sum(axis=1)
         common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
-    return decoded & (common_snr >= params.snr_threshold)[:, None]
+    return decoded & (common_snr >= config.snr_threshold)[:, None]
 
 
 _KERNELS = {
@@ -108,18 +108,18 @@ _KERNELS = {
 
 def allocate(
     name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray,
-    config: SystemConfig, params: DerivedParams, *, auction_opts: dict | None = None,
+    config: SystemConfig, *, price_policy: str = "max-winners",
 ) -> np.ndarray:
     """Served mask (in pair order) of strategy ``name`` on one block, at
     the SNR of ``config`` and the block's threshold ``a``.
 
-    ``auction_opts`` are keyword options of
-    :func:`ehrelay.auction.allocate_auction`; other strategies ignore them.
+    ``price_policy`` is the auction's (see
+    :func:`ehrelay.auction.allocate_auction`); other strategies ignore it.
     """
-    if params.snr_threshold != block.snr_threshold:
-        raise ValueError(f"snr_threshold {params.snr_threshold!r} is not the block's {block.snr_threshold!r}")
+    if config.snr_threshold != block.snr_threshold:
+        raise ValueError(f"snr_threshold {config.snr_threshold!r} is not the block's {block.snr_threshold!r}")
     if name == "auction":
-        return allocate_auction(block.g2, decoded, budget, params, **(auction_opts or {}))
+        return allocate_auction(block.g2, decoded, budget, block.snr_threshold, price_policy=price_policy)
     if name not in _KERNELS:
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
-    return _KERNELS[name](block, decoded, n, budget, config, params)
+    return _KERNELS[name](block, decoded, n, budget, config)

@@ -218,8 +218,8 @@ def scalar_run_auction(g2: np.ndarray, total_power: float, config: AuctionConfig
     )
 
 
-def scalar_select_price(g2: np.ndarray, total_power: float, margin: float = 0.05) -> float:
-    """Certified price of one auction by a scalar bisection on mu."""
+def scalar_select_price(g2: np.ndarray, total_power: float) -> float:
+    """Certified price of one auction by a scalar bisection on mu, backed off 5%."""
     lo = float((g2 / (2.0 * LN2 * (1.0 + total_power * g2))).min())
     hi = float((g2 / (2.0 * LN2)).max())
     if not scalar_modulus(hi * (1.0 - 1e-12), total_power, g2) < 1.0:
@@ -233,7 +233,7 @@ def scalar_select_price(g2: np.ndarray, total_power: float, margin: float = 0.05
             lo = mid
         if hi - lo <= 1e-14 * hi:
             break
-    price = hi * (1.0 + margin)
+    price = hi * 1.05
     if price >= upper:
         price = 0.5 * (hi + upper)
     while scalar_modulus(price, total_power, g2) >= 1.0:
@@ -291,16 +291,16 @@ def ladder_winner_price(g2, total_power, snr_threshold: float) -> np.ndarray:
 
 
 def scalar_auction_row(
-    g2: np.ndarray, total_power: float, snr_threshold: float, *, xi_fraction: float = 0.01,
-    price_margin: float = 0.05, price_policy: str = "max-winners",
+    g2: np.ndarray, total_power: float, snr_threshold: float, *, price_policy: str = "max-winners",
 ) -> AuctionState:
-    """Price one auction by ``price_policy`` and run its bid dynamics."""
+    """Price one auction by ``price_policy`` and run its bid dynamics, the
+    relay reserving 0.01 of the budget."""
     if price_policy == "max-winners":
         price = scalar_winner_price(g2, total_power, snr_threshold)
     else:
-        price = scalar_select_price(g2, total_power, margin=price_margin)
+        price = scalar_select_price(g2, total_power)
     return scalar_run_auction(
-        g2, total_power, AuctionConfig(price=price, reserve=xi_fraction * total_power)
+        g2, total_power, AuctionConfig(price=price, reserve=0.01 * total_power)
     )
 
 
@@ -529,11 +529,11 @@ def exact_reference_dps(k: int, snr_db: float) -> int:
 
 def print_exact_reference_table() -> None:
     """Print the frozen tables of tests/test_exact_forms.py (rate 2, eta 1)."""
-    from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+    from ehrelay.model import SystemConfig, power_from_snr_db
 
     def value(form, m, snr, k):
         config = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr))
-        eps = derive_params(config).decode_threshold
+        eps = config.decode_threshold
         return exact_outage_mp(form, m, eps, 1.0, exact_reference_dps(k, snr))
 
     print("REFERENCE = {")
@@ -585,13 +585,13 @@ def wf_worst_upper_mp(m: int, eps: float, eta: float, dps: int = 30) -> float:
 
 def print_worst_upper_table() -> None:
     """Print the frozen table of tests/test_worst_bounds.py (rate 2, eta 1)."""
-    from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+    from ehrelay.model import SystemConfig, power_from_snr_db
 
     print("REFERENCE = {")
     for m in (2, 3, 5, 10, 20):
         for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0):
             config = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr))
-            eps = derive_params(config).decode_threshold
+            eps = config.decode_threshold
             print(f"    ({m}, {snr!r}): {wf_worst_upper_mp(m, eps, 1.0)!r},", flush=True)
     print("}")
 
@@ -626,7 +626,7 @@ class ReferenceDraw:
     served: np.ndarray
 
 
-def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = None) -> ReferenceDraw:
+def reference_draw(h2, g2, config, strategy: str, *, price_policy: str = "max-winners") -> ReferenceDraw:
     """Harvest and allocate one draw (length-M ``h2`` and ``g2``) pair by pair."""
     h2 = np.asarray(h2, dtype=float)
     g2 = np.asarray(g2, dtype=float)
@@ -657,7 +657,7 @@ def reference_draw(h2, g2, config, strategy: str, auction_opts: dict | None = No
             powers[idx] = budget / float(inv.sum()) * inv
     elif strategy == "auction":
         if idx.size:
-            state = scalar_auction_row(g2[idx], budget, a, **(auction_opts or {}))
+            state = scalar_auction_row(g2[idx], budget, a, price_policy=price_policy)
             assert state.converged
             powers[idx] = state.allocation
     else:

@@ -31,12 +31,7 @@ from ehrelay.auction import (
 )
 from ehrelay.cli import SweepSpec, run_sweep, write_csv
 from ehrelay.engine import run_experiment, worst_case_equivalence_check
-from ehrelay.model import (
-    SystemConfig,
-    derive_params,
-    harvest,
-    power_from_snr_db,
-)
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db
 from ehrelay.strategies import Block, allocate
 from oracles import (
     bessel_k,
@@ -126,8 +121,7 @@ def test_greedy_allocation_serves_maximal_subsets():
     for _ in range(10_000):
         pairs = int(rng.integers(1, 7))
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
-        params = derive_params(config)
-        h2 = rng.exponential(size=pairs) + params.decode_threshold  # all decode
+        h2 = rng.exponential(size=pairs) + config.decode_threshold  # all decode
         g2 = rng.exponential(size=pairs) * 10.0 ** rng.uniform(-1.0, 1.0)
         draws[pairs][0].append(h2)
         draws[pairs][1].append(g2)
@@ -136,10 +130,9 @@ def test_greedy_allocation_serves_maximal_subsets():
         # one block per pair count through the batched water-filling kernel
         h2, g2 = np.array(h2), np.array(g2)
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
-        params = derive_params(config)
-        decoded, n, budget = harvest(h2, config, params)
-        served = allocate("waterfill", Block(h2, g2, params.snr_threshold), decoded, n, budget, config, params)
-        required = params.snr_threshold / g2
+        decoded, n, budget = harvest(h2, config)
+        served = allocate("waterfill", Block(h2, g2, config.snr_threshold), decoded, n, budget, config)
+        required = config.snr_threshold / g2
         for t in range(h2.shape[0]):
             if served[t].sum() != brute_force_max_served(list(required[t]), budget[t]):
                 violations += 1

@@ -13,7 +13,7 @@ from ehrelay.analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
-from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+from ehrelay.model import SystemConfig, power_from_snr_db
 from oracles import (
     conditioned_sum_pdf,
     outage_equal_avg_quad,
@@ -124,7 +124,7 @@ def test_equal_matches_quadrature_oracle():
 
 def test_equal_live_oracle_cross_check():
     config = cfg(5, 25.0)
-    eps = derive_params(config).decode_threshold
+    eps = config.decode_threshold
     s = outage_equal(config)
     assert s.average == pytest.approx(outage_equal_avg_quad(5, eps, 1.0), rel=1e-10)
     assert s.best == pytest.approx(outage_equal_best_quad(5, eps, 1.0), rel=1e-8)
@@ -136,7 +136,7 @@ def test_complement_free_oracles_at_high_snr(snr):
     # both oracles integrate the failure probability itself; as 1 - P(success)
     # at 25 digits they kept only ~7 significant digits at 200 dB
     config = cfg(3, snr)
-    eps = derive_params(config).decode_threshold
+    eps = config.decode_threshold
     assert outage_individual(config).average == pytest.approx(
         outage_individual_avg_quad(eps, 1.0), rel=1e-12
     )
@@ -159,7 +159,7 @@ def test_wf_best_matches_quadrature_oracle():
         7.953001930357335e-05, rel=1e-9
     )
     config = cfg(4, 15.0)
-    eps = derive_params(config).decode_threshold
+    eps = config.decode_threshold
     assert outage_wf_best(config) == pytest.approx(
         outage_wf_best_quad(4, eps, 1.0), rel=1e-10
     )

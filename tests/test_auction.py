@@ -25,14 +25,7 @@ from ehrelay.auction import (
     winner_maximizing_price,
 )
 from ehrelay import auction
-from ehrelay.model import (
-    DerivedParams,
-    SystemConfig,
-    derive_params,
-    harvest,
-    power_from_snr_db,
-    sample_block,
-)
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from oracles import (
     best_response,
     eig_spectral_radius,
@@ -289,8 +282,6 @@ def test_select_price_validation():
         select_price(np.zeros((2, 3)), np.ones(2))  # an auction with no bidder
     with pytest.raises(ValueError):
         select_price(np.array([1.0]), 0.0)
-    with pytest.raises(ValueError):
-        select_price(np.array([1.0]), 1.0, margin=-0.1)
 
 
 def test_predict_allocation_matches_dynamics():
@@ -349,38 +340,37 @@ def test_winner_maximizing_price_validation():
 
 
 def _auction_setup(h2, g2, rate=0.5, power=10.0):
-    """One-draw block: (g2, decoded, budget) for the auction kernel."""
+    """One-draw block: (g2, decoded, budget, a) for the auction kernel."""
     config = SystemConfig(pairs=len(h2), rate=rate, source_power=power)
-    params = derive_params(config)
-    decoded, _, budget = harvest(np.asarray([h2], float), config, params)
-    return np.asarray([g2], float), decoded, budget, params
+    decoded, _, budget = harvest(np.asarray([h2], float), config)
+    return np.asarray([g2], float), decoded, budget, config.snr_threshold
 
 
 def test_allocate_auction_budget_and_masks():
-    g2, decoded, budget, params = _auction_setup([0.5, 0.05, 2.0], [0.8, 1.0, 1.5])
-    served = allocate_auction(g2, decoded, budget, params)
+    g2, decoded, budget, a = _auction_setup([0.5, 0.05, 2.0], [0.8, 1.0, 1.5])
+    served = allocate_auction(g2, decoded, budget, a)
     assert not served[0, 1]  # not decoded
     gains, pr = g2[0, decoded[0]], budget[0]
-    price = winner_maximizing_price(gains, pr, params.snr_threshold)
+    price = winner_maximizing_price(gains, pr, a)
     granted = run_auction(gains, pr, AuctionConfig(price, 0.01 * pr)).allocation.sum()
     assert 0.0 < granted < pr  # reserve share withheld
 
 
 def test_allocate_auction_empty_set():
-    g2, decoded, budget, params = _auction_setup([0.01, 0.02], [1.0, 1.0])
-    assert not allocate_auction(g2, decoded, budget, params).any()
+    g2, decoded, budget, a = _auction_setup([0.01, 0.02], [1.0, 1.0])
+    assert not allocate_auction(g2, decoded, budget, a).any()
 
 
 def test_allocate_auction_rejects_unknown_policy():
-    g2, decoded, budget, params = _auction_setup([0.5], [1.0])
+    g2, decoded, budget, a = _auction_setup([0.5], [1.0])
     with pytest.raises(ValueError, match="price_policy"):
-        allocate_auction(g2, decoded, budget, params, price_policy="cheapest")
+        allocate_auction(g2, decoded, budget, a, price_policy="cheapest")
 
 
 def test_allocate_auction_policies_differ_only_in_price():
-    g2, decoded, budget, params = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
-    a = allocate_auction(g2, decoded, budget, params, price_policy="max-winners")
-    b = allocate_auction(g2, decoded, budget, params, price_policy="certified")
+    g2, decoded, budget, threshold = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
+    a = allocate_auction(g2, decoded, budget, threshold, price_policy="max-winners")
+    b = allocate_auction(g2, decoded, budget, threshold, price_policy="certified")
     assert int(a.sum()) >= int(b.sum())
 
 
@@ -422,8 +412,7 @@ def test_allocate_auction_matches_scalar_oracle(pairs, policy):
     # reproduces the one-auction-at-a-time oracle bit for bit
     rng = np.random.default_rng(100 + pairs)
     g2, decoded, budget = _edge_block(rng, pairs)
-    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
-    served = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+    served = allocate_auction(g2, decoded, budget, 1.0, price_policy=policy)
     want, _ = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
     assert served.tolist() == want.tolist()
     assert not served[0].any()
@@ -440,9 +429,8 @@ def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
     # served masks agree away from requirement ties
     rng = np.random.default_rng(120)
     g2, decoded, budget = _edge_block(rng, 20, rows=60)
-    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
     for policy in ("max-winners", "certified"):
-        served = allocate_auction(g2, decoded, budget, params, price_policy=policy)
+        served = allocate_auction(g2, decoded, budget, 1.0, price_policy=policy)
         want, allocation = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
         tie = np.abs(allocation - 1.0 / g2) <= 1e-6 / g2
         assert (served == want)[~tie].all()
@@ -533,8 +521,7 @@ def test_allocate_auction_certified_fallback(monkeypatch):
         return alloc, exists & ~np.isin(gains[..., 0], odd), rho
 
     monkeypatch.setattr(auction, "_predict", rejecting)
-    params = DerivedParams(snr_threshold=1.0, decode_threshold=0.1)
-    served = allocate_auction(g2, decoded, budget, params)
+    served = allocate_auction(g2, decoded, budget, 1.0)
     for policy, rows in (("max-winners", slice(0, None, 2)), ("certified", slice(1, None, 2))):
         want, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, price_policy=policy)
         assert served[rows].tolist() == want.tolist()
@@ -547,12 +534,11 @@ def test_allocate_auction_memory_is_chunked():
         pairs=20, rate=0.5, source_power=power_from_snr_db(25.0),
         h_variance=0.0625, g_variance=0.0625,
     )
-    params = derive_params(config)
     h2, g2 = sample_block(1, 0, 16384, config)
-    decoded, _, budget = harvest(h2, config, params)
+    decoded, _, budget = harvest(h2, config)
     tracemalloc.start()
     try:
-        allocate_auction(g2, decoded, budget, params)
+        allocate_auction(g2, decoded, budget, config.snr_threshold)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

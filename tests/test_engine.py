@@ -10,13 +10,7 @@ from ehrelay.analytic import outage_individual, wf_worst_bounds
 from ehrelay import engine
 from ehrelay.cli import SweepSpec, run_sweep
 from ehrelay.engine import run_experiment, run_group, worst_case_equivalence_check
-from ehrelay.model import (
-    SystemConfig,
-    derive_params,
-    harvest,
-    power_from_snr_db,
-    sample_block,
-)
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
 from oracles import reference_draw
 
@@ -29,8 +23,7 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
 
 def evaluate_block(h2, g2, config, name):
     """Served mask of ``name`` on one block of draws."""
-    params = derive_params(config)
-    return allocate(name, Block(h2, g2, params.snr_threshold), *harvest(h2, config, params), config, params)
+    return allocate(name, Block(h2, g2, config.snr_threshold), *harvest(h2, config), config)
 
 
 def test_no_decode_means_all_outage():
@@ -43,7 +36,7 @@ def test_success_count_consistent_with_outage():
     config = cfg()
     trials = 50
     h2, g2 = sample_block(0, 0, trials, config)
-    decoded = h2 > derive_params(config).decode_threshold
+    decoded = h2 > config.decode_threshold
     for name in STRATEGY_NAMES:
         served = evaluate_block(h2, g2, config, name)
         assert not (served & ~decoded).any()
@@ -63,12 +56,11 @@ def test_block_evaluation_deterministic():
 def test_individual_outage_equals_direct_condition():
     # outage iff h2 <= eps or eta (P h2 - a) g2 < a, no allocation needed
     config = cfg(pairs=4)
-    params = derive_params(config)
     h2, g2 = sample_block(21, 0, 25_000, config)
-    decoded = h2 > params.decode_threshold
+    decoded = h2 > config.decode_threshold
     direct = ~decoded | (
-        config.eta * (config.source_power * h2 - params.snr_threshold) * g2
-        < params.snr_threshold
+        config.eta * (config.source_power * h2 - config.snr_threshold) * g2
+        < config.snr_threshold
     )
     served = evaluate_block(h2, g2, config, "individual")
     assert np.array_equal(~served, direct)
@@ -88,7 +80,7 @@ def test_vectorized_blocks_match_per_draw(name, monkeypatch):
     success_total = 0
     for block in range(4):
         h2, g2 = sample_block(5, block, 16, config)
-        budget = harvest(h2, config, derive_params(config))[2]
+        budget = harvest(h2, config)[2]
         served = evaluate_block(h2, g2, config, name)
         for t in range(16):
             ref = reference_draw(h2[t], g2[t], config, name)
@@ -102,6 +94,27 @@ def test_vectorized_blocks_match_per_draw(name, monkeypatch):
     assert report.worst == pytest.approx(fails_worst / trials)
     assert report.average == pytest.approx(outage_total / (trials * config.pairs))
     assert report.mean_success == pytest.approx(success_total / trials)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_price_policy_reaches_the_auction_kernel(workers, monkeypatch):
+    # at this point the certified price serves fewer pairs than the
+    # max-winners one, so a policy dropped on the way down would show
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 16)
+    config = cfg(pairs=3, snr_db=10.0)
+    trials = 64
+    default = run_experiment(config, "auction", trials, seed=5, workers=workers)
+    certified = run_experiment(config, "auction", trials, seed=5, workers=workers, price_policy="certified")
+    assert certified.mean_success < default.mean_success
+    served = [
+        reference_draw(h2[t], g2[t], config, "auction", price_policy="certified").served
+        for h2, g2 in (sample_block(5, block, 16, config) for block in range(4))
+        for t in range(16)
+    ]
+    counts = np.array([int(row.sum()) for row in served])
+    assert certified.mean_success == counts.sum() / trials
+    assert certified.best == float((counts == 0).sum()) / trials
+    assert certified.worst == float((counts < config.pairs).sum()) / trials
 
 
 def test_trials_one_is_the_single_trial():

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import (
-    SystemConfig,
-    derive_params,
-    harvest,
-    power_from_snr_db,
-    sample_block,
-)
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from ehrelay.strategies import Block
 from oracles import power_split_theta
 
@@ -37,7 +31,8 @@ def test_power_from_snr_db():
     ],
 )
 def test_derive_params(rate, power, a, eps):
-    p = derive_params(cfg(rate=rate, power=power))
+    # the derived thresholds: a = 2^(2R) - 1 and epsilon = a / P_s
+    p = cfg(rate=rate, power=power)
     assert p.snr_threshold == pytest.approx(a, rel=1e-12)
     assert p.decode_threshold == pytest.approx(eps, rel=1e-12)
 
@@ -92,8 +87,7 @@ def test_theta_range(power, h2, a):
 
 def test_harvest_worked_example():
     c = cfg(pairs=2, rate=0.5, power=10.0)
-    params = derive_params(c)
-    decoded, n, budget = harvest(np.array([[0.5, 0.05]]), c, params)
+    decoded, n, budget = harvest(np.array([[0.5, 0.05]]), c)
     assert n.tolist() == [1]
     assert decoded.tolist() == [[True, False]]
     assert budget[0] == pytest.approx(4.0)
@@ -101,41 +95,37 @@ def test_harvest_worked_example():
 
 def test_harvest_empty_set():
     c = cfg(pairs=3, rate=2.0, power=10.0)
-    params = derive_params(c)
-    decoded, n, budget = harvest(np.full((1, 3), 0.1), c, params)
+    decoded, n, budget = harvest(np.full((1, 3), 0.1), c)
     assert n[0] == 0 and not decoded.any()
     assert budget[0] == 0.0
 
 
 def test_harvest_threshold_is_strict():
     c = cfg(pairs=1, rate=0.5, power=10.0)
-    params = derive_params(c)
-    assert harvest(np.array([[params.decode_threshold]]), c, params)[1][0] == 0
+    assert harvest(np.array([[c.decode_threshold]]), c)[1][0] == 0
 
 
 def test_harvest_increasing_in_decoded_gain():
     c = cfg(pairs=2, rate=0.5, power=10.0)
-    params = derive_params(c)
-    budget = harvest(np.array([[0.5, 0.3], [0.6, 0.3]]), c, params)[2]
+    budget = harvest(np.array([[0.5, 0.3], [0.6, 0.3]]), c)[2]
     assert budget[1] > budget[0]
 
 
-def _row_major_budget(h2, config, params):
+def _row_major_budget(h2, config):
     """The budget as numpy sums each row of a C-order block."""
     h2 = np.ascontiguousarray(h2)
-    surplus = config.eta * (config.source_power * h2 - params.snr_threshold)
-    return np.where(h2 > params.decode_threshold, surplus, 0.0).sum(axis=1)
+    surplus = config.eta * (config.source_power * h2 - config.snr_threshold)
+    return np.where(h2 > config.decode_threshold, surplus, 0.0).sum(axis=1)
 
 
 def _block_budgets(pairs):
     """(budget of a Block's column-major h2, row-major reference) over SNRs and etas."""
     h2, g2 = sample_block(11, 0, 4096, cfg(pairs=pairs))
-    block = Block(h2, g2, derive_params(cfg(pairs=pairs)).snr_threshold)
+    block = Block(h2, g2, cfg(pairs=pairs).snr_threshold)
     for snr in (0.0, 20.0, 40.0):
         for eta in (1.0, 0.37):
             config = cfg(pairs=pairs, power=power_from_snr_db(snr), eta=eta)
-            params = derive_params(config)
-            yield harvest(block.h2, config, params)[2], _row_major_budget(h2, config, params)
+            yield harvest(block.h2, config)[2], _row_major_budget(h2, config)
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 3, 5, 7])
@@ -157,13 +147,12 @@ def test_harvest_budget_near_row_major_sum_from_eight_pairs(pairs):
 
 def test_harvest_on_column_major_block():
     c = cfg(pairs=5, power=1000.0, eta=0.5)
-    params = derive_params(c)
     h2, g2 = sample_block(2, 0, 64, c)
-    block = Block(h2, g2, params.snr_threshold)
-    decoded, n, budget = harvest(block.h2, c, params)
+    block = Block(h2, g2, c.snr_threshold)
+    decoded, n, budget = harvest(block.h2, c)
     assert decoded.flags.f_contiguous
     assert n.tolist() == [sum(row) for row in decoded.tolist()]
-    assert np.array_equal(decoded, h2 > params.decode_threshold)
+    assert np.array_equal(decoded, h2 > c.decode_threshold)
     assert (budget[n == 0] == 0.0).all()
 
 
@@ -202,7 +191,7 @@ def test_empirical_mean_within_one_percent():
 
 def test_empirical_decode_probability():
     c = cfg(pairs=1, rate=0.5, power=10.0)
-    eps = derive_params(c).decode_threshold
+    eps = c.decode_threshold
     h, _ = sample_block(1, 0, 1_000_000, c)
     phat = float((h > eps).mean())
     want = math.exp(-eps)
@@ -213,7 +202,7 @@ def test_empirical_decode_probability():
 def test_decoding_count_distribution():
     # N is binomial(M, e^{-eps})
     c = cfg(pairs=5, rate=2.0, power=100.0)
-    eps = derive_params(c).decode_threshold
+    eps = c.decode_threshold
     h, _ = sample_block(2, 0, 400_000, c)
     n = (h > eps).sum(axis=1)
     p = math.exp(-eps)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import SystemConfig, derive_params, harvest, power_from_snr_db
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db
 from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
 from oracles import brute_force_max_served, reference_draw
 
@@ -16,17 +16,16 @@ def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
     """One-draw block through ``allocate``; ``budget`` overrides the harvest.
 
     Returns the served mask of the single trial, the budget the kernel
-    saw, and the derived parameters.
+    saw, and the config (with its thresholds).
     """
     h2 = np.asarray(h2, dtype=float)[None, :]
     g2 = np.asarray(g2, dtype=float)[None, :]
     config = SystemConfig(pairs=h2.shape[1], rate=rate, source_power=power, eta=eta)
-    params = derive_params(config)
-    decoded, n, pr = harvest(h2, config, params)
+    decoded, n, pr = harvest(h2, config)
     if budget is not None:
         pr = np.array([budget])
-    served = allocate(name, Block(h2, g2, params.snr_threshold), decoded, n, pr, config, params)
-    return served[0], pr[0], params
+    served = allocate(name, Block(h2, g2, config.snr_threshold), decoded, n, pr, config)
+    return served[0], pr[0], config
 
 
 def test_individual_off_set_zero_and_values():
@@ -70,10 +69,10 @@ def test_equal_empty_decoding_set():
 
 def test_waterfill_worked_example():
     # budget 2, requirements (0.5, 1.0, 4.0): serve two, keep 0.5
-    served, _, params = run(
+    served, _, config = run(
         "waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=2.0
     )
-    assert params.snr_threshold == pytest.approx(1.0)
+    assert config.snr_threshold == pytest.approx(1.0)
     assert served.tolist() == [True, True, False]
     # a budget that covers the two requirements exactly still serves both
     served, _, _ = run("waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=1.5)
@@ -82,8 +81,8 @@ def test_waterfill_worked_example():
 
 def test_waterfill_all_served():
     g2 = np.array([1.0, 2.0])
-    served, pr, params = run("waterfill", [2.0, 2.0], g2)
-    need = params.snr_threshold / g2
+    served, pr, config = run("waterfill", [2.0, 2.0], g2)
+    need = config.snr_threshold / g2
     assert pr > need.sum()
     assert served.all()
 
@@ -138,12 +137,11 @@ def test_maxmin_equal_gains_match_equal_split():
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 def test_block_refuses_params_of_another_rate(name):
     config = SystemConfig(pairs=2, rate=0.5, source_power=10.0)
-    params = derive_params(config)
-    other = derive_params(SystemConfig(pairs=2, rate=1.0, source_power=10.0))
+    other = SystemConfig(pairs=2, rate=1.0, source_power=10.0)
     h2 = np.full((1, 2), 0.5)
     block = Block(h2, np.ones((1, 2)), other.snr_threshold)
     with pytest.raises(ValueError, match="snr_threshold"):
-        allocate(name, block, *harvest(h2, config, params), config, params)
+        allocate(name, block, *harvest(h2, config), config)
 
 
 @given(
@@ -168,12 +166,11 @@ def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ti
         SystemConfig(pairs=pairs, rate=1.0, source_power=power_from_snr_db(snr))
         for snr in (20.0, 0.0, 10.0, 30.0)
     ]
-    shared = Block(h2, g2, derive_params(configs[0]).snr_threshold)
+    shared = Block(h2, g2, configs[0].snr_threshold)
     for config in configs:
-        params = derive_params(config)
-        harvested = harvest(shared.h2, config, params)
-        served = allocate("waterfill", shared, *harvested, config, params)
-        alone = allocate("waterfill", Block(h2.copy(), g2.copy(), params.snr_threshold), *harvested, config, params)
+        harvested = harvest(shared.h2, config)
+        served = allocate("waterfill", shared, *harvested, config)
+        alone = allocate("waterfill", Block(h2.copy(), g2.copy(), config.snr_threshold), *harvested, config)
         assert np.array_equal(served, alone)
         counts = served.sum(axis=1)  # the engine's per-trial count
         assert counts.tolist() == [sum(row) for row in served.tolist()]
@@ -259,9 +256,8 @@ def test_waterfill_count_optimality(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 7))
     config = SystemConfig(pairs=n, rate=0.5, source_power=10.0)
-    params = derive_params(config)
-    h2 = rng.exponential(size=n) + params.decode_threshold  # all decoded
+    h2 = rng.exponential(size=n) + config.decode_threshold  # all decoded
     g2 = rng.exponential(size=n) + 1e-6
     served, pr, _ = run("waterfill", h2, g2)
-    best = brute_force_max_served(list(params.snr_threshold / g2), pr)
+    best = brute_force_max_served(list(config.snr_threshold / g2), pr)
     assert int(served.sum()) == best

@@ -13,7 +13,7 @@ import math
 import pytest
 
 from ehrelay.analytic import wf_worst_bounds
-from ehrelay.model import SystemConfig, derive_params, power_from_snr_db
+from ehrelay.model import SystemConfig, power_from_snr_db
 from oracles import wf_worst_upper_mp
 
 REL = 1e-12
@@ -108,7 +108,7 @@ def test_bounds_ordered_far_above_70_db(pairs, snr_db):
 
 def test_reference_table_matches_live_oracle():
     pairs, snr_db = 3, 70.0
-    eps = derive_params(config(pairs, snr_db)).decode_threshold
+    eps = config(pairs, snr_db).decode_threshold
     live = wf_worst_upper_mp(pairs, eps, 1.0)
     assert live == pytest.approx(REFERENCE[pairs, snr_db], rel=1e-15, abs=0.0)
 

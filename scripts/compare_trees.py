@@ -9,7 +9,8 @@ sweeps through each tree's ``ehrelay.cli.run_sweep`` and ``write_csv``:
 * the auction under both price policies at 3, 9, 20 and 40 pairs, and a
   20000-trial auction sweep that fills a whole 16384-trial block;
 * the four batched strategies at 1, 2, 7, 8, 12 and 30 pairs, 0-40 dB,
-  eta 0.61, with every analytic row.
+  eta 0.61, with every analytic row, and again at the success-count
+  figure's link variances 1/16 and rate 0.5 (1, 2, 7 and 20 pairs).
 
 Each tree runs in its own interpreter that imports ``ehrelay`` from that
 tree's ``src/`` (the two run side by side).  The script prints each
@@ -32,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 _METRICS = ("average", "best", "worst", "success")
 _BATCHED = ("individual", "equal", "waterfill", "maxmin")
 # the auction at the success-count figure's channel statistics
-_AUCTION = dict(strategies=("auction",), metrics=_METRICS, rate=0.5, h_variance=0.0625, g_variance=0.0625)
+_SUCCESS_CHANNELS = dict(rate=0.5, h_variance=0.0625, g_variance=0.0625)
+_AUCTION = dict(_SUCCESS_CHANNELS, strategies=("auction",), metrics=_METRICS)
 
 # sweep name -> SweepSpec fields
 SWEEPS = {
@@ -48,12 +50,20 @@ SWEEPS = {
         pairs=(1, 2, 7, 8, 12, 30), snr_db=tuple(float(s) for s in range(0, 41, 5)),
         strategies=_BATCHED, metrics=_METRICS, eta=0.61, trials=20_000, seed=7, mode="all",
     ),
+    "batched-scaled": dict(
+        _SUCCESS_CHANNELS, pairs=(1, 2, 7, 20), snr_db=tuple(float(s) for s in range(0, 41, 5)),
+        strategies=_BATCHED, metrics=_METRICS, eta=0.61, trials=20_000, seed=8, mode="all",
+    ),
 }
 QUICK = {
     "auction-quick": dict(_AUCTION, pairs=(3, 9), snr_db=(10.0, 20.0), trials=300, seed=5),
     "batched-quick": dict(
         pairs=(1, 8), snr_db=(0.0, 20.0, 40.0), strategies=_BATCHED, metrics=_METRICS,
         eta=0.61, trials=300, seed=7, mode="all",
+    ),
+    "batched-scaled-quick": dict(
+        _SUCCESS_CHANNELS, pairs=(1, 8), snr_db=(10.0, 25.0, 40.0), strategies=_BATCHED,
+        metrics=_METRICS, eta=0.61, trials=300, seed=8, mode="all",
     ),
 }
 

@@ -1,8 +1,10 @@
 """Closed-form outage probabilities, bounds, and high-SNR asymptotics.
 
-All results assume unit channel variances (i.i.d. Rayleigh links), unit
-noise, and the two-phase protocol of :mod:`ehrelay.model`.  Everything is
-built from two ingredients:
+All results are for i.i.d. Rayleigh links, unit noise, and the two-phase
+protocol of :mod:`ehrelay.model`, at any link variances: these scale out,
+so every form reads epsilon/sigma_h^2 as epsilon and eta sigma_g^2 as eta
+(``SystemConfig.unit_gain_thresholds``).  Everything is built from two
+ingredients:
 
 * the decoding-set size N is binomial with success probability
   exp(-epsilon) where epsilon = a / P_s, and
@@ -83,11 +85,6 @@ class WorstCaseBounds:
     quad_error: float
 
 
-def _require_unit_variances(config: SystemConfig, what: str) -> None:
-    if not config.unit_variances:
-        raise ValueError(f"{what} assumes unit channel variances")
-
-
 def _log_gamma_rule(n: int, log_z: float) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid nodes t = log S for S ~ Gamma(n, 1), and the log density there.
 
@@ -141,8 +138,7 @@ def outage_individual(config: SystemConfig) -> OutageSummary:
     Pairs are then i.i.d., so best/worst follow from the marginal by
     independence.
     """
-    _require_unit_variances(config, "outage_individual")
-    eps, eta = config.decode_threshold, config.eta
+    eps, eta = config.unit_gain_thresholds
     avg = -math.expm1(-eps) + math.exp(-eps) * _fail_moment(1, eps / eta, 1)
     m = config.pairs
     worst = -math.expm1(m * math.log1p(-avg)) if avg < 1.0 else 1.0
@@ -156,8 +152,7 @@ def outage_equal(config: SystemConfig) -> OutageSummary:
     case needs all M decoded and the least of their gains, Exp(M), above
     z/S: one pair of threshold M z.
     """
-    _require_unit_variances(config, "outage_equal")
-    eps, eta = config.decode_threshold, config.eta
+    eps, eta = config.unit_gain_thresholds
     m = config.pairs
     p = math.exp(-eps)
     q = -math.expm1(-eps)
@@ -177,8 +172,7 @@ def outage_wf_best(config: SystemConfig) -> float:
     The equal-power best case with the single-pair threshold eps/eta: the
     cheapest pair is served iff the whole budget covers its requirement.
     """
-    _require_unit_variances(config, "outage_wf_best")
-    eps, eta = config.decode_threshold, config.eta
+    eps, eta = config.unit_gain_thresholds
     return _all_fail(config.pairs, eps, lambda n: eps / eta)
 
 
@@ -220,9 +214,8 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     exp(-a(y)/w) dy (``upper_integral``), or with that mean taken inside
     the y-integral in closed form (``upper_closed``), the same bound.
     """
-    _require_unit_variances(config, "wf_worst_bounds")
     m = config.pairs
-    eps, eta = config.decode_threshold, config.eta
+    eps, eta = config.unit_gain_thresholds
     rate = eps / eta  # Gamma rate of the budget variable w
     fact = float(math.factorial(m - 1))
     pm = math.exp(-m * eps)
@@ -276,13 +269,12 @@ def asymptotic_outage(strategy: str, metric: str, config: SystemConfig):
     pooled = strategy == "equal" or (strategy, metric) == ("waterfill", "worst")
     if metric not in ("average", "best", "worst") or not (strategy == "individual" or pooled):
         raise ValueError(f"no asymptotic form for ({strategy!r}, {metric!r})")
-    _require_unit_variances(config, "asymptotic_outage")
-    eps, eta = config.decode_threshold, config.eta
+    eps, eta = config.unit_gain_thresholds
     m = config.pairs
     if eps > 0.05:
         warnings.warn(
             f"({strategy}, {metric}) at {10.0 * math.log10(config.source_power):.4g} dB, "
-            f"{m} pairs: epsilon = {eps:.3g} is outside the high-SNR regime; "
+            f"{m} pairs: epsilon/h_variance = {eps:.3g} is outside the high-SNR regime; "
             "the approximation may be poor",
             RuntimeWarning,
             stacklevel=2,

@@ -316,13 +316,15 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
                 )
             except ValueError as exc:
                 raise CLIError(str(exc)) from None
-            # the closed forms take the log of epsilon/eta, the budget's Gamma rate; it
-            # rounds to 0 when 2^(2 rate) - 1 or epsilon underflows, to inf at a tiny eta
-            ratio = config.decode_threshold / config.eta
+            # the closed forms take the log of epsilon/eta at unit variances, the budget's
+            # Gamma rate; it rounds to 0 when 2^(2 rate) - 1 or epsilon underflows, to inf
+            # at a tiny eta, and either way at extreme variances
+            eps, eta = config.unit_gain_thresholds
+            ratio = eps / eta if eta else math.inf
             if not 0.0 < ratio < math.inf:
                 raise CLIError(
                     f"snr {snr!r} dB, rate {spec.rate!r}, eta {spec.eta!r}: "
-                    f"epsilon/eta = {ratio!r} is not a positive finite float"
+                    f"(epsilon/h_variance)/(eta g_variance) = {ratio!r} is not a positive finite float"
                 )
     if spec.mode not in MODES:
         raise CLIError(f"unknown mode {spec.mode!r}")
@@ -335,11 +337,8 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     if spec.price_policy not in PRICE_POLICIES:
         raise CLIError(f"unknown price_policy {spec.price_policy!r}")
 
-    unit_variances = next(iter(configs.values())).unit_variances
-    plan = _analytic_plan(spec, unit_variances)
+    plan = _analytic_plan(spec)
     if spec.mode in ("exact", "asymptotic", "bounds"):
-        if not unit_variances:
-            raise CLIError(f"mode {spec.mode!r} requires unit link variances")
         for s in spec.strategies:
             for m in spec.metrics:
                 if spec.mode not in ANALYTIC_ROWS.get((s, m), {}):
@@ -358,14 +357,14 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     return configs, plan
 
 
-def _analytic_plan(spec: SweepSpec, unit_variances: bool) -> dict:
+def _analytic_plan(spec: SweepSpec) -> dict:
     """(pairs, strategy, metric) -> the (group, labels) of the analytic rows
     the sweep writes there, in row order (see ANALYTIC_ROWS)."""
     return {
         (pairs, s, m): [
             (group, labels)
             for group, labels in ANALYTIC_ROWS.get((s, m), {}).items()
-            if unit_variances and spec.mode in ("all", group)
+            if spec.mode in ("all", group)
             and not (pairs < 2 and (s, group) in _POOLED_ASYMPTOTICS)
         ]
         for pairs in spec.pairs

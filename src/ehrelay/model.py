@@ -43,7 +43,10 @@ class SystemConfig:
     g_variance:    second-hop |g|^2 mean, likewise
 
     Links are i.i.d. Rayleigh with one variance per hop, as in the
-    analysed model; a per-pair sequence of variances is refused.
+    analysed model; a per-pair sequence of variances is refused.  The
+    variances scale out (|h|^2 = h_variance |h'|^2 with |h'|^2 ~ Exp(1),
+    likewise g), so every closed form holds at any variances through
+    ``unit_gain_thresholds``.
     """
 
     pairs: int
@@ -68,10 +71,6 @@ class SystemConfig:
                 raise ValueError(f"{name} must be a finite positive float, got {value!r}")
 
     @property
-    def unit_variances(self) -> bool:
-        return self.h_variance == self.g_variance == 1.0
-
-    @property
     def snr_threshold(self) -> float:
         """a = 2^(2R) - 1, the post-processing SNR a link must clear for
         decoding at rate R over half the slot."""
@@ -83,6 +82,14 @@ class SystemConfig:
         decodes (and below which the power splitter sends everything to the
         energy harvester)."""
         return self.snr_threshold / self.source_power
+
+    @property
+    def unit_gain_thresholds(self) -> tuple[float, float]:
+        """(epsilon / h_variance, eta * g_variance): the decode threshold and
+        efficiency of the same system with unit link variances, which is what
+        every closed form reads.  A pair, not a config: eta * g_variance may
+        exceed 1."""
+        return self.decode_threshold / self.h_variance, self.eta * self.g_variance
 
 
 def sample_block(

@@ -1,9 +1,13 @@
 """Closed forms, bounds, and asymptotics against independent quadrature."""
 
 import math
+import warnings
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 from scipy import integrate
 
 from ehrelay.analytic import (
@@ -13,6 +17,7 @@ from ehrelay.analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
+from ehrelay.engine import run_group
 from ehrelay.model import SystemConfig, power_from_snr_db
 from oracles import (
     conditioned_sum_pdf,
@@ -190,11 +195,71 @@ def test_monotone_in_snr(maker):
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_unit_variance_guard():
-    config = SystemConfig(pairs=2, rate=2.0, source_power=100.0, h_variance=0.5)
-    for fn in (outage_individual, outage_equal, outage_wf_best, wf_worst_bounds):
-        with pytest.raises(ValueError, match="unit"):
-            fn(config)
+# ------------------------------------------------------ link variances
+
+# (h_variance, g_variance, eta, rate, pairs): the success-count figure's 2 m
+# quartic path loss, an eta g_variance above 1, and a strong first hop
+VARIANCE_SETTINGS = [(1 / 16, 1 / 16, 0.7, 0.5, 3), (0.5, 3.0, 0.9, 1.0, 4), (4.0, 0.25, 1.0, 2.0, 2)]
+
+
+@pytest.mark.parametrize("h_var, g_var, eta, rate, m", VARIANCE_SETTINGS)
+def test_closed_forms_match_monte_carlo_at_scaled_variances(h_var, g_var, eta, rate, m):
+    configs = [
+        SystemConfig(pairs=m, rate=rate, source_power=power_from_snr_db(snr), eta=eta,
+                     h_variance=h_var, g_variance=g_var)
+        for snr in (15.0, 25.0, 35.0)
+    ]
+    reports = run_group(configs, ("individual", "equal", "waterfill"), 200_000, seed=1)
+    checked = 0
+    for i, config in enumerate(configs):
+        # (Monte Carlo value, its stderr, the closed form or its sandwich)
+        cases = [
+            (getattr(reports[i, s], metric), getattr(reports[i, s], f"{metric}_stderr"), (exact, exact))
+            for s, form in (("individual", outage_individual), ("equal", outage_equal))
+            for metric, exact in asdict(form(config)).items()
+        ]
+        wf = reports[i, "waterfill"]
+        cases.append((wf.best, wf.best_stderr, (outage_wf_best(config),) * 2))
+        bounds = wf_worst_bounds(config)
+        cases.append((wf.worst, wf.worst_stderr, (bounds.lower, bounds.upper_integral)))
+        for mc, stderr, (lo, hi) in cases:
+            if mc in (0.0, 1.0):  # every draw agrees: a zero stderr tests nothing
+                continue
+            assert lo - 3.0 * stderr <= mc <= hi + 3.0 * stderr, (config, mc, stderr, lo, hi)
+            checked += 1
+    assert checked >= 15
+
+
+def _every_form(config):
+    """Each closed form, bound and asymptotic value at one point, as a flat list."""
+    values = [*astuple(outage_individual(config)), *astuple(outage_equal(config)), outage_wf_best(config)]
+    pooled = config.pairs > 1  # the worst-case bounds and pooled asymptotics need two pairs
+    if pooled:
+        values += astuple(wf_worst_bounds(config))[:3]  # not quad_error, an estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime points scale too
+        for strategy in ("individual", "equal", "waterfill")[: 3 if pooled else 1]:
+            for metric in ("worst",) if strategy == "waterfill" else ("average", "best", "worst"):
+                values += np.atleast_1d(asymptotic_outage(strategy, metric, config)).tolist()
+    return values
+
+
+@given(
+    h_var=hst.sampled_from([1 / 16, 0.5, 1.0, 3.0]),
+    g_var=hst.sampled_from([1 / 16, 0.25, 1.0, 2.0]),
+    eta=hst.sampled_from([0.1, 0.45, 0.61, 1.0]),
+    m=hst.integers(min_value=1, max_value=4),
+    snr=hst.sampled_from([0.0, 12.5, 25.0, 40.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_variances_scale_out_of_every_form(h_var, g_var, eta, m, snr):
+    # |h|^2 = h_var |h'|^2 and |g|^2 = g_var |g'|^2 with unit-mean h', g': the
+    # same system at unit variances, source power P_s h_var and efficiency eta g_var
+    assume(eta * g_var <= 1.0)
+    power = power_from_snr_db(snr)
+    config = SystemConfig(pairs=m, rate=1.0, source_power=power, eta=eta, h_variance=h_var, g_variance=g_var)
+    twin = SystemConfig(pairs=m, rate=1.0, source_power=power * h_var, eta=eta * g_var)
+    assert _every_form(config) == pytest.approx(_every_form(twin), rel=1e-12, abs=0.0)
 
 
 # ----------------------------------------------------------------- bounds

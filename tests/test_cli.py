@@ -277,10 +277,28 @@ def test_run_sweep_rejects_exact_for_auction():
         run_sweep(spec)
 
 
-def test_run_sweep_rejects_exact_with_scaled_variances():
-    spec = dataclasses.replace(SMALL, mode="exact", h_variance=0.5, g_variance=0.5)
-    with pytest.raises(CLIError, match="unit link variances"):
-        run_sweep(spec)
+def test_run_sweep_exact_rows_at_scaled_variances():
+    spec = dataclasses.replace(SMALL, mode="exact", strategies=("equal",), h_variance=0.5, g_variance=0.5)
+    rows = run_sweep(spec)
+    assert len(rows) == len(spec.snr_db) * len(spec.pairs) * len(spec.metrics)
+    for row in rows:
+        power = power_from_snr_db(float(row["snr_db"]))
+        config = SystemConfig(pairs=int(row["pairs"]), rate=2.0, source_power=power, h_variance=0.5, g_variance=0.5)
+        assert row["method"] == "exact"
+        assert row["value"] == repr(getattr(outage_equal(config), row["metric"]))
+
+
+def test_mode_all_writes_every_analytic_group_at_scaled_variances():
+    spec = dataclasses.replace(SMALL, pairs=(3,), snr_db=(20.0,), strategies=("equal", "waterfill"),
+                               metrics=("worst",), mode="all", h_variance=1 / 16, g_variance=1 / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # 20 dB at 1/16 is out of the high-SNR regime
+        methods = [(row["strategy"], row["method"]) for row in run_sweep(spec)]
+    assert methods == [
+        ("equal", "mc"), ("equal", "exact"), ("equal", "asymptotic"),
+        ("waterfill", "mc"), ("waterfill", "asymptotic-lower"), ("waterfill", "asymptotic-upper"),
+        ("waterfill", "bound-lower"), ("waterfill", "bound-upper-integral"), ("waterfill", "bound-upper-closed"),
+    ]
 
 
 def test_exact_rows_come_from_the_closed_form_table(monkeypatch):
@@ -461,6 +479,26 @@ def test_main_refuses_more_than_max_workers(argv, monkeypatch, capsys):
     monkeypatch.setattr("ehrelay.cli.run_sweep", None)
     assert main(argv) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # epsilon/eta = 0.015 at 30 dB: divided by 1e-600 it rounds to inf, by 1e600 to 0
+        "h_variance = 1e-300\ng_variance = 1e-300\n",
+        "h_variance = 1e300\ng_variance = 1e300\n",
+        "eta = 5e-324\ng_variance = 0.5\n",  # eta g_variance rounds to 0
+    ],
+)
+@pytest.mark.parametrize("mode", ["mc", "all"])
+def test_main_refuses_variances_whose_scaled_ratio_leaves_float_range(text, mode, tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"snr_db = 30\nmode = {mode}\n{text}")
+    for extra in (["--dump-config"], []):
+        assert main(["--config", str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr 30.0 dB, rate 2.0, eta ")
+        assert ": (epsilon/h_variance)/(eta g_variance) = " in err
 
 
 def test_main_refuses_negative_seed_in_config(tmp_path, capsys):

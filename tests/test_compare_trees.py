@@ -19,7 +19,7 @@ def _compare(other: Path) -> subprocess.CompletedProcess:
 def test_tree_matches_itself():
     run = _compare(ROOT)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.count("identical") == 2
+    assert run.stdout.count("identical") == 3
 
 
 def test_changed_draws_are_reported(tmp_path):
@@ -31,4 +31,4 @@ def test_changed_draws_are_reported(tmp_path):
     model.write_text(text.replace("SeedSequence((seed, block_index))", "SeedSequence((seed + 1, block_index))"))
     run = _compare(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
-    assert run.stdout.count("first difference at row") == 2
+    assert run.stdout.count("first difference at row") == 3

@@ -60,9 +60,9 @@ def test_config_validation(bad):
 def test_variance_is_one_scalar_per_hop():
     c = cfg(pairs=3, h_variance=0.5, g_variance=2.0)
     assert (c.h_variance, c.g_variance) == (0.5, 2.0)
-    assert not c.unit_variances
-    assert not cfg(g_variance=0.5).unit_variances
-    assert cfg().unit_variances
+    assert c.unit_gain_thresholds == (c.decode_threshold / 0.5, c.eta * 2.0)
+    assert cfg(eta=0.6, g_variance=3.0).unit_gain_thresholds[1] == 0.6 * 3.0  # may exceed 1
+    assert cfg().unit_gain_thresholds == (cfg().decode_threshold, 1.0)
 
 
 def test_theta_boundary_and_clamp():

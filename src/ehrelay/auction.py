@@ -44,9 +44,12 @@ __all__ = [
 LN2 = math.log(2.0)
 B_MAX = 1e12  # stand-in for an unbounded bid when T_i >= P_r
 PRICE_POLICIES = ("max-winners", "certified")  # see allocate_auction
-# elements of the max-winners scan's (rows, 2 pairs + 1, pairs) arrays per
-# chunk of rows: bounds its memory and keeps each array in a core's cache
-_CHUNK_ELEMENTS = 1 << 14
+# rungs of the max-winners ladder scored per chunk of rows: bounds the
+# scan's memory (its largest arrays hold one entry per rung)
+_CHUNK_RUNGS = 1 << 14
+# multiple of the demand's rounding error bound that the max-winners scan
+# allows for (2 would do: see _ladder_scores)
+_DEMAND_SLACK = 4.0
 _TOLERANCE = 1e-10  # relative sup-norm stop of the best-response dynamics
 _MAX_ITERATIONS = 500  # and their iteration cap
 # spectral radius below which a max-winners candidate price counts as
@@ -297,6 +300,130 @@ def select_price(g2, total_power):
     return float(price[0]) if single else price
 
 
+def _boundary(holds, base, width: int) -> np.ndarray:
+    """First offset k in [0, width] at which ``holds`` turns true, per entry.
+
+    ``holds(i)`` tests the flat positions ``i = base + k`` of each entry's
+    row, k below the row stride 2^L, the least power of two above
+    ``width``; along a row it must be false, then true, and it should hold
+    on the padding from ``width`` on (the result is clipped to ``width``).
+    Binary lifting: L = ceil(log2(width + 1)) fixed steps of one gather.
+    """
+    last = base - 1  # the last position known to fail
+    for step in (1 << b for b in reversed(range(width.bit_length()))):
+        last += step
+        last -= step * holds(last)
+    return np.minimum(last - base + 1, width)
+
+
+def _ladder_scores(g2, total_power, snr_threshold):
+    """A chunk's ladders and the served count of every usable rung (else -1).
+
+    The rungs come from the row-sorted gains s, so each of ``_predict``'s
+    per-pair decisions at a rung's level A = 1/(2 ln2 pi) (a pair's target
+    is A - 1/s) is an exact float test
+    monotone along the sorted pairs: live ``A > 1/s``, capped ``A - 1/s >=
+    P_r``, uncapped served ``max(A - 1/s, 0) >= a/s`` (the grant is the
+    target, or 0) and capped served ``share >= a/s``; ``_boundary`` finds
+    where each turns.  The demand, the interior targets' sum, comes from
+    prefix sums of 1/s within delta of whatever order ``_predict`` adds
+    the targets in.  Every step from the demand to the capped share is
+    monotone, so usability and the capped served count at demand -/+
+    delta bracket the exact ones; where the two ends differ, the rung is
+    scored by ``_predict`` itself.
+    """
+    rows, m = g2.shape
+    p = total_power[:, None]
+    s = np.sort(g2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        candidates = np.concatenate([
+            full_budget_price(s, p) * (1.0 - 1e-3),
+            # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold)); just
+            # below it the grant clears the requirement despite the dynamics' rounding
+            s / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
+            quit_price(s[:, -1:]) * (1.0 - 1e-6),
+        ], axis=1)
+        # 1/s, a/s and the prefix sums of 1/s over positive gains, each row padded
+        # to the stride of _boundary with -inf, where every test holds
+        stride = 1 << m.bit_length()
+        inv, need, prefix = np.full((3, rows, stride), -np.inf)
+        np.divide(1.0, s, out=inv[:, :m])
+        np.divide(snr_threshold, s, out=need[:, :m])
+        prefix[:, 0] = 0.0
+        np.cumsum(np.where(s > 0.0, inv[:, :m], 0.0), axis=1, out=prefix[:, 1:m + 1])
+        inv, need, prefix = inv.ravel(), need.ravel(), prefix.ravel()
+        # only a positive price can win (an undecoded pair adds two zero rungs)
+        rung = np.flatnonzero(candidates > 0.0)
+        row = rung // candidates.shape[1]
+        level = 1.0 / (2.0 * LN2 * candidates.ravel()[rung])
+        pr, base = total_power[row], row * stride
+        live = _boundary(lambda i: level > inv[i], base, m)
+        cap = _boundary(lambda i: level - inv[i] >= pr, base, m)
+        below_live, below_cap = prefix[base + live], prefix[base + cap]
+        reach = (cap - live) * level
+        demand = reach - (below_cap - below_live)
+        # _predict's sum of the targets, in any order, and this difference of prefix
+        # sums each err by under (M + 2) 2^-53 (reach + below_cap + below_live)
+        delta = _DEMAND_SLACK * (m + 2) * 2.0**-53 * (reach + below_cap + below_live)
+        sure = demand + delta < pr
+        unsure = ~sure & ~(demand - delta >= pr)
+        # score the sure rungs
+        u = np.flatnonzero(sure)
+        level, pr, base, cap, demand, delta = (x[u] for x in (level, pr, base, cap, demand, delta))
+        uncapped = _boundary(lambda i: np.maximum(level - inv[i], 0.0) >= need[i], base, m)
+        count = cap - np.minimum(uncapped, cap)
+
+        def share(d):
+            # each capped pair's grant at demand d, step for step as in _predict
+            sigma = d / pr
+            reserve = _RESERVE_FRACTION * pr
+            total_bids = ((m - cap) * B_MAX + sigma * reserve) / (1.0 - sigma)
+            return B_MAX / (total_bids + reserve) * pr
+
+        low, high = share(demand + delta), share(demand - delta)
+        served = np.maximum(_boundary(lambda i: low >= need[i], base, m), cap)
+        count += m - served
+        # the pair just below the boundary would count at the high end
+        unsure[u] = (served > cap) & (need[base + np.maximum(served, 1) - 1] <= high)
+    scores = np.full(candidates.shape, -1)
+    scores.ravel()[rung[u]] = count
+    if (v := np.flatnonzero(unsure)).size:
+        gains, p = g2[row[v]], total_power[row[v], None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            price = candidates.ravel()[rung[v], None]
+            alloc, usable, _ = _predict(price, p, gains, _RESERVE_FRACTION * p)
+            exact = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
+        scores.ravel()[rung[v]] = np.where(usable, exact, -1)
+    return candidates, scores
+
+
+def _chunk_price(g2, total_power, snr_threshold):
+    """Max-winners prices of a chunk of rows (NaN where no rung is usable).
+
+    Rungs are tried best first, by served count and then price.  Each
+    row's best rung is checked by ``_predict`` on the row's own pair order
+    (equilibrium and radius test, as in a full scan), and a row whose rung
+    fails moves on to its next best.
+    """
+    candidates, scores = _ladder_scores(g2, total_power, snr_threshold)
+    price = np.full(len(g2), np.nan)
+    rows = np.flatnonzero(scores.max(axis=1) >= 0)
+    while rows.size:
+        best = scores[rows]
+        most = best.max(axis=1, keepdims=True)
+        top = np.where(best == most, candidates[rows], -np.inf).max(axis=1)
+        p = total_power[rows, None]
+        with np.errstate(invalid="ignore"):
+            _, usable, rho = _predict(top[:, None], p, g2[rows], _RESERVE_FRACTION * p)
+        ok = usable & _radius_below(rho, _RADIUS_LIMIT)
+        price[rows[ok]] = top[ok]
+        # a rejected price is rejected at every rung that repeats it
+        rows, top = rows[~ok], top[~ok]
+        scores[rows] = np.where(candidates[rows] == top[:, None], -1, scores[rows])
+        rows = rows[scores[rows].max(axis=1) >= 0]
+    return price
+
+
 def winner_maximizing_price(g2, total_power, snr_threshold: float):
     """Price that maximizes the number of served pairs at equilibrium.
 
@@ -314,31 +441,18 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
     spectral radius >= ``_RADIUS_LIMIT``, or interior demand exceeding the
     budget) are discarded.  Ties go to the higher price: it sells less
     power for the same service.  Falls back to the certified price when
-    no candidate survives.  A block's ladders are scanned at once.
+    no candidate survives.  A block is priced in chunks of rows; each
+    rung's count comes from boundary searches on the sorted gains (see
+    ``_ladder_scores``), equal bit for bit to scoring it with
+    ``_predict``, and only the winning rung's radius is computed.
     """
     g2, total_power, single = _block(g2, total_power)
-    p = total_power[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        candidates = np.concatenate([
-            full_budget_price(g2, p) * (1.0 - 1e-3),
-            # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold)); just
-            # below it the grant clears the requirement despite the dynamics' rounding
-            g2 / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
-            quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
-        ], axis=1)
-        # only a positive price can win (an undecoded pair adds two zero rungs):
-        # score the live rungs, each on its row's contiguous pairs; the reserve
-        # is for ranking only, xi shifts capped shares by O(xi/B_MAX)
-        r, c = np.nonzero(candidates > 0.0)
-        gains, p = g2[r], p[r]
-        alloc, usable, rho = _predict(candidates[r, c, None], p, gains, _RESERVE_FRACTION * p)
-        count = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
-    ok = usable & _radius_below(rho, _RADIUS_LIMIT)
-    served = np.full(candidates.shape, -1)
-    served[r[ok], c[ok]] = count[ok]
-    most = served.max(axis=1, keepdims=True)
-    price = np.where(served == most, candidates, -np.inf).max(axis=1)
-    if (fallback := most[:, 0] < 0).any():
+    chunk = max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1))
+    price = np.concatenate([np.zeros(0)] + [
+        _chunk_price(g2[i:i + chunk], total_power[i:i + chunk], snr_threshold)
+        for i in range(0, len(g2), chunk)
+    ])
+    if (fallback := np.isnan(price)).any():
         price[fallback] = select_price(g2[fallback], total_power[fallback])
     return float(price[0]) if single else price
 
@@ -353,11 +467,11 @@ def allocate_auction(
     (trials,).  In each trial the decoded pairs bid for the budget P_r:
     the relay reserves ``xi = 0.01 P_r`` and prices the budget by policy,
     "max-winners" scanning for the price serving the most pairs against
-    the requirement ``snr_threshold / g2``, "certified" taking the cheapest
+    the requirement ``snr_threshold / g2`` (``winner_maximizing_price``,
+    in chunks of rows), "certified" taking the cheapest
     contraction-certified price (scaled by 1.05).  Pairs priced out of the
-    market get nothing; the unsold remainder stays at the relay.  The
-    max-winners scan runs in chunks of rows sized from the pair count.
-    Returns the served mask.
+    market get nothing; the unsold remainder stays at the relay.  Returns
+    the served mask.
     """
     if price_policy not in PRICE_POLICIES:
         raise ValueError(f"unknown price_policy {price_policy!r}")
@@ -366,11 +480,7 @@ def allocate_auction(
     gains = np.where(decoded[rows], g2[rows], 0.0)
     pr = budget[rows]
     if price_policy == "max-winners":
-        chunk = max(1, _CHUNK_ELEMENTS // ((2 * g2.shape[1] + 1) * g2.shape[1]))
-        price = np.concatenate([np.zeros(0)] + [
-            winner_maximizing_price(gains[i:i + chunk], pr[i:i + chunk], snr_threshold)
-            for i in range(0, rows.size, chunk)
-        ])
+        price = winner_maximizing_price(gains, pr, snr_threshold)
     else:
         price = select_price(gains, pr)
     _, alloc, _, converged, residual = _bid_dynamics(gains, pr, price, _RESERVE_FRACTION * pr)

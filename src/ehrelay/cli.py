@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -383,14 +384,21 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
     configs, plan = _validate_spec(spec)
     # analytic values first, once per point: one that overflows refuses the sweep before any draw
     analytic = {}
-    for (snr, pairs), config in configs.items():
-        point = functools.cache(lambda f, *args, config=config: f(*args, config))
-        for (p, s, m), groups in plan.items():
-            for group, _ in groups if p == pairs else ():
-                try:
-                    analytic[snr, p, s, m, group] = ANALYTIC_FORMS[s, group](point, m)
-                except OverflowError:
-                    raise CLIError(f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows") from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for (snr, pairs), config in configs.items():
+            point = functools.cache(lambda f, *args, config=config: f(*args, config))
+            for (p, s, m), groups in plan.items():
+                for group, _ in groups if p == pairs else ():
+                    try:
+                        analytic[snr, p, s, m, group] = ANALYTIC_FORMS[s, group](point, m)
+                    except OverflowError:
+                        raise CLIError(
+                            f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows"
+                        ) from None
+    # the closed forms' warnings, re-issued so that they name run_sweep's caller
+    for w in caught:
+        warnings.warn(w.message, stacklevel=2)
     # Monte Carlo reports by pair count, then by (snr index, strategy)
     mc = {}
     if spec.mode in ("mc", "all"):

@@ -18,9 +18,10 @@ These deliberately avoid the library code paths they are checking:
   rounds, and the exact spectral radius from ``np.linalg.eigvals``; the
   reference for the library's block-batched auction.
 * ``ladder_winner_price``: the max-winners price scan that scores every
-  rung of every row's ladder on (rows, 2 pairs + 1, pairs) arrays, zero
-  and negative rungs included; the bitwise reference for the library's
-  scan over the live rungs alone.
+  rung of every row's ladder with ``_predict`` and the radius test on
+  (rows, 2 pairs + 1, pairs) arrays, zero and negative rungs included;
+  the bitwise reference for the library's boundary searches on sorted
+  gains.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
 * ``prob_decoding_count`` and ``conditioned_sum_pdf``: the two

@@ -491,7 +491,8 @@ def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
         price = winner_maximizing_price(gains, budget, snr_threshold)
         assert price.tobytes() == ladder_winner_price(gains, budget, snr_threshold).tobytes()
     # every rung of every third row is rejected (the rows are told apart by
-    # their largest gain), so those rows take the certified price
+    # their largest gain): the scan confirms each row's winning rung with
+    # _predict, so those rows run out of rungs and take the certified price
     fallback = np.arange(len(gains)) % 3 == 0
     predict, rejected = auction._predict, gains[fallback].max(axis=1)
 
@@ -505,6 +506,74 @@ def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
     assert price[fallback].tobytes() == select_price(gains[fallback], budget[fallback]).tobytes()
 
 
+def _ladder_block(seed, rows, pairs, copies, rounded, undecoded):
+    """Gains and budgets over four decades; optionally columns copied from
+    other columns, gains rounded to 2 decimals (exact ties) and undecoded
+    (zero) pairs, with a positive gain left in every row."""
+    rng = np.random.default_rng(seed)
+    g2 = rng.exponential(1.0, (rows, pairs)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1))
+    if copies:
+        g2 = g2[:, rng.integers(0, pairs, pairs)]
+    if rounded:
+        g2 = np.round(g2, 2)
+    if undecoded:
+        g2[rng.random((rows, pairs)) < 0.4] = 0.0
+    g2[g2.max(axis=1) == 0.0, 0] = 1.0
+    return g2, 10.0 ** rng.uniform(-2.0, 2.0, rows)
+
+
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    pairs=hst.integers(min_value=1, max_value=128),
+    rows=hst.integers(min_value=1, max_value=12),
+    copies=hst.booleans(),
+    rounded=hst.booleans(),
+    undecoded=hst.booleans(),
+    snr_threshold=hst.sampled_from([1e-3, 1.0, 30.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_winner_price_equals_full_ladder_bit_for_bit(
+    seed, pairs, rows, copies, rounded, undecoded, snr_threshold
+):
+    # the boundary searches on sorted gains decide exactly what scoring every
+    # rung with _predict decides, ties and repeated gains included
+    g2, budget = _ladder_block(seed, rows, pairs, copies, rounded, undecoded)
+    price = winner_maximizing_price(g2, budget, snr_threshold)
+    assert price.tobytes() == ladder_winner_price(g2, budget, snr_threshold).tobytes()
+
+
+@pytest.mark.parametrize("slack", [1e10, math.inf])
+@pytest.mark.parametrize("pairs", [1, 3, 20, 64])
+def test_winner_price_with_a_widened_demand_bound(pairs, slack, monkeypatch):
+    # a wider demand error bound leaves rungs whose capped served count (at
+    # 1e10) or usability (at inf, every live rung) it cannot decide; _predict
+    # scores those rungs itself, and the prices do not change
+    monkeypatch.setattr(auction, "_DEMAND_SLACK", slack)
+    predict, scored = auction._predict, []
+
+    def counting(price, total_power, g, reserve):
+        scored.append(len(g))
+        return predict(price, total_power, g, reserve)
+
+    monkeypatch.setattr(auction, "_predict", counting)
+    for i, snr_threshold in enumerate((1e-3, 1.0, 30.0)):
+        g2, budget = _ladder_block(300 + i, 40, pairs, True, True, True)
+        scored.clear()
+        price = winner_maximizing_price(g2, budget, snr_threshold)
+        assert price.tobytes() == ladder_winner_price(g2, budget, snr_threshold).tobytes()
+        if slack == math.inf:  # two rungs per positive gain and the top rung
+            assert scored[0] == 2 * np.count_nonzero(g2) + len(g2)
+
+
+def test_winner_price_serves_pairs_whose_requirement_underflows():
+    # a/g2 rounds to 0 for these gains, so even a priced-out pair (grant 0)
+    # meets its requirement and counts as served
+    g2, budget = np.array([[1e300, 2e300, 3e300], [1e300, 1e300, 4e300]]), np.array([1.0, 1e-5])
+    assert (1e-30 / g2 == 0.0).all()
+    price = winner_maximizing_price(g2, budget, 1e-30)
+    assert price.tobytes() == ladder_winner_price(g2, budget, 1e-30).tobytes()
+
+
 def test_allocate_auction_certified_fallback(monkeypatch):
     # a max-winners row whose every candidate is rejected takes the
     # certified price; odd rows of the block are made to fall back
@@ -513,7 +582,8 @@ def test_allocate_auction_certified_fallback(monkeypatch):
     decoded = np.ones((40, 3), dtype=bool)
     budget = 10.0 ** rng.uniform(-1.0, 1.0, 40)
     # every candidate scored on an odd row's gains (told apart by the first
-    # gain, which no two rows share) is made to have no equilibrium
+    # gain, which no two rows share) is made to have no equilibrium; the scan
+    # confirms each winning rung with _predict, so it rejects them all
     predict, odd = auction._predict, g2[1::2, 0]
 
     def rejecting(price, total_power, gains, reserve):

@@ -271,6 +271,20 @@ def test_main_refuses_an_asymptotic_value_that_overflows(strategy, monkeypatch, 
     assert "at snr -30.0 dB, 100 pairs overflows" in capsys.readouterr().err
 
 
+def test_run_sweep_regime_warnings_name_its_caller():
+    # 10 dB is outside the asymptotics' high-SNR regime: each warning names
+    # this file, not the closure in run_sweep that evaluated the closed form
+    spec = dataclasses.replace(SMALL, snr_db=(10.0,), pairs=(3,), strategies=("equal",),
+                               metrics=("best",), mode="asymptotic")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_sweep(spec)
+    assert [row["method"] for row in rows] == ["asymptotic"]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "outside the high-SNR regime" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
 def test_run_sweep_rejects_exact_for_auction():
     spec = dataclasses.replace(SMALL, strategies=("auction",), mode="exact")
     with pytest.raises(CLIError, match="no exact method"):

@@ -8,7 +8,8 @@ sweeps through each tree's ``ehrelay.cli.run_sweep`` and ``write_csv``:
 
 * the auction under both price policies at 3, 9, 20 and 40 pairs, a
   20000-trial auction sweep that fills a whole 16384-trial block, and the
-  max-winners auction at 64 and 128 pairs with unit link variances;
+  max-winners auction at 64 and 128 pairs with unit link variances, and
+  at 130 and 256 pairs, where numpy adds up a row of bids as two halves;
 * the four batched strategies at 1, 2, 7, 8, 12 and 30 pairs, 0-40 dB,
   eta 0.61, with every analytic row, and again at the success-count
   figure's link variances 1/16 and rate 0.5 (1, 2, 7 and 20 pairs).
@@ -50,6 +51,10 @@ SWEEPS = {
     "auction-large": dict(
         rate=0.5, pairs=(64, 128), snr_db=(10.0, 20.0, 30.0), strategies=("auction",),
         metrics=_METRICS, trials=1000, seed=9,
+    ),
+    "auction-wide": dict(
+        rate=0.5, pairs=(130, 256), snr_db=(10.0, 20.0), strategies=("auction",),
+        metrics=_METRICS, trials=200, seed=10,
     ),
     "batched": dict(
         pairs=(1, 2, 7, 8, 12, 30), snr_db=tuple(float(s) for s in range(0, 41, 5)),

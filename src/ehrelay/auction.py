@@ -52,6 +52,12 @@ _CHUNK_RUNGS = 1 << 14
 _DEMAND_SLACK = 4.0
 _TOLERANCE = 1e-10  # relative sup-norm stop of the best-response dynamics
 _MAX_ITERATIONS = 500  # and their iteration cap
+# working-set size below which the bid dynamics run row-major, on numpy's own row
+# sum (one call where the column-major one is about nine at 20 pairs): on the
+# fig-success-count 10 dB block (1969 x 20, mostly tail rounds; one CPU, numpy
+# 2.4.6) they took 6.7 ms column-major throughout and 4.4-4.5 ms switching at 8
+# to 128 rows (the 15 dB block 18.9 and 16.1-17.4 ms; 20 and 25 dB did not move)
+_COLUMN_MAJOR_ROWS = 64
 # spectral radius below which a max-winners candidate price counts as
 # comfortably convergent
 _RADIUS_LIMIT = 0.93
@@ -199,6 +205,43 @@ def predict_allocation(price: float, total_power: float, g2, reserve: float) -> 
     return alloc[0] if exists[0] else None
 
 
+def _row_sums(a, acc, out):
+    """``a.sum(axis=1)`` of a column-major block, bit for bit, by column adds.
+
+    numpy adds up a contiguous row of n terms pairwise: under 8 terms in
+    order; up to 128 as 8 partial sums over blocks of 8 columns, combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in
+    order; above 128 as the sum of two halves, split at n/2 rounded down
+    to a multiple of 8.  This does the same over whole columns.  ``acc``
+    is a (rows, 8) column-major scratch block; no entry may be -0.0 (numpy
+    starts its sum from +0.0).
+    """
+    n = a.shape[1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _row_sums(a[:, :half], acc, out)
+        return np.add(out, _row_sums(a[:, half:], acc, np.empty_like(out)), out=out)
+    if n < 8:
+        np.copyto(out, a[:, 0])
+        end = 1
+    else:
+        end = n - n % 8
+        np.copyto(acc, a[:, :8])
+        for j in range(8, end, 8):
+            np.add(acc, a[:, j:j + 8], out=acc)
+        np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
+        np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
+        np.add(acc[:, 0], acc[:, 4], out=out)
+    for j in range(end, n):
+        np.add(out, a[:, j], out=out)
+    return out
+
+
+def _keep_rows(a, keep, column_major: bool) -> np.ndarray:
+    """Rows ``keep`` of a (rows, pairs) array, gathered into the given layout."""
+    return np.compress(keep, a.T, axis=1).T if column_major else np.compress(keep, a, axis=0)
+
+
 def _bid_dynamics(g2, total_power, price, reserve):
     """Best-response dynamics of every row from the all-ones bid vector.
 
@@ -207,30 +250,48 @@ def _bid_dynamics(g2, total_power, price, reserve):
     residual are those of its own run.  Returns (bids, allocation,
     iterations, converged, residual) per row; the allocation applies the
     share rule to the final bids.
+
+    While at least ``_COLUMN_MAJOR_ROWS`` rows run, the working arrays are
+    column-major, so each step of a round is a few column-long numpy calls
+    into two buffers swapped every round; below that they are row-major.
+    Either way a row's others-sum is numpy's pairwise sum of its row
+    (``_row_sums`` reproduces it over columns), so every bid, residual
+    and iteration count equals that of the row run alone, in any layout.
     """
+    column_major = g2.shape[0] >= _COLUMN_MAJOR_ROWS
+    g = np.asarray(g2, order="F" if column_major else "C")
     # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
-    weights = response_weights(price[:, None], total_power[:, None], g2)
-    cap = np.where(interior_target(price[:, None], g2) >= total_power[:, None], B_MAX, 0.0)
-    bids = np.empty_like(weights)
+    w = response_weights(price[:, None], total_power[:, None], g)
+    cap = np.where(interior_target(price[:, None], g) >= total_power[:, None], B_MAX, 0.0)
+    # adding a cap of +0 to terms >= +0 changes no bit, so a set without one skips it
+    cap = cap if cap.any() else None
+    b = (g > 0.0).astype(float)
+    del g
+    bids = np.empty(g2.shape)
     iterations = np.full(g2.shape[0], _MAX_ITERATIONS)
     residual = np.empty(g2.shape[0])
     # the working set: rows[k] is row k of b, w, xi and cap; a row that stops is
     # recorded and marked off, and the set is compacted once a quarter has stopped
     rows = np.arange(g2.shape[0])
-    b, w, xi = (g2 > 0.0).astype(float), weights, reserve[:, None]
+    xi = reserve[:, None]
     active = np.ones(rows.size, dtype=bool)
+    new, sums, acc = np.empty_like(b), np.empty(rows.size), np.empty((rows.size, 8), order="F")
     for it in range(1, _MAX_ITERATIONS + 1):
-        new = b.sum(axis=1, keepdims=True) - b
+        if column_major:
+            _row_sums(b, acc, sums)
+        else:
+            b.sum(axis=1, out=sums)
+        np.subtract(sums[:, None], b, out=new)
         new += xi
         new *= w
-        new += cap
+        if cap is not None:
+            new += cap
         b -= new
         np.abs(b, out=b)
-        # bids are non-negative, so |new| is new; a max is exact in any order, and
-        # numpy takes it over a column-major copy faster than over short rows
-        res = np.asfortranarray(b).max(axis=1) / np.maximum(1.0, np.asfortranarray(new).max(axis=1))
-        b = new
+        # bids are non-negative, so |new| is new; a max is exact in any order
+        res = b.max(axis=1) / np.maximum(1.0, new.max(axis=1))
+        b, new = new, b
         done = active & (res <= _TOLERANCE)
         if done.any():
             stop = rows[done]
@@ -239,8 +300,17 @@ def _bid_dynamics(g2, total_power, price, reserve):
         if not (left := np.count_nonzero(active)):
             break
         if 4 * left < 3 * rows.size:
-            rows, b, w, xi, cap, res = (a[active] for a in (rows, b, w, xi, cap, res))
-            active = np.ones(rows.size, dtype=bool)
+            # drop the spare buffer before gathering, one array at a time
+            del new
+            column_major = left >= _COLUMN_MAJOR_ROWS
+            b = _keep_rows(b, active, column_major)
+            w = _keep_rows(w, active, column_major)
+            if cap is not None:
+                cap = _keep_rows(cap, active, column_major)
+                cap = cap if cap.any() else None
+            rows, xi, res = rows[active], xi[active], res[active]
+            new, sums, acc = np.empty_like(b), sums[:left], acc[:left]
+            active = np.ones(left, dtype=bool)
     else:
         bids[rows[active]], residual[rows[active]] = b[active], res[active]
     allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.auction import (
@@ -436,18 +436,14 @@ def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
         assert (served == want)[~tie].all()
 
 
-@given(
-    seed=hst.integers(min_value=0, max_value=2**32 - 1),
-    pairs=hst.integers(min_value=1, max_value=40),
-    rows=hst.integers(min_value=2, max_value=16),
-)
-@settings(max_examples=40, deadline=None)
-def test_bid_dynamics_match_scalar_oracle_bit_for_bit(seed, pairs, rows):
-    # rows at max-winners and certified prices stop at different rounds, so the
-    # working set is compacted under rows still running; from two pairs the last
-    # row's price is non-contracting (radius 1.5) and runs to the iteration cap,
-    # and from three pairs row 0 has a capped pair
-    rng = np.random.default_rng(seed)
+def _dynamics_block(rng, rows, pairs):
+    """Gains, budgets and a price per row, for bid dynamics that stop at many rounds.
+
+    Rows at max-winners and certified prices stop at different rounds, so
+    the working set is compacted under rows still running; from two pairs
+    the last row's price is non-contracting (radius 1.5) and runs to the
+    iteration cap, and from three pairs row 0 has a capped pair.
+    """
     g2 = rng.exponential(1.0, (rows, pairs)) * 10.0 ** rng.uniform(-1.0, 1.0, (rows, 1)) + 1e-9
     budget = 10.0 ** rng.uniform(-2.0, 1.5, rows)
     price = np.where(
@@ -463,19 +459,72 @@ def test_bid_dynamics_match_scalar_oracle_bit_for_bit(seed, pairs, rows):
         # equal gains 1 at budget 1: every pair's weight is 1.5 / (pairs - 1)
         target = 1.5 / (pairs - 1) / (1.0 + 1.5 / (pairs - 1))
         g2[-1], budget[-1], price[-1] = 1.0, 1.0, 1.0 / (2.0 * LN2 * (target + 1.0))
+    return g2, budget, price
+
+
+def _assert_dynamics_match_scalar_oracle(g2, budget, price):
     reserve = 0.01 * budget
     bids, allocation, iterations, converged, residual = auction._bid_dynamics(
         g2, budget, price, reserve
     )
-    for i in range(rows):
+    for i in range(len(g2)):
         want = scalar_run_auction(g2[i], float(budget[i]), AuctionConfig(price[i], reserve[i]))
         assert bids[i].tobytes() == want.bids.tobytes()
         assert allocation[i].tobytes() == want.allocation.tobytes()
         assert (iterations[i], converged[i]) == (want.iterations, want.converged)
         assert residual[i] == want.residual
     assert converged[:-1].all()
-    if pairs >= 2:
+    if g2.shape[1] >= 2:
         assert iterations[-1] == auction._MAX_ITERATIONS and not converged[-1]
+
+
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    pairs=hst.integers(min_value=1, max_value=40),
+    rows=hst.integers(min_value=2, max_value=16),
+)
+@settings(max_examples=40, deadline=None)
+def test_bid_dynamics_match_scalar_oracle_bit_for_bit(seed, pairs, rows):
+    rng = np.random.default_rng(seed)
+    _assert_dynamics_match_scalar_oracle(*_dynamics_block(rng, rows, pairs))
+
+
+@pytest.mark.parametrize("pairs", [8, 20, 129])
+def test_column_major_bid_dynamics_match_scalar_oracle_bit_for_bit(pairs):
+    # enough rows that the first rounds run column-major, with the others-sum
+    # added up by _row_sums (at 129 pairs through its split branch), and the
+    # working set then shrinks through both layouts
+    rows = 4 * auction._COLUMN_MAJOR_ROWS
+    rng = np.random.default_rng(300 + pairs)
+    _assert_dynamics_match_scalar_oracle(*_dynamics_block(rng, rows, pairs))
+
+
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    rows=hst.integers(min_value=1, max_value=40),
+    # numpy's three summation branches: in order, 8 partial sums, split in halves
+    pairs=hst.one_of(
+        hst.integers(min_value=1, max_value=7),
+        hst.integers(min_value=8, max_value=128),
+        hst.integers(min_value=129, max_value=300),
+    ),
+    decades=hst.integers(min_value=0, max_value=300),
+)
+@example(seed=0, rows=3, pairs=7, decades=2)
+@example(seed=0, rows=3, pairs=8, decades=2)
+@example(seed=0, rows=3, pairs=128, decades=2)
+@example(seed=0, rows=3, pairs=129, decades=2)
+@example(seed=0, rows=3, pairs=300, decades=2)
+@settings(max_examples=150, deadline=None)
+def test_row_sums_equal_numpys_row_sum_bit_for_bit(seed, rows, pairs, decades):
+    # if numpy changes the order it adds a row in, this names the cause of a
+    # bit-for-bit failure of the bid dynamics against the scalar oracle
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-decades, decades, (rows, pairs)) * rng.random((rows, pairs))
+    a[rng.random((rows, pairs)) < 0.1] = 0.0
+    a[rng.random((rows, pairs)) < 0.05] = B_MAX
+    sums = auction._row_sums(np.asfortranarray(a), np.empty((rows, 8), order="F"), np.empty(rows))
+    assert sums.tobytes() == np.ascontiguousarray(a).sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("pairs", [1, 3, 8, 20])
@@ -597,19 +646,34 @@ def test_allocate_auction_certified_fallback(monkeypatch):
         assert served[rows].tolist() == want.tolist()
 
 
-def test_allocate_auction_memory_is_chunked():
-    # the max-winners scan holds (rows, 41, 20) arrays at 20 pairs; a whole
-    # 16384-row block at once would need hundreds of MB per array
+def test_allocate_auction_memory_is_chunked(monkeypatch):
+    # the max-winners scan prices the block in chunks of rows, and its largest
+    # arrays hold one entry per rung of a chunk: scoring the whole block's
+    # (rows, 41, 20) ladder at once would take about 107 MB per array
     config = SystemConfig(
         pairs=20, rate=0.5, source_power=power_from_snr_db(25.0),
         h_variance=0.0625, g_variance=0.0625,
     )
     h2, g2 = sample_block(1, 0, 16384, config)
     decoded, _, budget = harvest(h2, config)
+    dynamics, peaks = auction._bid_dynamics, {}
+
+    def traced(gains, *args):
+        # the peak before the bid dynamics, then theirs above what they were given
+        held, peaks["scan"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = dynamics(gains, *args)
+        peaks["dynamics"] = tracemalloc.get_traced_memory()[1] - held
+        return out
+
+    monkeypatch.setattr(auction, "_bid_dynamics", traced)
     tracemalloc.start()
     try:
         allocate_auction(g2, decoded, budget, config.snr_threshold)
-        _, peak = tracemalloc.get_traced_memory()
+        peak = max(peaks["scan"], tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+    # two swapped bid buffers, the weights, the caps and the output bids: below
+    # seven (rows, pairs) float arrays (8 bytes each), about 18.4 MB here
+    assert peaks["dynamics"] < 7 * 8 * g2.size

@@ -1,7 +1,8 @@
 """Sanity experiments that do not fit the sweep CSV format.
 
 * paired check that the water-filling and max-min worst-case outage
-  events coincide draw by draw (exit code 1 if any draw disagrees),
+  events coincide draw by draw, on the engine's blocks of draws (exit
+  code 1 if any draw disagrees),
 * heavy-tail diagnostics for the inverse channel gains: the second
   largest has a finite mean, the largest does not.
 """
@@ -11,8 +12,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ehrelay.engine import worst_case_equivalence_check
-from ehrelay.model import SystemConfig, power_from_snr_db
+from ehrelay.engine import BLOCK_SIZE
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
+from ehrelay.strategies import Block, allocate
+
+
+def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -> int:
+    """Count trials where water-filling and max-min disagree on the
+    worst-pair outage event.
+
+    The trials are the engine's: block b draws trials [b * BLOCK_SIZE, ...)
+    from its (seed, b) substream.  Both strategies fail some pair iff the
+    budget cannot cover every decoded pair's requirement, so the count
+    should be zero.
+    """
+    mismatches = 0
+    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+        block = Block(*sample_block(seed, b, size, config), config.snr_threshold)
+        harvested = harvest(block.h2, config)
+        wf, mm = (
+            allocate(s, block, *harvested, config).sum(axis=1) < config.pairs
+            for s in ("waterfill", "maxmin")
+        )
+        mismatches += int((wf != mm).sum())
+    return mismatches
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,6 @@ from .analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
-from .engine import OutageReport, run_experiment, run_group, worst_case_equivalence_check
+from .engine import OutageReport, run_experiment, run_group
 
 __version__ = "0.1.0"

@@ -349,8 +349,9 @@ def select_price(g2, total_power):
     lo = np.where(g2 > 0.0, full_budget_price(g2, total_power[:, None]), np.inf).min(axis=1)
     upper = quit_price(g2).max(axis=1)
     hi = upper.copy()
-    # no certificate near the quit price cannot happen for finite inputs:
-    # there only the best pair is active, with a vanishing weight
+    # just below the quit price only the best pair is active, with a target near
+    # 1e-12 / g2_max, so a vanishing weight unless g2_max P_r is about 1e-12 or less;
+    # such a row keeps the quit price, where every pair is priced out
     certified = contraction_modulus(upper * (1.0 - 1e-12), total_power, g2) < 1.0
     live = np.flatnonzero(certified)
     for _ in range(200):

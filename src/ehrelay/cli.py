@@ -3,7 +3,7 @@
 Runs outage sweeps over SNR grids and writes one CSV row per
 (snr, pairs, strategy, metric, method) combination.  Method ``mc`` is the
 Monte Carlo estimate with its standard error; ``ANALYTIC_ROWS`` lists the
-closed-form, high-SNR and bound rows of each (strategy, metric).
+closed-form, high-SNR and bound row groups of each strategy.
 
 Sweeps are configured by flat ``key = value`` files, a named preset, or
 flags; flags override the file/preset.  Output is byte-deterministic for
@@ -21,9 +21,11 @@ import functools
 import math
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .analytic import (
     MAX_CLOSED_FORM_PAIRS,
@@ -49,45 +51,42 @@ __all__ = [
     "main",
 ]
 
-METRIC_NAMES = ("average", "best", "worst", "success")
+_OUTAGE_METRICS = ("average", "best", "worst")
+METRIC_NAMES = (*_OUTAGE_METRICS, "success")
 MODES = ("mc", "exact", "asymptotic", "bounds", "all")
 CSV_COLUMNS = ("snr_db", "pairs", "strategy", "metric", "method", "value", "stderr", "trials", "seed")
 
 MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
 
-# (strategy, metric) -> the analytic method groups that exist for it, in CSV
-# row order, each with the labels of the rows it writes.  Monte Carlo covers
-# every combination and is not listed.
-ANALYTIC_ROWS = {
-    **{
-        (strategy, metric): {"exact": ("exact",), "asymptotic": ("asymptotic",)}
-        for strategy in ("individual", "equal")
-        for metric in ("average", "best", "worst")
-    },
-    ("waterfill", "best"): {"exact": ("exact",)},
-    ("waterfill", "worst"): {
-        "asymptotic": ("asymptotic-lower", "asymptotic-upper"),
-        "bounds": ("bound-lower", "bound-upper-integral", "bound-upper-closed"),
-    },
-}
-# The pooled asymptotics divide by M - 1: at one pair mode "all" writes none
-# of their rows and mode "asymptotic" refuses the sweep.
-_POOLED_ASYMPTOTICS = {("equal", "asymptotic"), ("waterfill", "asymptotic")}
 
-# (strategy, group) -> (point, metric) -> the values of the group's labels;
-# point(f, *args) is f(*args, config), evaluated once per sweep point.  The
-# functions are looked up in this module at call time, so a substituted
-# module attribute takes effect.
-ANALYTIC_FORMS = {
-    ("individual", "exact"): lambda point, metric: (getattr(point(outage_individual), metric),),
-    ("equal", "exact"): lambda point, metric: (getattr(point(outage_equal), metric),),
-    ("waterfill", "exact"): lambda point, metric: (point(outage_wf_best),),
-    ("individual", "asymptotic"): lambda point, metric: (point(asymptotic_outage, "individual", metric),),
-    ("equal", "asymptotic"): lambda point, metric: (point(asymptotic_outage, "equal", metric),),
-    ("waterfill", "asymptotic"): lambda point, metric: point(asymptotic_outage, "waterfill", metric),
-    ("waterfill", "bounds"): lambda point, metric: attrgetter("lower", "upper_integral", "upper_closed")(
-        point(wf_worst_bounds)
-    ),
+class _Group(NamedTuple):
+    metrics: tuple[str, ...]  # the metrics it covers
+    labels: tuple[str, ...]  # the rows it writes, in order
+    pairs: tuple[int, float]  # the fewest and the most pairs it takes
+    form: Callable  # (point, metric) -> the value of each label
+
+
+# (strategy, group) -> the analytic method group, each strategy's groups in CSV row
+# order; Monte Carlo covers every (strategy, metric) and is not listed.  The pooled
+# asymptotics divide by M - 1, so they take two pairs.  point(f, *args) is
+# f(*args, config), evaluated once per sweep point.  The functions are looked up in
+# this module at call time, so a substituted module attribute takes effect.
+ANALYTIC_ROWS = {
+    ("individual", "exact"): _Group(_OUTAGE_METRICS, ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
+        lambda point, metric: (getattr(point(outage_individual), metric),)),
+    ("individual", "asymptotic"): _Group(_OUTAGE_METRICS, ("asymptotic",), (1, math.inf),
+        lambda point, metric: (point(asymptotic_outage, "individual", metric),)),
+    ("equal", "exact"): _Group(_OUTAGE_METRICS, ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
+        lambda point, metric: (getattr(point(outage_equal), metric),)),
+    ("equal", "asymptotic"): _Group(_OUTAGE_METRICS, ("asymptotic",), (2, math.inf),
+        lambda point, metric: (point(asymptotic_outage, "equal", metric),)),
+    ("waterfill", "exact"): _Group(("best",), ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
+        lambda point, metric: (point(outage_wf_best),)),
+    ("waterfill", "asymptotic"): _Group(("worst",), ("asymptotic-lower", "asymptotic-upper"), (2, math.inf),
+        lambda point, metric: point(asymptotic_outage, "waterfill", metric)),
+    ("waterfill", "bounds"): _Group(("worst",), ("bound-lower", "bound-upper-integral", "bound-upper-closed"),
+        (1, MAX_CLOSED_FORM_PAIRS),
+        lambda point, metric: attrgetter("lower", "upper_integral", "upper_closed")(point(wf_worst_bounds))),
 }
 
 
@@ -342,31 +341,28 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     if spec.mode in ("exact", "asymptotic", "bounds"):
         for s in spec.strategies:
             for m in spec.metrics:
-                if spec.mode not in ANALYTIC_ROWS.get((s, m), {}):
+                if (s, spec.mode) not in ANALYTIC_ROWS or m not in ANALYTIC_ROWS[s, spec.mode].metrics:
                     raise CLIError(f"no {spec.mode} method for strategy {s!r}, metric {m!r}")
-        if not all(plan.values()):  # only the pooled asymptotics drop a point's rows
+        if not all(plan.values()):  # only the pooled asymptotics need two pairs
             raise CLIError("pooled asymptotics require at least two pairs")
-    if any(
-        pairs > MAX_CLOSED_FORM_PAIRS and group in ("exact", "bounds")
-        for (pairs, _, _), groups in plan.items()
-        for group, _ in groups
-    ):
-        raise CLIError(
-            f"pairs {max(spec.pairs)} exceeds {MAX_CLOSED_FORM_PAIRS}, "
-            "the largest pair count the closed forms support"
-        )
+    for (pairs, s, _), groups in plan.items():
+        for group in groups:
+            if pairs > (most := ANALYTIC_ROWS[s, group].pairs[1]):
+                raise CLIError(
+                    f"pairs {max(spec.pairs)} exceeds {most}, the largest pair count the closed forms support"
+                )
     return configs, plan
 
 
 def _analytic_plan(spec: SweepSpec) -> dict:
-    """(pairs, strategy, metric) -> the (group, labels) of the analytic rows
-    the sweep writes there, in row order (see ANALYTIC_ROWS)."""
+    """(pairs, strategy, metric) -> the ANALYTIC_ROWS groups the sweep writes
+    there, in row order: those the mode selects that cover the metric and
+    take at least that many pairs."""
     return {
         (pairs, s, m): [
-            (group, labels)
-            for group, labels in ANALYTIC_ROWS.get((s, m), {}).items()
-            if spec.mode in ("all", group)
-            and not (pairs < 2 and (s, group) in _POOLED_ASYMPTOTICS)
+            group
+            for (strategy, group), rows in ANALYTIC_ROWS.items()
+            if strategy == s and m in rows.metrics and spec.mode in ("all", group) and pairs >= rows.pairs[0]
         ]
         for pairs in spec.pairs
         for s in spec.strategies
@@ -389,9 +385,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
         for (snr, pairs), config in configs.items():
             point = functools.cache(lambda f, *args, config=config: f(*args, config))
             for (p, s, m), groups in plan.items():
-                for group, _ in groups if p == pairs else ():
+                for group in groups if p == pairs else ():
                     try:
-                        analytic[snr, p, s, m, group] = ANALYTIC_FORMS[s, group](point, m)
+                        analytic[snr, p, s, m, group] = ANALYTIC_ROWS[s, group].form(point, m)
                     except OverflowError:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows"
@@ -428,9 +424,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                     if report is not None:
                         value, stderr = _mc_value(report, metric)
                         add(snr, pairs, strategy, metric, "mc", value, stderr, report.trials)
-                    for group, labels in plan[pairs, strategy, metric]:
+                    for group in plan[pairs, strategy, metric]:
                         values = analytic[snr, pairs, strategy, metric, group]
-                        for label, value in zip(labels, values, strict=True):
+                        for label, value in zip(ANALYTIC_ROWS[strategy, group].labels, values, strict=True):
                             add(snr, pairs, strategy, metric, label, value)
     return rows
 

@@ -41,7 +41,6 @@ __all__ = [
     "MAX_WORKERS",
     "run_experiment",
     "run_group",
-    "worst_case_equivalence_check",
 ]
 
 BLOCK_SIZE = 16384
@@ -115,21 +114,6 @@ def _binomial_stderr(count: int, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _block_results(b, configs, strategies, trials, seed, price_policy="max-winners"):
-    """Served mask of every (config, strategy) on block ``b``.
-
-    The block's channels are drawn once into a column-major Block (the
-    row-major draws are not kept), harvested once per config and allocated
-    once per (config, strategy); yields ``(config index, strategy, served)``.
-    """
-    size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-    block = Block(*sample_block(seed, b, size, configs[0]), configs[0].snr_threshold)
-    for i, config in enumerate(configs):
-        harvested = harvest(block.h2, config)
-        for s in strategies:
-            yield i, s, allocate(s, block, *harvested, config, price_policy=price_policy)
-
-
 def run_group(
     configs: list[SystemConfig],
     strategies: tuple[str, ...],
@@ -164,10 +148,15 @@ def run_group(
         raise ValueError("configs of one group must share pairs, rate, eta and variances")
 
     def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
+        size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+        block = Block(*sample_block(seed, b, size, configs[0]), configs[0].snr_threshold)
         partials = {}
-        for i, s, served in _block_results(b, configs, strategies, trials, seed, price_policy):
-            partials[i, s] = acc = _Accumulator()
-            acc.add_block(served.sum(axis=1), pairs)
+        for i, config in enumerate(configs):
+            harvested = harvest(block.h2, config)
+            for s in strategies:
+                served = allocate(s, block, *harvested, config, price_policy=price_policy)
+                partials[i, s] = acc = _Accumulator()
+                acc.add_block(served.sum(axis=1), pairs)
         return partials
 
     totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
@@ -211,20 +200,3 @@ def run_experiment(
         [config], (strategy,), trials, seed,
         workers=workers, price_policy=price_policy,
     )[0, strategy]
-
-
-def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -> int:
-    """Count trials where water-filling and max-min disagree on the
-    worst-pair outage event.
-
-    Both fail some pair iff the budget cannot cover every decoded pair's
-    requirement, so the count should be zero.
-    """
-    mismatches = 0
-    for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        wf, mm = (
-            served.sum(axis=1) < config.pairs
-            for *_, served in _block_results(b, [config], ("waterfill", "maxmin"), trials, seed)
-        )
-        mismatches += int((wf != mm).sum())
-    return mismatches

@@ -46,15 +46,19 @@ These deliberately avoid the library code paths they are checking:
   harvest and of every allocation strategy, with explicit per-pair
   powers, for cross-checking the library's batched kernels.  Its auction
   branch runs the ``scalar_*`` auction routines.
+* ``load_script``: a file of ``scripts/`` imported as a module, for the
+  tests of the scripts' own functions.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -665,6 +669,16 @@ def reference_draw(h2, g2, config, strategy: str, *, price_policy: str = "max-wi
         raise ValueError(f"unknown strategy {strategy!r}")
     served = decoded & (powers >= a / g2)
     return ReferenceDraw(decoded=decoded, budget=budget, powers=powers, served=served)
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>.py`` in this checkout."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 if __name__ == "__main__":

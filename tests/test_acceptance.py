@@ -30,7 +30,7 @@ from ehrelay.auction import (
     select_price,
 )
 from ehrelay.cli import SweepSpec, run_sweep, write_csv
-from ehrelay.engine import run_experiment, worst_case_equivalence_check
+from ehrelay.engine import run_experiment
 from ehrelay.model import SystemConfig, harvest, power_from_snr_db
 from ehrelay.strategies import Block, allocate
 from oracles import (
@@ -39,9 +39,12 @@ from oracles import (
     brute_force_max_served,
     conditioned_sum_pdf,
     golden_section_max,
+    load_script,
     payoff,
     prob_decoding_count,
 )
+
+worst_case_equivalence_check = load_script("diagnostics").worst_case_equivalence_check
 
 SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0)
 

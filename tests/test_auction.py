@@ -34,6 +34,7 @@ from oracles import (
     payoff,
     scalar_auction_row,
     scalar_run_auction,
+    scalar_select_price,
 )
 
 
@@ -271,6 +272,28 @@ def test_select_price_single_user_strictly_interior():
         g2 = np.array([g])
         price = select_price(g2, pr)
         assert float(full_budget_price(g2, pr)[0]) < price < float(quit_price(g2)[0])
+
+
+def test_select_price_keeps_the_quit_price_when_none_below_it_is_certified():
+    # the certificate is probed 1e-12 below the best quit price, where the best
+    # pair's target is about 1e-12 / g2_max; at g2_max P_r near 1e-12 that is not
+    # small against P_r, the probe fails, and the row keeps the quit price, at
+    # which every pair is priced out.  The second row is a normal auction.
+    g2 = np.array([[1e-12, 5e-13], [1.0, 0.5]])
+    pr = np.array([1.5, 1.5])
+    upper = quit_price(g2).max(axis=1)
+    assert contraction_modulus(upper[0] * (1.0 - 1e-12), pr[0], g2[0]) == pytest.approx(4.83, abs=0.01)
+    price = select_price(g2, pr)
+    for row in range(2):
+        assert price[row].tobytes() == np.float64(scalar_select_price(g2[row], pr[row])).tobytes()
+    assert price[0].tobytes() == upper[0].tobytes()
+    assert price[0] == 7.213475204444817e-13
+    assert contraction_modulus(price[0], pr[0], g2[0]) == 0.0
+    assert price[1] < upper[1] and contraction_modulus(price[1], pr[1], g2[1]) < 1.0
+    for policy in auction.PRICE_POLICIES:
+        served = allocate_auction(g2, np.ones_like(g2, dtype=bool), pr, 0.1, price_policy=policy)
+        assert not served[0].any(), policy
+        assert served[1].any(), policy
 
 
 def test_select_price_validation():

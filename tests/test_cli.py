@@ -15,7 +15,6 @@ import pytest
 import ehrelay
 from ehrelay.analytic import outage_equal
 from ehrelay.cli import (
-    ANALYTIC_FORMS,
     ANALYTIC_ROWS,
     CLIError,
     CSV_COLUMNS,
@@ -200,7 +199,7 @@ def test_run_sweep_rejects_bad_eta():
 
 @pytest.mark.parametrize(
     "strategy, metric, group",
-    [(s, m, group) for (s, m), groups in ANALYTIC_ROWS.items() for group in groups],
+    [(s, m, group) for (s, group), rows in ANALYTIC_ROWS.items() for m in rows.metrics],
 )
 def test_analytic_rows_finite_at_large_pair_counts(strategy, metric, group):
     # 171 is the closed forms' pair cap; 89 is where the equal/best
@@ -210,7 +209,7 @@ def test_analytic_rows_finite_at_large_pair_counts(strategy, metric, group):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics at 0 dB
         rows = run_sweep(spec)
-    assert len(rows) == 6 * len(ANALYTIC_ROWS[strategy, metric][group])
+    assert len(rows) == 6 * len(ANALYTIC_ROWS[strategy, group].labels)
     assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
@@ -321,12 +320,10 @@ def test_exact_rows_come_from_the_closed_form_table(monkeypatch):
     def point(f, *args):
         return f(*args, config)
 
-    used = {(s, group) for (s, _), groups in ANALYTIC_ROWS.items() for group in groups}
-    assert used == set(ANALYTIC_FORMS)
-    for (strategy, metric), groups in ANALYTIC_ROWS.items():
-        for group, labels in groups.items():
-            values = ANALYTIC_FORMS[strategy, group](point, metric)
-            assert len(values) == len(labels)
+    for rows in ANALYTIC_ROWS.values():
+        for metric in rows.metrics:
+            values = rows.form(point, metric)
+            assert len(values) == len(rows.labels)
             assert all(isinstance(v, float) for v in values)
     # the sweep calls the closed form through the module's name, once per point
     calls = []
@@ -525,8 +522,15 @@ def test_main_refuses_negative_seed_in_config(tmp_path, capsys):
 
 def test_pair_limit_applies_only_to_closed_forms():
     spec = dataclasses.replace(SMALL, pairs=(172,), snr_db=(30.0,), metrics=("average",), trials=5)
-    with pytest.raises(CLIError, match="pairs 172 exceeds 171"):
-        run_sweep(dataclasses.replace(spec, mode="all"))
+    # every group capped at 171 pairs refuses in its own mode, with one message
+    message = "pairs 172 exceeds 171, the largest pair count the closed forms support"
+    for mode, strategies, metrics in (
+        ("all", SMALL.strategies, ("average",)),
+        ("exact", SMALL.strategies, ("average",)),
+        ("bounds", ("waterfill",), ("worst",)),
+    ):
+        with pytest.raises(CLIError, match=message):
+            run_sweep(dataclasses.replace(spec, mode=mode, strategies=strategies, metrics=metrics))
     # Monte Carlo and the asymptotics divide by no factorial
     assert run_sweep(dataclasses.replace(spec, mode="mc"))
     assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))

@@ -1,16 +1,19 @@
-"""Heavy-tail diagnostics of scripts/diagnostics.py for the inverse channel gains."""
-
-import importlib.util
-from pathlib import Path
+"""scripts/diagnostics.py: the paired worst-case equivalence check and the
+heavy-tail diagnostics for the inverse channel gains."""
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "diagnostics", Path(__file__).resolve().parent.parent / "scripts" / "diagnostics.py"
-)
-diagnostics = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(diagnostics)
+from ehrelay.model import SystemConfig, power_from_snr_db
+from oracles import load_script
+
+diagnostics = load_script("diagnostics")
 order_stat_diagnostics = diagnostics.order_stat_diagnostics
+
+
+def test_equivalence_check_zero_violations():
+    for m in (1, 2, 5):
+        config = SystemConfig(pairs=m, rate=0.5, source_power=power_from_snr_db(20.0))
+        assert diagnostics.worst_case_equivalence_check(config, 50_000, seed=3) == 0
 
 
 def test_order_stat_second_largest_mean_bound():

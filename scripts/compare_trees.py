@@ -16,8 +16,10 @@ sweeps through each tree's ``ehrelay.cli.run_sweep`` and ``write_csv``:
 
 Each tree runs in its own interpreter that imports ``ehrelay`` from that
 tree's ``src/`` (the two run side by side).  The script prints each
-sweep's outcome and the first differing row of a sweep that differs, and
-exits 1 on any difference, 0 when every sweep is byte-identical.
+sweep's outcome; for a sweep that differs, its first differing row, the
+count of differing rows per (metric, method) and the largest relative
+change in ``value`` and in ``stderr``.  It exits 1 on any difference, 0
+when every sweep is byte-identical.
 ``--quick`` runs a reduced list in a few seconds.
 """
 
@@ -25,9 +27,11 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +101,36 @@ def emit(root: Path, names: list[str]) -> None:
     json.dump(out, sys.stdout)
 
 
+def _relative_change(here: str, other: str) -> float:
+    """|here - other| / |other| of two CSV fields: 0 if their text is equal,
+    inf against 0, nan or an empty field on one side only."""
+    if here == other:
+        return 0.0
+    try:
+        a, b = float(here), float(other)
+    except ValueError:
+        return math.inf
+    change = abs(a - b) / abs(b) if b else math.inf
+    return math.inf if math.isnan(change) else change
+
+
+def differences(here: list[str], other: list[str]) -> tuple[Counter, dict[str, float]]:
+    """The CSV lines of one sweep from two trees, header first, compared row by
+    row: the count of differing rows per (metric, method) of this tree's row,
+    and the largest relative change in ``value`` and in ``stderr``."""
+    columns = here[0].split(",")
+    counts: Counter = Counter()
+    largest = {"value": 0.0, "stderr": 0.0}
+    for x, y in zip(here[1:], other[1:]):
+        if x == y:
+            continue
+        a, b = (dict(zip(columns, line.split(","))) for line in (x, y))
+        counts[a["metric"], a["method"]] += 1
+        for column in largest:
+            largest[column] = max(largest[column], _relative_change(a[column], b[column]))
+    return counts, largest
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path, help="root of the checkout to compare with")
@@ -136,6 +170,10 @@ def main() -> int:
             print(f"{name}: {len(a) - 1} rows here, {len(b) - 1} in {args.other}")
         else:
             print(f"{name}: first difference at row {diff}\n  here:  {a[diff]}\n  other: {b[diff]}")
+            counts, largest = differences(a, b)
+            print("  differing rows by (metric, method): "
+                  + ", ".join(f"{metric},{method} {n}" for (metric, method), n in sorted(counts.items())))
+            print(f"  largest relative change: value {largest['value']:.3g}, stderr {largest['stderr']:.3g}")
     return 0 if same else 1
 
 

@@ -57,6 +57,9 @@ MODES = ("mc", "exact", "asymptotic", "bounds", "all")
 CSV_COLUMNS = ("snr_db", "pairs", "strategy", "metric", "method", "value", "stderr", "trials", "seed")
 
 MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
+# an exponential draw -log U of a positive double U lies below 745 times its mean, so with
+# eta <= 1 a relay budget sum_i eta (P_s |h_i|^2 - a) stays below this times pairs P_s h_variance
+BUDGET_DRAW_BOUND = 1024
 
 
 class _Group(NamedTuple):
@@ -224,12 +227,16 @@ def parse_config(text: str) -> SweepSpec:
             if vk in values:
                 raise CLIError(f"line {lines[vk]}: {vk} conflicts with distance-based variances")
         alpha = values.pop("path_loss_exponent", 3.0)
-        d_sr = values.pop("distance_source_relay")
-        d_rd = values.pop("distance_relay_destination")
-        if d_sr <= 0 or d_rd <= 0:
+        distances = [values.pop(k) for k in _DISTANCE_KEYS]
+        if min(distances) <= 0:
             raise CLIError("distances must be positive")
-        values["h_variance"] = float(d_sr) ** -alpha
-        values["g_variance"] = float(d_rd) ** -alpha
+        for key, variance, distance in zip(_DISTANCE_KEYS, ("h_variance", "g_variance"), distances):
+            try:
+                values[variance] = float(distance) ** -alpha
+            except OverflowError:
+                raise CLIError(
+                    f"line {lines[key]}: {key} {distance!r} to the power {-alpha!r} overflows"
+                ) from None
     elif "path_loss_exponent" in values:
         raise CLIError(f"line {lines['path_loss_exponent']}: path_loss_exponent requires distances")
 
@@ -325,6 +332,13 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
                 raise CLIError(
                     f"snr {snr!r} dB, rate {spec.rate!r}, eta {spec.eta!r}: "
                     f"(epsilon/h_variance)/(eta g_variance) = {ratio!r} is not a positive finite float"
+                )
+            # a quotient, not a product: a pair count too large for a float is refused too
+            most_pairs = sys.float_info.max / BUDGET_DRAW_BOUND / power / spec.h_variance
+            if spec.mode in ("mc", "all") and pairs > most_pairs:
+                raise CLIError(
+                    f"snr {snr!r} dB, {pairs} pairs, h_variance {spec.h_variance!r}: the relay budget can "
+                    f"overflow a float ({BUDGET_DRAW_BOUND} pairs P_s h_variance exceeds the largest float)"
                 )
     if spec.mode not in MODES:
         raise CLIError(f"unknown mode {spec.mode!r}")

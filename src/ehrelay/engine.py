@@ -2,11 +2,11 @@
 
 Trials are grouped into blocks of ``BLOCK_SIZE``; block ``b`` draws its
 channels from a dedicated substream keyed by ``(seed, b)`` (see
-:func:`ehrelay.model.sample_block`), and per-block statistics are reduced
-in block order.  Estimates are therefore bit-identical for any worker
-count and any assignment of blocks to workers.  The block size is part
-of that stream partition (it fixes which trial each draw belongs to), so
-it is a constant rather than an argument.
+:func:`ehrelay.model.sample_block`) and reduces to integer histograms of
+served counts, whose sums do not depend on their order, so estimates are
+bit-identical for any worker count and any assignment of blocks to
+workers.  The block size is part of that stream partition (it fixes
+which trial each draw belongs to), so it is a constant, not an argument.
 
 The unit of work is a sweep group: configs that differ only in source
 power (SNR), evaluated under several strategies on the same draws.  Per
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,42 +73,6 @@ class OutageReport:
     mean_success_stderr: float
 
 
-@dataclass
-class _Accumulator:
-    trials: int = 0
-    frac_sum: float = 0.0
-    frac_sq_sum: float = 0.0
-    all_fail: int = 0
-    any_fail: int = 0
-    success_sum: float = 0.0
-    success_sq_sum: float = 0.0
-
-    def add_block(self, counts: np.ndarray, pairs: int) -> None:
-        # the count moments are exact integer sums over the histogram of counts;
-        # the fractions keep the float sums over the trials that set their bits
-        frac = 1.0 - counts / pairs
-        hist = np.bincount(counts, minlength=pairs + 1)
-        k = np.arange(pairs + 1)
-        self.trials += counts.shape[0]
-        self.frac_sum += float(frac.sum())
-        self.frac_sq_sum += float((frac * frac).sum())
-        self.all_fail += int(hist[0])
-        self.any_fail += counts.shape[0] - int(hist[pairs])
-        self.success_sum += float(hist @ k)
-        self.success_sq_sum += float(hist @ (k * k))
-
-    def merge(self, other: "_Accumulator") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-
-def _sample_stderr(total: float, total_sq: float, n: int) -> float:
-    if n < 2:
-        return math.nan
-    var = max(total_sq - total * total / n, 0.0) / (n - 1)
-    return math.sqrt(var / n)
-
-
 def _binomial_stderr(count: int, n: int) -> float:
     p = count / n
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
@@ -129,9 +93,9 @@ def run_group(
     every block's channels depend on (seed, block, pairs, variances) alone
     and its requirement order on the rate, so both serve the whole group.
     Block b covers trials [b * BLOCK_SIZE, ...); each block reduces to one
-    partial sum per (config, strategy), and the partials are merged in
-    block order, so the reports do not depend on ``workers``.  The auction
-    prices by ``price_policy`` (see :func:`ehrelay.auction.allocate_auction`).
+    histogram of served counts per (config, strategy), summed as integers,
+    so the reports do not depend on ``workers``.  The auction prices by
+    ``price_policy`` (see :func:`ehrelay.auction.allocate_auction`).
     Returns the report of each (config index, strategy).
     """
     for name, value in (("trials", trials), ("workers", workers)):
@@ -147,41 +111,47 @@ def run_group(
     if any(replace(c, source_power=1.0) != shared for c in configs):
         raise ValueError("configs of one group must share pairs, rate, eta and variances")
 
-    def one_block(b: int) -> dict[tuple[int, str], _Accumulator]:
+    def one_block(b: int) -> np.ndarray:
         size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
         block = Block(*sample_block(seed, b, size, configs[0]), configs[0].snr_threshold)
-        partials = {}
+        counts = np.empty((len(configs), len(strategies), pairs + 1), dtype=np.int64)
         for i, config in enumerate(configs):
             harvested = harvest(block.h2, config)
-            for s in strategies:
+            for j, s in enumerate(strategies):
                 served = allocate(s, block, *harvested, config, price_policy=price_policy)
-                partials[i, s] = acc = _Accumulator()
-                acc.add_block(served.sum(axis=1), pairs)
-        return partials
+                counts[i, j] = np.bincount(served.sum(axis=1), minlength=pairs + 1)
+        return counts
 
-    totals = {(i, s): _Accumulator() for i in range(len(configs)) for s in strategies}
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for partials in (map if workers == 1 else pool.map)(one_block, range(n_blocks)):
-            for key, partial in partials.items():
-                totals[key].merge(partial)
-    return {(i, s): _report(s, seed, acc) for (i, s), acc in totals.items()}
+        totals = sum((map if workers == 1 else pool.map)(one_block, range(n_blocks)))
+    return {(i, s): _report(s, seed, totals[i, j])
+            for i in range(len(configs)) for j, s in enumerate(strategies)}
 
 
-def _report(strategy: str, seed: int, acc: _Accumulator) -> OutageReport:
-    t = acc.trials
+def _report(strategy: str, seed: int, counts: np.ndarray) -> OutageReport:
+    """Every estimate from ``counts[k]``, the trials that served k of M pairs."""
+    pairs = len(counts) - 1
+    k = np.arange(pairs + 1)
+    t = int(counts.sum())
+    served, served_sq = int(k @ counts), int((k * k) @ counts)  # exact integer moments
+    total = float(served)
+    var = max(float(served_sq) - total * total / t, 0.0) / (t - 1) if t > 1 else math.nan
+    success_stderr = math.sqrt(var / t)
+    all_fail, any_fail = int(counts[0]), t - int(counts[pairs])
     return OutageReport(
         strategy=strategy,
         trials=t,
         seed=seed,
-        average=acc.frac_sum / t,
-        average_stderr=_sample_stderr(acc.frac_sum, acc.frac_sq_sum, t),
-        best=acc.all_fail / t,
-        best_stderr=_binomial_stderr(acc.all_fail, t),
-        worst=acc.any_fail / t,
-        worst_stderr=_binomial_stderr(acc.any_fail, t),
-        mean_success=acc.success_sum / t,
-        mean_success_stderr=_sample_stderr(acc.success_sum, acc.success_sq_sum, t),
+        # the outage fraction 1 - k/M: one rounding of its exact mean; the stderr over M
+        average=(pairs * t - served) / (pairs * t),
+        average_stderr=success_stderr / pairs,
+        best=all_fail / t,
+        best_stderr=_binomial_stderr(all_fail, t),
+        worst=any_fail / t,
+        worst_stderr=_binomial_stderr(any_fail, t),
+        mean_success=served / t,
+        mean_success_stderr=success_stderr,
     )
 
 

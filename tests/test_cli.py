@@ -520,6 +520,61 @@ def test_main_refuses_negative_seed_in_config(tmp_path, capsys):
         assert "seed must be non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "distance_source_relay = 1e-300\ndistance_relay_destination = 1\ntrials = 10\n",
+            "line 1: distance_source_relay 1e-300 to the power -3.0 overflows",
+        ),
+        (
+            "trials = 10\ndistance_source_relay = 2\ndistance_relay_destination = 0.5\npath_loss_exponent = 1e308\n",
+            "line 3: distance_relay_destination 0.5 to the power -1e+308 overflows",
+        ),
+    ],
+)
+def test_main_refuses_a_distance_whose_variance_overflows(text, message, tmp_path, capsys):
+    with pytest.raises(CLIError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, point",
+    [
+        ("", ["--snr", "3080"], "snr 3080.0 dB, 3 pairs, h_variance 1.0"),
+        ("h_variance = 1e308\n", [], "snr 30.0 dB, 3 pairs, h_variance 1e+308"),
+    ],
+)
+@pytest.mark.parametrize("mode", ["mc", "all"])
+def test_main_refuses_a_relay_budget_that_can_overflow(text, flags, point, mode, tmp_path, capsys):
+    # drawn, these budgets overflow to inf: the auction's residual turns nan and the
+    # other strategies serve on an infinite budget
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    argv = ["--config", str(path), "--pairs", "3", "--strategy", "equal,auction", "--trials", "2000", *flags]
+    assert main(argv + ["--mode", mode]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {point}: the relay budget can overflow a float (1024 pairs P_s h_variance exceeds the largest float)\n"
+    )
+    # a sweep that draws no channels has no budget
+    assert main(argv + ["--mode", "exact", "--strategy", "equal", "--metric", "best"]) == 0
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+def test_main_runs_every_strategy_below_the_budget_bound(capsys):
+    # 1024 * 3 * 10^304.7 is still a float
+    argv = ["--snr", "3047", "--pairs", "3", "--strategy", ",".join(STRATEGY_NAMES), "--metric", "average,success"]
+    assert main(argv + ["--trials", "200"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[2], r[3]) for r in rows] == [(s, m) for s in STRATEGY_NAMES for m in ("average", "success")]
+    assert [float(r[5]) for r in rows] == [0.0, 3.0] * len(STRATEGY_NAMES)
+
+
 def test_pair_limit_applies_only_to_closed_forms():
     spec = dataclasses.replace(SMALL, pairs=(172,), snr_db=(30.0,), metrics=("average",), trials=5)
     # every group capped at 171 pairs refuses in its own mode, with one message

@@ -3,7 +3,12 @@
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from oracles import load_script
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_trees.py"
@@ -32,3 +37,32 @@ def test_changed_draws_are_reported(tmp_path):
     run = _compare(tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert run.stdout.count("first difference at row") == 3
+    # other draws move Monte Carlo rows only; every analytic row stays identical
+    summaries = [line for line in run.stdout.splitlines() if "differing rows by (metric, method): " in line]
+    assert len(summaries) == 3
+    for line in summaries:
+        for entry in line.split(": ", 1)[1].split(", "):
+            key, n = entry.split()
+            assert key.endswith(",mc") and int(n) > 0
+    assert run.stdout.count("  largest relative change: value ") == 3
+
+
+def test_differences_count_rows_by_metric_and_method():
+    header = "snr_db,pairs,strategy,metric,method,value,stderr,trials,seed"
+    here = [
+        header,
+        "0.0,2,equal,average,mc,0.5,0.01,100,1",
+        "0.0,2,equal,average,exact,0.25,,,1",
+        "0.0,2,equal,best,mc,0.2,0.004,100,1",
+        "5.0,2,equal,average,mc,0.4,0.02,100,1",
+    ]
+    other = [
+        header,
+        "0.0,2,equal,average,mc,0.5,0.01,100,1",
+        "0.0,2,equal,average,exact,0.2,,,1",
+        "0.0,2,equal,best,mc,0.2,0.005,100,1",
+        "5.0,2,equal,average,mc,0.5,0.02,100,1",
+    ]
+    counts, largest = load_script("compare_trees").differences(here, other)
+    assert counts == Counter({("average", "exact"): 1, ("best", "mc"): 1, ("average", "mc"): 1})
+    assert largest == pytest.approx({"value": 0.25, "stderr": 0.2}, rel=1e-12)

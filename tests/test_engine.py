@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ def test_success_count_consistent_with_outage():
         report = run_experiment(config, name, trials, seed=0)
         assert report.mean_success == served.sum() / trials
         assert report.average == pytest.approx(1.0 - served.mean())
+        # M (1 - average) is the mean served count, up to a few roundings of order M 2^-53
+        gap = config.pairs * (1.0 - report.average) - report.mean_success
+        assert abs(gap) <= 4 * config.pairs * 2.0**-53
 
 
 def test_block_evaluation_deterministic():
@@ -248,18 +252,31 @@ def test_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("pairs", [1, 5, 20, 171])
-def test_accumulator_sums_equal_direct_float_sums(pairs):
-    # the histogram moments are exact integers; the direct float sums of
-    # integer-valued counts and squares are exact too, so the bits agree
+def test_report_reads_every_field_from_the_histogram(pairs):
+    # the average and the mean served count are their exact rational means
+    # rounded once; the other fields keep the float formulas of the trials' sums
     rng = np.random.default_rng(pairs)
     for trials in (1, 7, engine.BLOCK_SIZE):
-        counts = rng.integers(0, pairs + 1, trials)
-        acc = engine._Accumulator()
-        acc.add_block(counts, pairs)
-        frac = 1.0 - counts / pairs
-        assert dataclasses.astuple(acc) == (
-            trials, float(frac.sum()), float((frac * frac).sum()), int((counts == 0).sum()),
-            int((counts < pairs).sum()), float(counts.sum()), float((counts.astype(float) ** 2).sum()),
+        served = rng.integers(0, pairs + 1, trials)
+        report = engine._report("equal", 3, np.bincount(served, minlength=pairs + 1))
+        assert (report.strategy, report.trials, report.seed) == ("equal", trials, 3)
+        total = int(served.sum())
+        assert report.average == float(Fraction(pairs * trials - total, pairs * trials))
+        assert report.mean_success == float(Fraction(total, trials))
+        for p, se in ((report.best, report.best_stderr), (report.worst, report.worst_stderr)):
+            assert se == math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+        assert report.best == int((served == 0).sum()) / trials
+        assert report.worst == int((served < pairs).sum()) / trials
+        if trials == 1:
+            assert math.isnan(report.mean_success_stderr) and math.isnan(report.average_stderr)
+            continue
+        s1, s2 = float(served.sum()), float((served.astype(float) ** 2).sum())
+        var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)
+        assert report.mean_success_stderr == math.sqrt(var / trials)
+        # the outage fraction is 1 - k/M; (x / M) * M may miss x by one ulp (M = 171 does here)
+        assert report.average_stderr == report.mean_success_stderr / pairs
+        assert report.average_stderr * pairs == pytest.approx(
+            report.mean_success_stderr, rel=2.0**-52, abs=0.0
         )
 
 

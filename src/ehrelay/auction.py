@@ -21,6 +21,13 @@ to the unique fixed point whenever
 with rho_i = T_i / (P_r - T_i); ``select_price`` finds the cheapest price
 with that certificate and backs it off by a safety margin.
 
+The auction's outcome is that fixed point, the Nash equilibrium at the
+announced price, which has a closed form (``predict_allocation``): each
+interior pair gets its target, and full-budget pairs split what the
+interior demand leaves.  ``allocate_auction`` serves from it.  The
+dynamics (``run_auction``) are how the pairs reach it, and the reference
+that the tests hold the closed form against.
+
 Row r of a (rows, pairs) gain array is one auction, and a zero gain marks
 a pair not in it (its quit price is 0, so it never bids).  The price
 policies and the certificate take one auction, or such a block with a
@@ -52,12 +59,6 @@ _CHUNK_RUNGS = 1 << 14
 _DEMAND_SLACK = 4.0
 _TOLERANCE = 1e-10  # relative sup-norm stop of the best-response dynamics
 _MAX_ITERATIONS = 500  # and their iteration cap
-# working-set size below which the bid dynamics run row-major, on numpy's own row
-# sum (one call where the column-major one is about nine at 20 pairs): on the
-# fig-success-count 10 dB block (1969 x 20, mostly tail rounds; one CPU, numpy
-# 2.4.6) they took 6.7 ms column-major throughout and 4.4-4.5 ms switching at 8
-# to 128 rows (the 15 dB block 18.9 and 16.1-17.4 ms; 20 and 25 dB did not move)
-_COLUMN_MAJOR_ROWS = 64
 # spectral radius below which a max-winners candidate price counts as
 # comfortably convergent
 _RADIUS_LIMIT = 0.93
@@ -205,114 +206,40 @@ def predict_allocation(price: float, total_power: float, g2, reserve: float) -> 
     return alloc[0] if exists[0] else None
 
 
-def _row_sums(a, acc, out):
-    """``a.sum(axis=1)`` of a column-major block, bit for bit, by column adds.
-
-    numpy adds up a contiguous row of n terms pairwise: under 8 terms in
-    order; up to 128 as 8 partial sums over blocks of 8 columns, combined
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining terms in
-    order; above 128 as the sum of two halves, split at n/2 rounded down
-    to a multiple of 8.  This does the same over whole columns.  ``acc``
-    is a (rows, 8) column-major scratch block; no entry may be -0.0 (numpy
-    starts its sum from +0.0).
-    """
-    n = a.shape[1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _row_sums(a[:, :half], acc, out)
-        return np.add(out, _row_sums(a[:, half:], acc, np.empty_like(out)), out=out)
-    if n < 8:
-        np.copyto(out, a[:, 0])
-        end = 1
-    else:
-        end = n - n % 8
-        np.copyto(acc, a[:, :8])
-        for j in range(8, end, 8):
-            np.add(acc, a[:, j:j + 8], out=acc)
-        np.add(acc[:, 0::2], acc[:, 1::2], out=acc[:, 0::2])
-        np.add(acc[:, 0::4], acc[:, 2::4], out=acc[:, 0::4])
-        np.add(acc[:, 0], acc[:, 4], out=out)
-    for j in range(end, n):
-        np.add(out, a[:, j], out=out)
-    return out
-
-
-def _keep_rows(a, keep, column_major: bool) -> np.ndarray:
-    """Rows ``keep`` of a (rows, pairs) array, gathered into the given layout."""
-    return np.compress(keep, a.T, axis=1).T if column_major else np.compress(keep, a, axis=0)
-
-
 def _bid_dynamics(g2, total_power, price, reserve):
     """Best-response dynamics of every row from the all-ones bid vector.
 
-    A row stops updating once its residual is within ``_TOLERANCE`` (or
-    after ``_MAX_ITERATIONS`` rounds), so its bids, iteration count and
-    residual are those of its own run.  Returns (bids, allocation,
-    iterations, converged, residual) per row; the allocation applies the
-    share rule to the final bids.
-
-    While at least ``_COLUMN_MAJOR_ROWS`` rows run, the working arrays are
-    column-major, so each step of a round is a few column-long numpy calls
-    into two buffers swapped every round; below that they are row-major.
-    Either way a row's others-sum is numpy's pairwise sum of its row
-    (``_row_sums`` reproduces it over columns), so every bid, residual
-    and iteration count equals that of the row run alone, in any layout.
+    The reference that the served equilibrium is held against, not the
+    served path.  A row stops updating once its residual is within
+    ``_TOLERANCE`` (or after ``_MAX_ITERATIONS`` rounds), and each round
+    adds a row up with numpy's sum of that row alone, so its bids,
+    iteration count and residual are those of its own run.  Returns
+    (bids, allocation, iterations, converged, residual) per row; the
+    allocation applies the share rule to the final bids.
     """
-    column_major = g2.shape[0] >= _COLUMN_MAJOR_ROWS
-    g = np.asarray(g2, order="F" if column_major else "C")
     # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
-    w = response_weights(price[:, None], total_power[:, None], g)
-    cap = np.where(interior_target(price[:, None], g) >= total_power[:, None], B_MAX, 0.0)
-    # adding a cap of +0 to terms >= +0 changes no bit, so a set without one skips it
-    cap = cap if cap.any() else None
-    b = (g > 0.0).astype(float)
-    del g
-    bids = np.empty(g2.shape)
-    iterations = np.full(g2.shape[0], _MAX_ITERATIONS)
-    residual = np.empty(g2.shape[0])
-    # the working set: rows[k] is row k of b, w, xi and cap; a row that stops is
-    # recorded and marked off, and the set is compacted once a quarter has stopped
-    rows = np.arange(g2.shape[0])
-    xi = reserve[:, None]
-    active = np.ones(rows.size, dtype=bool)
-    new, sums, acc = np.empty_like(b), np.empty(rows.size), np.empty((rows.size, 8), order="F")
+    g2 = np.ascontiguousarray(g2)
+    w = response_weights(price[:, None], total_power[:, None], g2)
+    cap = np.where(interior_target(price[:, None], g2) >= total_power[:, None], B_MAX, 0.0)
+    b = (g2 > 0.0).astype(float)
+    bids = np.empty_like(b)
+    iterations = np.empty(len(g2), dtype=int)
+    residual = np.empty(len(g2))
+    # rows[k] is the block row of working row k; a row that stops leaves the set
+    rows, xi = np.arange(len(g2)), reserve[:, None]
     for it in range(1, _MAX_ITERATIONS + 1):
-        if column_major:
-            _row_sums(b, acc, sums)
-        else:
-            b.sum(axis=1, out=sums)
-        np.subtract(sums[:, None], b, out=new)
-        new += xi
-        new *= w
-        if cap is not None:
-            new += cap
-        b -= new
-        np.abs(b, out=b)
-        # bids are non-negative, so |new| is new; a max is exact in any order
-        res = b.max(axis=1) / np.maximum(1.0, new.max(axis=1))
-        b, new = new, b
-        done = active & (res <= _TOLERANCE)
-        if done.any():
-            stop = rows[done]
-            bids[stop], iterations[stop], residual[stop] = b[done], it, res[done]
-            active &= ~done
-        if not (left := np.count_nonzero(active)):
-            break
-        if 4 * left < 3 * rows.size:
-            # drop the spare buffer before gathering, one array at a time
-            del new
-            column_major = left >= _COLUMN_MAJOR_ROWS
-            b = _keep_rows(b, active, column_major)
-            w = _keep_rows(w, active, column_major)
-            if cap is not None:
-                cap = _keep_rows(cap, active, column_major)
-                cap = cap if cap.any() else None
-            rows, xi, res = rows[active], xi[active], res[active]
-            new, sums, acc = np.empty_like(b), sums[:left], acc[:left]
-            active = np.ones(left, dtype=bool)
-    else:
-        bids[rows[active]], residual[rows[active]] = b[active], res[active]
+        new = w * (b.sum(axis=1, keepdims=True) - b + xi) + cap
+        # bids are non-negative, so |new| is new
+        res = np.abs(new - b).max(axis=1) / np.maximum(1.0, new.max(axis=1))
+        b = new
+        stop = (res <= _TOLERANCE) | (it == _MAX_ITERATIONS)
+        if stop.any():
+            done = rows[stop]
+            bids[done], iterations[done], residual[done] = b[stop], it, res[stop]
+            rows, b, w, cap, xi = (x[~stop] for x in (rows, b, w, cap, xi))
+            if not rows.size:
+                break
     allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]
     return bids, allocation, iterations, residual <= _TOLERANCE, residual
 
@@ -410,7 +337,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
         candidates = np.concatenate([
             full_budget_price(s, p) * (1.0 - 1e-3),
             # T_i(pi) = requirement_i at pi = g2_i / (2 ln2 (1 + snr_threshold)); just
-            # below it the grant clears the requirement despite the dynamics' rounding
+            # below it the grant clears the requirement despite rounding
             s / (2.0 * LN2 * (1.0 + snr_threshold)) * (1.0 - 1e-9),
             quit_price(s[:, -1:]) * (1.0 - 1e-6),
         ], axis=1)
@@ -540,9 +467,14 @@ def allocate_auction(
     "max-winners" scanning for the price serving the most pairs against
     the requirement ``snr_threshold / g2`` (``winner_maximizing_price``,
     in chunks of rows), "certified" taking the cheapest
-    contraction-certified price (scaled by 1.05).  Pairs priced out of the
-    market get nothing; the unsold remainder stays at the relay.  Returns
-    the served mask.
+    contraction-certified price (scaled by 1.05).  The outcome is the
+    auction's Nash equilibrium at that price, in closed form (``_predict``):
+    each interior pair is granted its target, full-budget pairs split what
+    the interior demand leaves, and pairs priced out of the market get
+    nothing; the unsold remainder stays at the relay.  Both policies
+    return only prices where that equilibrium exists and the best-response
+    dynamics contract to it.  Returns the served mask, the pairs whose
+    grant meets their requirement.
     """
     if price_policy not in PRICE_POLICIES:
         raise ValueError(f"unknown price_policy {price_policy!r}")
@@ -554,11 +486,12 @@ def allocate_auction(
         price = winner_maximizing_price(gains, pr, snr_threshold)
     else:
         price = select_price(gains, pr)
-    _, alloc, _, converged, residual = _bid_dynamics(gains, pr, price, _RESERVE_FRACTION * pr)
-    if not converged.all():
+    p = pr[:, None]
+    alloc, exists, _ = _predict(price[:, None], p, gains, _RESERVE_FRACTION * p)
+    if not exists.all():
         raise RuntimeError(
-            f"auction did not converge in {_MAX_ITERATIONS} iterations (residual "
-            f"{residual[~converged].max():.3e}); the price certificate should make this impossible"
+            f"the auction's price has no equilibrium in {np.count_nonzero(~exists)} of "
+            f"{exists.size} auctions; the price policies should make this impossible"
         )
     with np.errstate(divide="ignore"):
         served[rows] = alloc >= snr_threshold / gains

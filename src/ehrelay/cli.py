@@ -36,7 +36,7 @@ from .analytic import (
     wf_worst_bounds,
 )
 from .auction import PRICE_POLICIES
-from .engine import MAX_WORKERS, run_group
+from .engine import BLOCK_SIZE, MAX_WORKERS, run_group
 from .model import SystemConfig, power_from_snr_db
 from .strategies import STRATEGY_NAMES
 
@@ -305,6 +305,13 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
         raise CLIError("seed must be non-negative")
     if 2.0 * spec.rate >= sys.float_info.max_exp:
         raise CLIError(f"rate {spec.rate!r} too large: 2^(2 rate) overflows")
+    # numpy refuses an array of more bytes than its index type counts (sys.maxsize),
+    # so a block of draws that large would fail at its first draw
+    rows, widest = min(BLOCK_SIZE, spec.trials), max(spec.pairs)
+    if spec.mode in ("mc", "all") and widest > sys.maxsize // 8 // rows:
+        raise CLIError(
+            f"{widest} pairs: a block of draws ({rows} x {widest} floats) has more bytes than numpy can address"
+        )
     configs = {}
     for snr in spec.snr_db:
         try:

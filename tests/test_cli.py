@@ -691,6 +691,25 @@ def test_main_exit_code_3_on_engine_failure(monkeypatch, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pairs, trials",
+    [("100000000000000000000", "2000"), ("1152921504606846976", "1"), ("562949953421312", "16385")],
+)
+def test_main_exit_code_2_when_a_block_is_past_numpys_size_limit(pairs, trials, monkeypatch, capsys):
+    # past a dimension of 2^63 - 1 numpy refuses the shape, and past 2^63 - 1
+    # bytes the array: either way the sweep is refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw was started")
+
+    monkeypatch.setattr("ehrelay.cli.run_group", no_draw)
+    rc = main(["--snr", "10", "--pairs", pairs, "--trials", trials])
+    assert rc == 2
+    rows = min(int(trials), 16384)
+    assert capsys.readouterr().err == (
+        f"error: {pairs} pairs: a block of draws ({rows} x {pairs} floats) has more bytes than numpy can address\n"
+    )
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_main_exit_code_2_when_a_block_cannot_be_allocated(workers, monkeypatch, capsys):
     # numpy's message names the shape that did not fit; the pool re-raises it

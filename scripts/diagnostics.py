@@ -27,10 +27,11 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
     should be zero.
     """
     mismatches = 0
+    block = Block.empty(min(BLOCK_SIZE, trials), config.pairs, config.snr_threshold)
     for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
         size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        block = Block(*sample_block(seed, b, size, config), config.snr_threshold)
-        harvested = harvest(block.h2, config)
+        block.refill(*sample_block(seed, b, size, config, out=block.draws(size)))
+        harvested = harvest(block.h2, config, scratch=block.scratch)
         wf, mm = (
             allocate(s, block, *harvested, config).sum(axis=1) < config.pairs
             for s in ("waterfill", "maxmin")

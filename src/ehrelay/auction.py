@@ -141,9 +141,14 @@ def _block(g2, total_power, *, rows: bool = True) -> tuple[np.ndarray, np.ndarra
 def contraction_modulus(price, total_power, g2):
     """Certificate mu(pi); the dynamics contract when mu < 1."""
     g2, total_power, single = _block(g2, total_power)
-    rho = response_weights(np.reshape(price, (-1, 1)), total_power[:, None], g2)
-    mu = np.sqrt(np.count_nonzero(g2, axis=1)) * np.sqrt((rho * rho).sum(axis=1)) + rho.max(axis=1)
+    mu = _modulus(price, total_power, g2)
     return float(mu[0]) if single else mu
+
+
+def _modulus(price, total_power, g2) -> np.ndarray:
+    """``contraction_modulus`` of each row of a block that ``_block`` has validated."""
+    rho = response_weights(np.reshape(price, (-1, 1)), total_power[:, None], g2)
+    return np.sqrt(np.count_nonzero(g2, axis=1)) * np.sqrt((rho * rho).sum(axis=1)) + rho.max(axis=1)
 
 
 def _radius_below(rho: np.ndarray, limit) -> np.ndarray:
@@ -279,11 +284,11 @@ def select_price(g2, total_power):
     # just below the quit price only the best pair is active, with a target near
     # 1e-12 / g2_max, so a vanishing weight unless g2_max P_r is about 1e-12 or less;
     # such a row keeps the quit price, where every pair is priced out
-    certified = contraction_modulus(upper * (1.0 - 1e-12), total_power, g2) < 1.0
+    certified = _modulus(upper * (1.0 - 1e-12), total_power, g2) < 1.0
     live = np.flatnonzero(certified)
     for _ in range(200):
         mid = 0.5 * (lo[live] + hi[live])
-        ok = contraction_modulus(mid, total_power[live], g2[live]) < 1.0
+        ok = _modulus(mid, total_power[live], g2[live]) < 1.0
         hi[live] = np.where(ok, mid, hi[live])
         lo[live] = np.where(ok, lo[live], mid)
         if not (live := live[~(hi[live] - lo[live] <= 1e-14 * hi[live])]).size:
@@ -292,7 +297,7 @@ def select_price(g2, total_power):
     price = np.where(scaled >= upper, 0.5 * (hi + upper), scaled)
     live = np.flatnonzero(certified)
     # mu -> 0 as the price approaches the best pair's quit price
-    while (live := live[contraction_modulus(price[live], total_power[live], g2[live]) >= 1.0]).size:
+    while (live := live[_modulus(price[live], total_power[live], g2[live]) >= 1.0]).size:
         price[live] = 0.5 * (price[live] + upper[live])
     price = np.where(certified, price, upper)
     return float(price[0]) if single else price

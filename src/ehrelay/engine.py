@@ -13,7 +13,9 @@ power (SNR), evaluated under several strategies on the same draws.  Per
 block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
 draws the channels once into a :class:`ehrelay.strategies.Block`, which
 stores them column-major and keeps what no SNR changes (the requirements,
-sorted once for water-filling); :func:`ehrelay.model.harvest` finds the
+sorted once for water-filling).  Each worker thread refills one Block for
+every block it runs, so no block-sized float array is allocated after its
+first; :func:`ehrelay.model.harvest` finds the
 decoding sets and budgets once per SNR, and :func:`ehrelay.strategies.allocate`
 the served mask once per (SNR, strategy), all on common channel realisations.
 Every per-trial sum over pairs is a few contiguous column adds.
@@ -27,6 +29,7 @@ and the number of served destinations.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -115,12 +118,18 @@ def run_group(
     # sum of the mask, in a fifth of the time (12 against 68 us, 16384 x 5 pairs)
     count_type = np.min_scalar_type(pairs)
 
+    # each worker thread reuses one Block's buffers for every block it runs
+    local = threading.local()
+
     def one_block(b: int) -> np.ndarray:
         size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        block = Block(*sample_block(seed, b, size, configs[0]), configs[0].snr_threshold)
+        if not hasattr(local, "block"):
+            local.block = Block.empty(min(BLOCK_SIZE, trials), pairs, configs[0].snr_threshold)
+        block = local.block
+        block.refill(*sample_block(seed, b, size, configs[0], out=block.draws(size)))
         counts = np.empty((len(configs), len(strategies), pairs + 1), dtype=np.int64)
         for i, config in enumerate(configs):
-            harvested = harvest(block.h2, config)
+            harvested = harvest(block.h2, config, scratch=block.scratch)
             for j, s in enumerate(strategies):
                 served = allocate(s, block, *harvested, config, price_policy=price_policy)
                 counts[i, j] = np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)

@@ -93,7 +93,8 @@ class SystemConfig:
 
 
 def sample_block(
-    seed: int, block_index: int, size: int, config: SystemConfig
+    seed: int, block_index: int, size: int, config: SystemConfig,
+    *, out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized channel draws for trials [block_index * B, ...): (h2, g2).
 
@@ -101,26 +102,39 @@ def sample_block(
     block.  All h2 values are drawn before all g2 values, so the block is
     a pure function of (seed, block_index, size, config).  Which trial
     gets which draw therefore depends on the block size, which is why
-    the engine holds it fixed (``ehrelay.engine.BLOCK_SIZE``).
+    the engine holds it fixed (``ehrelay.engine.BLOCK_SIZE``).  ``out``,
+    two C-order float (size, pairs) arrays, receives the draws in place of
+    fresh arrays; a unit exponential times its mean is the bits of numpy's
+    exponential at that scale.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block_index))))
-    h2 = rng.exponential(scale=config.h_variance, size=(size, config.pairs))
-    g2 = rng.exponential(scale=config.g_variance, size=(size, config.pairs))
+    shape = (size, config.pairs)
+    h2, g2 = out if out is not None else (np.empty(shape), np.empty(shape))
+    for x, scale in ((h2, config.h_variance), (g2, config.g_variance)):
+        rng.standard_exponential(size=shape, out=x)
+        x *= scale
     return h2, g2
 
 
-def harvest(h2: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def harvest(
+    h2: np.ndarray, config: SystemConfig, *, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decoding sets and harvested budgets for a block of draws.
 
     ``h2`` has shape (trials, pairs).  A pair is decoded iff its first-hop
     gain strictly exceeds the decode threshold; each decoded pair
     contributes eta * (P_s |h|^2 - a) to the relay budget (the surplus
     past what decoding itself consumes).  Returns the decoded mask, the
-    number of decoded pairs per trial and the budget per trial (-0.0 if none
-    decodes).  On a Block's column-major ``h2`` both sums add the pair columns
-    in pair order, which below 8 pairs gives the bits of numpy's row sum.
+    number of decoded pairs per trial, in the narrowest unsigned integer that
+    holds it, and the budget per trial (-0.0 if none decodes).  On a Block's
+    column-major ``h2`` both sums add the pair columns in pair order, which
+    below 8 pairs gives the bits of numpy's row sum.  ``scratch``, a float
+    array shaped and laid out as ``h2``, holds the surplus in place of a
+    fresh array; the returned arrays are always fresh.
     """
     decoded = h2 > config.decode_threshold
-    surplus = config.eta * (config.source_power * h2 - config.snr_threshold)
+    surplus = np.multiply(h2, config.source_power, out=scratch)
+    surplus -= config.snr_threshold
+    surplus *= config.eta
     surplus *= decoded
-    return decoded, decoded.sum(axis=1), surplus.sum(axis=1)
+    return decoded, decoded.sum(axis=1, dtype=np.min_scalar_type(h2.shape[1])), surplus.sum(axis=1)

@@ -14,8 +14,6 @@ rounding.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .auction import allocate_auction
@@ -29,25 +27,80 @@ STRATEGY_NAMES = ("individual", "equal", "waterfill", "maxmin", "auction")
 class Block:
     """One block of draws and what its allocations share at every SNR: ``need = a / g2``.
 
-    ``h2``, ``g2`` and ``need`` are (trials, pairs), stored column-major."""
+    ``h2``, ``g2`` and ``need`` are (trials, pairs), stored column-major.  The
+    Block owns flat buffers with room for ``capacity`` trials, allocated on
+    first use and kept across :meth:`refill`; a block of fewer trials is laid
+    out as the leading part of each, exactly as a block of its own size.  Its
+    kernels overwrite one scratch buffer, so a Block serves one thread at a
+    time; every mask they return is a fresh array.
+    """
 
     def __init__(self, h2: np.ndarray, g2: np.ndarray, snr_threshold: float) -> None:
-        self.h2, self.g2 = np.asfortranarray(h2), np.asfortranarray(g2)
-        self.snr_threshold = snr_threshold
-        self.need = snr_threshold / self.g2
+        self._reserve(len(h2), np.shape(h2)[1], snr_threshold)
+        self.refill(h2, g2)
 
-    @cached_property
+    @classmethod
+    def empty(cls, capacity: int, pairs: int, snr_threshold: float) -> Block:
+        """A Block with room for ``capacity`` trials of ``pairs`` pairs and no draws
+        yet: draw into :meth:`draws`, then :meth:`refill`."""
+        block = cls.__new__(cls)
+        block._reserve(capacity, pairs, snr_threshold)
+        return block
+
+    def _reserve(self, capacity: int, pairs: int, snr_threshold: float) -> None:
+        self.capacity, self.pairs, self.snr_threshold = capacity, pairs, snr_threshold
+        self._flat: dict[str, np.ndarray] = {}
+
+    def _buffer(self, name: str, trials: int, dtype=np.float64) -> np.ndarray:
+        """The first ``trials * pairs`` elements of buffer ``name``, flat."""
+        if name not in self._flat:
+            self._flat[name] = np.empty((self.capacity, self.pairs), dtype).reshape(-1)
+        return self._flat[name][: trials * self.pairs]
+
+    def draws(self, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two C-order (trials, pairs) buffers to draw ``h2`` and ``g2`` into.
+
+        They are the buffers of the water-filling order, which :meth:`refill`
+        drops after copying the draws column-major."""
+        return tuple(
+            self._buffer(x, trials).reshape(trials, self.pairs) for x in ("sorted_h2", "sorted_need")
+        )
+
+    def refill(self, h2: np.ndarray, g2: np.ndarray) -> None:
+        """Hold the draws ``h2`` and ``g2``, (trials, pairs) with trials <= capacity."""
+        trials = len(h2)
+        if trials > self.capacity or np.shape(h2)[1] != self.pairs:
+            raise ValueError(f"{np.shape(h2)} draws do not fit a block of {self.capacity} x {self.pairs}")
+        self.h2, self.g2, self.need, self.scratch = (
+            self._buffer(x, trials).reshape(self.pairs, trials).T for x in ("h2", "g2", "need", "scratch")
+        )
+        np.copyto(self.h2, h2)
+        np.copyto(self.g2, g2)
+        np.divide(self.snr_threshold, self.g2, out=self.need)
+        self._order = None
+
+    @property
     def waterfill_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ascending need, ties by ascending pair index: needs and ``h2`` in that
-        order, pairs-major (pairs, trials), and each pair's place (trials, pairs)."""
-        trials, pairs = self.need.shape
-        order = np.argsort(self.need, axis=1, kind="stable").T.copy()  # (pairs, trials)
-        order *= trials
-        order += np.arange(trials)  # flat column-major index
-        rank = np.empty(trials * pairs, dtype=np.min_scalar_type(pairs))
-        rank[order] = np.arange(pairs, dtype=rank.dtype)[:, None]
-        need, h2 = (np.take(x.T.ravel(), order) for x in (self.need, self.h2))
-        return need, h2, rank.reshape(pairs, trials).T
+        order, pairs-major (pairs, trials), and each pair's place (trials, pairs).
+        Made on first use after each :meth:`refill`."""
+        if self._order is None:
+            trials, pairs = self.need.shape
+            # flat column-major index, in the scratch that the kernels overwrite anyway
+            order = self._buffer("scratch", trials).view(np.int64).reshape(pairs, trials)
+            np.copyto(order, np.argsort(self.need, axis=1, kind="stable").T)
+            order *= trials
+            order += np.arange(trials)
+            rank = self._buffer("rank", trials, np.min_scalar_type(pairs))
+            rank[order] = np.arange(pairs, dtype=rank.dtype)[:, None]
+            # mode "clip" writes straight into out; every index is in range
+            need, h2 = (
+                np.take(x.T.reshape(-1), order, mode="clip",
+                        out=self._buffer(f"sorted_{name}", trials).reshape(pairs, trials))
+                for name, x in (("need", self.need), ("h2", self.h2))
+            )
+            self._order = need, h2, rank.reshape(pairs, trials).T
+        return self._order
 
 
 def _individual(block, decoded, n, budget, config):
@@ -56,7 +109,9 @@ def _individual(block, decoded, n, budget, config):
     Distributed operation: no pooling, p_i = eta * (P_s |h_i|^2 - a) on the
     decoding set.
     """
-    p = config.eta * (config.source_power * block.h2 - config.snr_threshold)
+    p = np.multiply(block.h2, config.source_power, out=block.scratch)
+    p -= config.snr_threshold
+    p *= config.eta
     return decoded & (p >= block.need)
 
 
@@ -78,7 +133,7 @@ def _waterfill(block, decoded, n, budget, config):
     served iff its place lies in the prefix the budget covers.
     """
     need, h2, rank = block.waterfill_order
-    spent = need * (h2 > config.decode_threshold)
+    spent = np.multiply(need, h2 > config.decode_threshold, out=block.scratch.T)
     for k in range(1, spent.shape[0]):
         np.add(spent[k - 1], spent[k], out=spent[k])
     covered = (spent <= budget).sum(axis=0, dtype=rank.dtype)
@@ -93,7 +148,8 @@ def _maxmin(block, decoded, n, budget, config):
     or none do.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_sum = np.where(decoded, 1.0 / block.g2, 0.0).sum(axis=1)
+        block.scratch.fill(0.0)
+        inv_sum = np.divide(1.0, block.g2, out=block.scratch, where=decoded).sum(axis=1)
         common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
     return decoded & (common_snr >= config.snr_threshold)[:, None]
 

@@ -715,7 +715,7 @@ def test_main_exit_code_2_when_a_block_cannot_be_allocated(workers, monkeypatch,
     # numpy's message names the shape that did not fit; the pool re-raises it
     message = "Unable to allocate 24.4 GiB for an array with shape (16384, 200000) and data type float64"
 
-    def too_large(*args):
+    def too_large(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr("ehrelay.engine.BLOCK_SIZE", 16)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -162,9 +163,9 @@ def test_run_group_refuses_configs_that_differ_beyond_snr(other):
 def test_run_sweep_draws_once_per_block_and_pair_count(monkeypatch):
     drawn = []
 
-    def counting_sample_block(seed, block_index, size, config):
+    def counting_sample_block(seed, block_index, size, config, **kwargs):
         drawn.append((config.pairs, block_index))
-        return sample_block(seed, block_index, size, config)
+        return sample_block(seed, block_index, size, config, **kwargs)
 
     monkeypatch.setattr("ehrelay.engine.sample_block", counting_sample_block)
     spec = SweepSpec(
@@ -285,3 +286,62 @@ def test_run_group_refuses_more_than_max_workers(monkeypatch):
     monkeypatch.setattr(engine, "ThreadPoolExecutor", None)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(cfg(), "equal", 10, seed=0, workers=engine.MAX_WORKERS + 1)
+
+
+def _fresh_block_reports(configs, strategies, trials, seed, size):
+    """run_group's reports, rebuilt with a fresh Block and fresh arrays for
+    every (block, SNR): nothing is reused from one block or SNR to the next."""
+    pairs = configs[0].pairs
+    counts = np.zeros((len(configs), len(strategies), pairs + 1), dtype=np.int64)
+    for b in range(-(-trials // size)):
+        h2, g2 = sample_block(seed, b, min(size, trials - b * size), configs[0])
+        for i, config in enumerate(configs):
+            block = Block(h2, g2, config.snr_threshold)
+            harvested = harvest(block.h2, config)
+            for j, name in enumerate(strategies):
+                served = allocate(name, block, *harvested, config)
+                counts[i, j] += np.bincount(served.sum(axis=1), minlength=pairs + 1)
+    return {(i, name): engine._report(name, seed, counts[i, j])
+            for i in range(len(configs)) for j, name in enumerate(strategies)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("pairs", [2, 5, 20])
+def test_run_group_reuses_one_block_per_worker(pairs, workers, monkeypatch):
+    # 130 trials in blocks of 50, 50 and 30: each worker's Block holds full
+    # blocks and the partial last one, and every SNR overwrites its scratch
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
+    made = []
+    empty = Block.empty.__func__
+
+    def counting_empty(cls, capacity, pairs, snr_threshold):
+        made.append(capacity)
+        return empty(cls, capacity, pairs, snr_threshold)
+
+    monkeypatch.setattr(Block, "empty", classmethod(counting_empty))
+    configs = [cfg(pairs=pairs, snr_db=s, h_variance=2.5, g_variance=0.3) for s in (10.0, 25.0, 40.0)]
+    group = run_group(configs, STRATEGY_NAMES, 130, seed=8, workers=workers)
+    assert group == _fresh_block_reports(configs, STRATEGY_NAMES, 130, seed=8, size=50)
+    assert 1 <= len(made) <= workers and set(made) == {50}
+
+
+def test_run_group_peak_memory_does_not_grow_with_blocks(monkeypatch):
+    # a worker's Block is filled again for every block, so four blocks need
+    # no more memory at their peak than one block, give or take one draw
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 4096)
+    configs = [cfg(pairs=5, snr_db=s) for s in (10.0, 20.0, 30.0)]
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_group(configs, STRATEGY_NAMES, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4096)  # the first run also holds what its imports and caches keep
+    one = peak(4096)
+    draws = 2 * 4096 * 5 * np.dtype(float).itemsize
+    assert one > 6 * draws // 2  # the Block's buffers are traced
+    assert peak(4 * 4096) <= one + draws
+    assert peak(3 * 4096 + 5) <= one + draws  # a partial last block

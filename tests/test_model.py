@@ -176,6 +176,35 @@ def test_sample_block_partition_invariance():
     assert h.shape == (100, 3)
 
 
+@pytest.mark.parametrize("size", [100, 37])
+def test_sample_block_into_buffers_is_numpys_exponential(size):
+    # a unit exponential times the mean, drawn into the leading part of a
+    # larger buffer, is rng.exponential(scale=mean) bit for bit
+    c = cfg(pairs=3, h_variance=2.5, g_variance=0.3)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, 2))))
+    want = [rng.exponential(scale=v, size=(size, 3)) for v in (2.5, 0.3)]
+    buffers = np.full((2, 100 * 3), np.nan)
+    out = tuple(x[: size * 3].reshape(size, 3) for x in buffers)
+    got = sample_block(4, 2, size, c, out=out)
+    for x, y, buf in zip(got, want, out):
+        assert x is buf
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert np.isnan(buffers[:, size * 3:]).all()
+    for x, y in zip(sample_block(4, 2, size, c), want):
+        assert x.flags.c_contiguous and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_harvest_scratch_changes_no_bit():
+    c = cfg(pairs=5, power=1000.0, eta=0.37)
+    block = Block(*sample_block(6, 0, 500, c), c.snr_threshold)
+    fresh = harvest(block.h2, c)
+    scratch = np.full_like(block.h2, np.nan, order="F")
+    for x, y in zip(harvest(block.h2, c, scratch=scratch), fresh):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert not np.shares_memory(x, scratch)
+    assert fresh[1].dtype == np.uint8  # the narrowest integer that holds 5
+
+
 def test_sample_block_variance_scaling():
     c = cfg(pairs=2, h_variance=0.5, g_variance=2.0)
     h, g = sample_block(0, 0, 200_000, c)

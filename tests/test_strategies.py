@@ -203,6 +203,37 @@ def test_block_arrays_are_column_major():
     assert rank.flags.f_contiguous
 
 
+def test_refilled_block_matches_a_fresh_one():
+    # one Block of capacity 40 holds a full block, then a partial one, then
+    # a full one again: each time it equals a Block built for those draws,
+    # in the same buffers, and every mask returned is a fresh array
+    rng = np.random.default_rng(9)
+    config = SystemConfig(pairs=4, rate=1.0, source_power=power_from_snr_db(15.0))
+    block = Block.empty(40, 4, config.snr_threshold)
+    seen = None
+    for trials in (40, 23, 40):
+        h2, g2 = block.draws(trials)
+        h2[...], g2[...] = rng.exponential(size=(2, trials, 4))
+        fresh = Block(h2.copy(), g2.copy(), config.snr_threshold)
+        block.refill(h2, g2)
+        for name in ("h2", "g2", "need"):
+            x = getattr(block, name)
+            assert x.flags.f_contiguous and np.array_equal(x, getattr(fresh, name))
+        for x, y in zip(block.waterfill_order, fresh.waterfill_order):
+            assert x.flags.c_contiguous == y.flags.c_contiguous and np.array_equal(x, y)
+        harvested = harvest(block.h2, config, scratch=block.scratch)
+        for name in STRATEGY_NAMES:
+            served = allocate(name, block, *harvested, config)
+            assert np.array_equal(served, allocate(name, fresh, *harvest(fresh.h2, config), config))
+            for x in block._flat.values():
+                assert not np.shares_memory(served, x)
+        if seen is not None:
+            assert all(np.shares_memory(x, y) for x, y in zip(seen, (block.h2, block.need)))
+        seen = block.h2, block.need
+    with pytest.raises(ValueError, match="do not fit"):
+        block.refill(*rng.exponential(size=(2, 41, 4)))
+
+
 @pytest.mark.parametrize("pairs", [1, 2, 3, 5, 20, 300])
 def test_waterfill_order_matches_row_major_construction(pairs):
     rng = np.random.default_rng(pairs)

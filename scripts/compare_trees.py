@@ -6,10 +6,10 @@ A speed-up must not change results.  The committed ``results/*.csv``
 cover the figure presets only; this script runs a fixed list of other
 sweeps through each tree's ``ehrelay.cli.run_sweep`` and ``write_csv``:
 
-* the auction under both price policies at 3, 9, 20 and 40 pairs, a
-  20000-trial auction sweep that fills a whole 16384-trial block, and the
-  max-winners auction at 64 and 128 pairs with unit link variances, and
-  at 130 and 256 pairs, where numpy adds up a row of bids as two halves;
+* the auction at 3, 9, 20 and 40 pairs, a 20000-trial auction sweep
+  that fills a whole 16384-trial block, and the auction at 64 and 128
+  pairs with unit link variances, and at 130 and 256 pairs, where numpy
+  adds up a row of bids as two halves;
 * the four batched strategies at 1, 2, 7, 8, 12 and 30 pairs, 0-40 dB,
   eta 0.61, with every analytic row, and again at the success-count
   figure's link variances 1/16 and rate 0.5 (1, 2, 7 and 20 pairs).
@@ -44,13 +44,9 @@ _AUCTION = dict(_SUCCESS_CHANNELS, strategies=("auction",), metrics=_METRICS)
 
 # sweep name -> SweepSpec fields
 SWEEPS = {
-    **{
-        f"auction-{policy}": dict(
-            _AUCTION, pairs=(3, 9, 20, 40), snr_db=(5.0, 10.0, 15.0, 20.0, 30.0),
-            trials=4000, seed=5, price_policy=policy,
-        )
-        for policy in ("max-winners", "certified")
-    },
+    "auction": dict(
+        _AUCTION, pairs=(3, 9, 20, 40), snr_db=(5.0, 10.0, 15.0, 20.0, 30.0), trials=4000, seed=5,
+    ),
     "auction-full-block": dict(_AUCTION, pairs=(20,), snr_db=(15.0,), trials=20_000, seed=6),
     "auction-large": dict(
         rate=0.5, pairs=(64, 128), snr_db=(10.0, 20.0, 30.0), strategies=("auction",),

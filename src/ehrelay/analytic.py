@@ -139,7 +139,7 @@ def outage_individual(config: SystemConfig) -> OutageSummary:
     independence.
     """
     eps, eta = config.unit_gain_thresholds
-    avg = -math.expm1(-eps) + math.exp(-eps) * _fail_moment(1, eps / eta, 1)
+    avg = _some_fail(1, eps, eps / eta)
     m = config.pairs
     worst = -math.expm1(m * math.log1p(-avg)) if avg < 1.0 else 1.0
     return OutageSummary(average=avg, best=avg**m, worst=worst)

@@ -29,8 +29,8 @@ dynamics (``run_auction``) are how the pairs reach it, and the reference
 that the tests hold the closed form against.
 
 Row r of a (rows, pairs) gain array is one auction, and a zero gain marks
-a pair not in it (its quit price is 0, so it never bids).  The price
-policies and the certificate take one auction, or such a block with a
+a pair not in it (its quit price is 0, so it never bids).  The two prices
+and the certificate take one auction, or such a block with a
 budget (and price) per row; the other functions are one-row calls.
 """
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "B_MAX", "LN2", "PRICE_POLICIES", "AuctionConfig", "AuctionState", "interior_target",
+    "B_MAX", "LN2", "AuctionConfig", "AuctionState", "interior_target",
     "quit_price", "full_budget_price", "response_weights", "contraction_modulus",
     "iteration_spectral_radius", "predict_allocation", "run_auction", "select_price",
     "winner_maximizing_price", "allocate_auction",
@@ -50,7 +50,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 B_MAX = 1e12  # stand-in for an unbounded bid when T_i >= P_r
-PRICE_POLICIES = ("max-winners", "certified")  # see allocate_auction
 # rungs of the max-winners ladder scored per chunk of rows: bounds the
 # scan's memory (its largest arrays hold one entry per rung)
 _CHUNK_RUNGS = 1 << 14
@@ -461,42 +460,36 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
 
 
 def allocate_auction(
-    g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, snr_threshold: float, *,
-    price_policy: str = "max-winners",
+    g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, snr_threshold: float
 ) -> np.ndarray:
     """Auction allocation for a block of draws, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
     (trials,).  In each trial the decoded pairs bid for the budget P_r:
-    the relay reserves ``xi = 0.01 P_r`` and prices the budget by policy,
-    "max-winners" scanning for the price serving the most pairs against
-    the requirement ``snr_threshold / g2`` (``winner_maximizing_price``,
-    in chunks of rows), "certified" taking the cheapest
-    contraction-certified price (scaled by 1.05).  The outcome is the
-    auction's Nash equilibrium at that price, in closed form (``_predict``):
-    each interior pair is granted its target, full-budget pairs split what
-    the interior demand leaves, and pairs priced out of the market get
-    nothing; the unsold remainder stays at the relay.  Both policies
-    return only prices where that equilibrium exists and the best-response
-    dynamics contract to it.  Returns the served mask, the pairs whose
-    grant meets their requirement.
+    the relay reserves ``xi = 0.01 P_r`` and announces the price serving
+    the most pairs against the requirement ``snr_threshold / g2``
+    (``winner_maximizing_price``, in chunks of rows; a row with no usable
+    rung takes the certified price of ``select_price``).  The outcome is
+    the auction's Nash equilibrium at that price, in closed form
+    (``_predict``): each interior pair is granted its target, full-budget
+    pairs split what the interior demand leaves, and pairs priced out of
+    the market get nothing; the unsold remainder stays at the relay.
+    Either price is one where that equilibrium exists and the
+    best-response dynamics contract to it.  Returns the served mask, the
+    pairs whose grant meets their requirement.
     """
-    if price_policy not in PRICE_POLICIES:
-        raise ValueError(f"unknown price_policy {price_policy!r}")
     served = np.zeros_like(decoded)
     rows = np.flatnonzero(decoded.any(axis=1))
     gains = np.where(decoded[rows], g2[rows], 0.0)
     pr = budget[rows]
-    if price_policy == "max-winners":
-        price = winner_maximizing_price(gains, pr, snr_threshold)
-    else:
-        price = select_price(gains, pr)
+    price = winner_maximizing_price(gains, pr, snr_threshold)
     p = pr[:, None]
     alloc, exists, _ = _predict(price[:, None], p, gains, _RESERVE_FRACTION * p)
     if not exists.all():
         raise RuntimeError(
             f"the auction's price has no equilibrium in {np.count_nonzero(~exists)} of "
-            f"{exists.size} auctions; the price policies should make this impossible"
+            f"{exists.size} auctions; the max-winners price and its certified fallback "
+            "should make this impossible"
         )
     with np.errstate(divide="ignore"):
         served[rows] = alloc >= snr_threshold / gains

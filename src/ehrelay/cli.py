@@ -35,7 +35,6 @@ from .analytic import (
     outage_wf_best,
     wf_worst_bounds,
 )
-from .auction import PRICE_POLICIES
 from .engine import BLOCK_SIZE, MAX_WORKERS, run_group
 from .model import SystemConfig, power_from_snr_db
 from .strategies import STRATEGY_NAMES
@@ -71,8 +70,9 @@ class _Group(NamedTuple):
 
 # (strategy, group) -> the analytic method group, each strategy's groups in CSV row
 # order; Monte Carlo covers every (strategy, metric) and is not listed.  The pooled
-# asymptotics divide by M - 1, so they take two pairs.  point(f, *args) is
-# f(*args, config), evaluated once per sweep point.  The functions are looked up in
+# asymptotics divide by M - 1, so they take two pairs; the equal-power best case adds
+# M terms one by one (0.16 s at 10^5 pairs), so its group stops there.  point(f, *args)
+# is f(*args, config), evaluated once per sweep point.  The functions are looked up in
 # this module at call time, so a substituted module attribute takes effect.
 ANALYTIC_ROWS = {
     ("individual", "exact"): _Group(_OUTAGE_METRICS, ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
@@ -81,7 +81,7 @@ ANALYTIC_ROWS = {
         lambda point, metric: (point(asymptotic_outage, "individual", metric),)),
     ("equal", "exact"): _Group(_OUTAGE_METRICS, ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
         lambda point, metric: (getattr(point(outage_equal), metric),)),
-    ("equal", "asymptotic"): _Group(_OUTAGE_METRICS, ("asymptotic",), (2, math.inf),
+    ("equal", "asymptotic"): _Group(_OUTAGE_METRICS, ("asymptotic",), (2, 100_000),
         lambda point, metric: (point(asymptotic_outage, "equal", metric),)),
     ("waterfill", "exact"): _Group(("best",), ("exact",), (1, MAX_CLOSED_FORM_PAIRS),
         lambda point, metric: (point(outage_wf_best),)),
@@ -113,7 +113,6 @@ class SweepSpec:
     mode: str = "mc"
     h_variance: float = 1.0
     g_variance: float = 1.0
-    price_policy: str = "max-winners"
 
 
 def _parse_float(text: str) -> float:
@@ -182,7 +181,6 @@ _PARSERS = {
     "mode": _parse_choice(MODES, "mode"),
     "h_variance": _parse_float,
     "g_variance": _parse_float,
-    "price_policy": _parse_choice(PRICE_POLICIES, "price policy"),
     "distance_source_relay": _parse_float,
     "distance_relay_destination": _parse_float,
     "path_loss_exponent": _parse_float,
@@ -355,8 +353,6 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     for m in spec.metrics:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
-    if spec.price_policy not in PRICE_POLICIES:
-        raise CLIError(f"unknown price_policy {spec.price_policy!r}")
 
     plan = _analytic_plan(spec)
     if spec.mode in ("exact", "asymptotic", "bounds"):
@@ -426,7 +422,6 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                 spec.trials,
                 spec.seed,
                 workers=workers,
-                price_policy=spec.price_policy,
             )
 
     rows: list[dict] = []

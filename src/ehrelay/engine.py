@@ -88,7 +88,6 @@ def run_group(
     seed: int,
     *,
     workers: int = 1,
-    price_policy: str = "max-winners",
 ) -> dict[tuple[int, str], OutageReport]:
     """Estimate the outage metrics of every (config, strategy) on shared draws.
 
@@ -97,9 +96,8 @@ def run_group(
     and its requirement order on the rate, so both serve the whole group.
     Block b covers trials [b * BLOCK_SIZE, ...); each block reduces to one
     histogram of served counts per (config, strategy), summed as integers,
-    so the reports do not depend on ``workers``.  The auction prices by
-    ``price_policy`` (see :func:`ehrelay.auction.allocate_auction`).
-    Returns the report of each (config index, strategy).
+    so the reports do not depend on ``workers``.  Returns the report of each
+    (config index, strategy).
     """
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
@@ -131,7 +129,7 @@ def run_group(
         for i, config in enumerate(configs):
             harvested = harvest(block.h2, config, scratch=block.scratch)
             for j, s in enumerate(strategies):
-                served = allocate(s, block, *harvested, config, price_policy=price_policy)
+                served = allocate(s, block, *harvested, config)
                 counts[i, j] = np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)
         return counts
 
@@ -175,11 +173,7 @@ def run_experiment(
     seed: int,
     *,
     workers: int = 1,
-    price_policy: str = "max-winners",
 ) -> OutageReport:
     """Estimate the outage metrics of ``strategy`` over ``trials`` draws:
     :func:`run_group` on the one-config group."""
-    return run_group(
-        [config], (strategy,), trials, seed,
-        workers=workers, price_policy=price_policy,
-    )[0, strategy]
+    return run_group([config], (strategy,), trials, seed, workers=workers)[0, strategy]

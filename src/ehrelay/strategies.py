@@ -21,8 +21,6 @@ from .model import SystemConfig
 
 __all__ = ["Block", "allocate", "STRATEGY_NAMES"]
 
-STRATEGY_NAMES = ("individual", "equal", "waterfill", "maxmin", "auction")
-
 
 class Block:
     """One block of draws and what its allocations share at every SNR: ``need = a / g2``.
@@ -159,23 +157,20 @@ _KERNELS = {
     "equal": _equal,
     "waterfill": _waterfill,
     "maxmin": _maxmin,
+    "auction": lambda block, decoded, n, budget, config: allocate_auction(
+        block.g2, decoded, budget, block.snr_threshold
+    ),
 }
+STRATEGY_NAMES = tuple(_KERNELS)
 
 
 def allocate(
-    name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray,
-    config: SystemConfig, *, price_policy: str = "max-winners",
+    name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray, config: SystemConfig
 ) -> np.ndarray:
     """Served mask (in pair order) of strategy ``name`` on one block, at
-    the SNR of ``config`` and the block's threshold ``a``.
-
-    ``price_policy`` is the auction's (see
-    :func:`ehrelay.auction.allocate_auction`); other strategies ignore it.
-    """
+    the SNR of ``config`` and the block's threshold ``a``."""
     if config.snr_threshold != block.snr_threshold:
         raise ValueError(f"snr_threshold {config.snr_threshold!r} is not the block's {block.snr_threshold!r}")
-    if name == "auction":
-        return allocate_auction(block.g2, decoded, budget, block.snr_threshold, price_policy=price_policy)
     if name not in _KERNELS:
         raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGY_NAMES}")
     return _KERNELS[name](block, decoded, n, budget, config)

@@ -295,15 +295,10 @@ def ladder_winner_price(g2, total_power, snr_threshold: float) -> np.ndarray:
     return price
 
 
-def scalar_auction_row(
-    g2: np.ndarray, total_power: float, snr_threshold: float, *, price_policy: str = "max-winners",
-) -> AuctionState:
-    """Price one auction by ``price_policy`` and run its bid dynamics, the
-    relay reserving 0.01 of the budget."""
-    if price_policy == "max-winners":
-        price = scalar_winner_price(g2, total_power, snr_threshold)
-    else:
-        price = scalar_select_price(g2, total_power)
+def scalar_auction_row(g2: np.ndarray, total_power: float, snr_threshold: float) -> AuctionState:
+    """Price one auction at the max-winners price and run its bid dynamics,
+    the relay reserving 0.01 of the budget."""
+    price = scalar_winner_price(g2, total_power, snr_threshold)
     return scalar_run_auction(
         g2, total_power, AuctionConfig(price=price, reserve=0.01 * total_power)
     )
@@ -631,7 +626,7 @@ class ReferenceDraw:
     served: np.ndarray
 
 
-def reference_draw(h2, g2, config, strategy: str, *, price_policy: str = "max-winners") -> ReferenceDraw:
+def reference_draw(h2, g2, config, strategy: str) -> ReferenceDraw:
     """Harvest and allocate one draw (length-M ``h2`` and ``g2``) pair by pair."""
     h2 = np.asarray(h2, dtype=float)
     g2 = np.asarray(g2, dtype=float)
@@ -662,7 +657,7 @@ def reference_draw(h2, g2, config, strategy: str, *, price_policy: str = "max-wi
             powers[idx] = budget / float(inv.sum()) * inv
     elif strategy == "auction":
         if idx.size:
-            state = scalar_auction_row(g2[idx], budget, a, price_policy=price_policy)
+            state = scalar_auction_row(g2[idx], budget, a)
             assert state.converged
             powers[idx] = state.allocation
     else:

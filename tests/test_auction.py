@@ -274,7 +274,7 @@ def test_select_price_single_user_strictly_interior():
         assert float(full_budget_price(g2, pr)[0]) < price < float(quit_price(g2)[0])
 
 
-def test_select_price_keeps_the_quit_price_when_none_below_it_is_certified():
+def test_select_price_keeps_the_quit_price_when_none_below_it_is_certified(monkeypatch):
     # the certificate is probed 1e-12 below the best quit price, where the best
     # pair's target is about 1e-12 / g2_max; at g2_max P_r near 1e-12 that is not
     # small against P_r, the probe fails, and the row keeps the quit price, at
@@ -290,10 +290,12 @@ def test_select_price_keeps_the_quit_price_when_none_below_it_is_certified():
     assert price[0] == 7.213475204444817e-13
     assert contraction_modulus(price[0], pr[0], g2[0]) == 0.0
     assert price[1] < upper[1] and contraction_modulus(price[1], pr[1], g2[1]) < 1.0
-    for policy in auction.PRICE_POLICIES:
-        served = allocate_auction(g2, np.ones_like(g2, dtype=bool), pr, 0.1, price_policy=policy)
-        assert not served[0].any(), policy
-        assert served[1].any(), policy
+    for certified in (False, True):
+        if certified:
+            _serve_at_certified_price(monkeypatch)
+        served = allocate_auction(g2, np.ones_like(g2, dtype=bool), pr, 0.1)
+        assert not served[0].any(), certified
+        assert served[1].any(), certified
 
 
 def test_select_price_validation():
@@ -384,26 +386,44 @@ def test_allocate_auction_empty_set():
     assert not allocate_auction(g2, decoded, budget, a).any()
 
 
-def test_allocate_auction_rejects_unknown_policy():
-    g2, decoded, budget, a = _auction_setup([0.5], [1.0])
-    with pytest.raises(ValueError, match="price_policy"):
-        allocate_auction(g2, decoded, budget, a, price_policy="cheapest")
+def _serve_at_certified_price(monkeypatch):
+    """Make ``allocate_auction`` price every row with ``select_price``, as it
+    does a row whose max-winners ladder has no usable rung."""
+    monkeypatch.setattr(auction, "winner_maximizing_price", lambda g2, pr, a: select_price(g2, pr))
 
 
-def test_allocate_auction_policies_differ_only_in_price():
+def test_allocate_auction_policies_differ_only_in_price(monkeypatch):
     g2, decoded, budget, threshold = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
-    a = allocate_auction(g2, decoded, budget, threshold, price_policy="max-winners")
-    b = allocate_auction(g2, decoded, budget, threshold, price_policy="certified")
+    a = allocate_auction(g2, decoded, budget, threshold)
+    _serve_at_certified_price(monkeypatch)
+    b = allocate_auction(g2, decoded, budget, threshold)
     assert int(a.sum()) >= int(b.sum())
 
 
-def _oracle_block(g2, decoded, budget, a, **opts):
-    """Served mask and allocation of the scalar oracle, one auction per row."""
+def test_allocate_auction_refuses_a_price_with_no_equilibrium(monkeypatch):
+    # three equal gains whose targets are each 0.5 P_r: every pair is interior,
+    # but their demand is 1.5 P_r, so the share rule has no equilibrium there
+    g2, decoded, budget = np.ones((1, 3)), np.ones((1, 3), dtype=bool), np.array([2.0])
+    price = 1.0 / (2.0 * LN2 * (0.5 * budget[0] + 1.0))
+    assert interior_target(price, g2[0]) == pytest.approx([1.0, 1.0, 1.0])
+    assert predict_allocation(price, budget[0], g2[0], 0.01 * budget[0]) is None
+    monkeypatch.setattr(auction, "winner_maximizing_price", lambda gains, pr, a: np.full(len(gains), price))
+    with pytest.raises(RuntimeError, match="has no equilibrium in 1 of 1 auctions"):
+        allocate_auction(g2, decoded, budget, 1.0)
+
+
+def _oracle_block(g2, decoded, budget, a, *, certified=False):
+    """Served mask and allocation of the scalar oracle, one auction per row,
+    at the max-winners price or, if ``certified``, at the certified one."""
     served = np.zeros_like(decoded)
     allocation = np.zeros(g2.shape)
     for t in np.flatnonzero(decoded.any(axis=1)):
         idx = np.flatnonzero(decoded[t])
-        state = scalar_auction_row(g2[t, idx], float(budget[t]), a, **opts)
+        gains, pr = g2[t, idx], float(budget[t])
+        if certified:
+            state = scalar_run_auction(gains, pr, AuctionConfig(scalar_select_price(gains, pr), 0.01 * pr))
+        else:
+            state = scalar_auction_row(gains, pr, a)
         assert state.converged
         allocation[t, idx] = state.allocation
         served[t, idx] = state.allocation >= a / g2[t, idx]
@@ -428,44 +448,53 @@ def _edge_block(rng, pairs, rows=90):
     return g2, decoded, budget
 
 
-@pytest.mark.parametrize("policy", ["max-winners", "certified"])
+@pytest.mark.parametrize("rule", ["max-winners", "certified"])
 @pytest.mark.parametrize("pairs", [1, 3, 7])
-def test_allocate_auction_matches_scalar_oracle(pairs, policy):
+def test_allocate_auction_matches_scalar_oracle(pairs, rule, monkeypatch):
     # below 8 pairs numpy adds up a row sequentially, so the padded block
-    # reproduces the one-auction-at-a-time oracle bit for bit
+    # reproduces the one-auction-at-a-time oracle bit for bit, at the
+    # max-winners price and at its fallback, the certified one
     rng = np.random.default_rng(100 + pairs)
     g2, decoded, budget = _edge_block(rng, pairs)
-    served = allocate_auction(g2, decoded, budget, 1.0, price_policy=policy)
-    want, _ = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+    certified = rule == "certified"
+    if certified:
+        _serve_at_certified_price(monkeypatch)
+    served = allocate_auction(g2, decoded, budget, 1.0)
+    want, _ = _oracle_block(g2, decoded, budget, 1.0, certified=certified)
     assert served.tolist() == want.tolist()
     assert not served[0].any()
     assert not served[2].any()
     if pairs >= 3:
-        row = 3 if policy == "max-winners" else 4
+        row = 4 if certified else 3
         gains, pr = g2[row, :3], budget[row]
-        price = winner_maximizing_price(gains, pr, 1.0) if row == 3 else select_price(gains, pr)
+        price = select_price(gains, pr) if certified else winner_maximizing_price(gains, pr, 1.0)
         assert (interior_target(price, gains) >= pr).any()
 
 
-def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs():
+def test_allocate_auction_matches_scalar_oracle_at_twenty_pairs(monkeypatch):
     # at 20 pairs the block and the oracle add up in different orders:
     # served masks agree away from requirement ties
     rng = np.random.default_rng(120)
     g2, decoded, budget = _edge_block(rng, 20, rows=60)
-    for policy in ("max-winners", "certified"):
-        served = allocate_auction(g2, decoded, budget, 1.0, price_policy=policy)
-        want, allocation = _oracle_block(g2, decoded, budget, 1.0, price_policy=policy)
+    for certified in (False, True):
+        if certified:
+            _serve_at_certified_price(monkeypatch)
+        served = allocate_auction(g2, decoded, budget, 1.0)
+        want, allocation = _oracle_block(g2, decoded, budget, 1.0, certified=certified)
         tie = np.abs(allocation - 1.0 / g2) <= 1e-6 / g2
         assert (served == want)[~tie].all()
 
 
-@pytest.mark.parametrize("policy", auction.PRICE_POLICIES)
-def test_allocate_auction_serves_what_the_bid_dynamics_reach(policy):
+@pytest.mark.parametrize("rule", ["max-winners", "certified"])
+def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
     # allocate_auction serves the closed-form equilibrium at its price; the
     # best-response dynamics at the same price must end on the same mask.  A
     # pair whose equilibrium grant is within 1e-8 relative of its requirement
     # could flip by rounding alone (the ladder shades a requirement-tie price
-    # by 1e-9), so only such a pair may differ, and on this grid none does
+    # by 1e-9), so only such a pair may differ, and on this grid none does.
+    # The certified price is served too, as the fallback of a row with no usable rung
+    if rule == "certified":
+        _serve_at_certified_price(monkeypatch)
     differ = near_ties = 0
     for pairs in (2, 3, 5, 8, 20, 40):
         for rate in (0.5, 2.0):
@@ -477,15 +506,12 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(policy):
             for config in configs:
                 h2, g2 = sample_block(0, 0, 200, config)
                 decoded, _, budget = harvest(h2, config)
-                served = allocate_auction(g2, decoded, budget, a, price_policy=policy)
+                served = allocate_auction(g2, decoded, budget, a)
                 rows = decoded.any(axis=1)
                 parts.append((np.where(decoded, g2, 0.0)[rows], budget[rows], served[rows]))
             # every row of a block is priced on its own, so one call prices them all
             gains, pr, served = (np.concatenate(x) for x in zip(*parts, strict=True))
-            if policy == "max-winners":
-                price = winner_maximizing_price(gains, pr, a)
-            else:
-                price = select_price(gains, pr)
+            price = auction.winner_maximizing_price(gains, pr, a)
             _, allocation, _, converged, _ = auction._bid_dynamics(gains, pr, price, 0.01 * pr)
             assert converged.all()
             p = pr[:, None]
@@ -676,8 +702,8 @@ def test_allocate_auction_certified_fallback(monkeypatch):
 
     monkeypatch.setattr(auction, "_chunk_price", rejecting)
     served = allocate_auction(g2, decoded, budget, 1.0)
-    for policy, rows in (("max-winners", slice(0, None, 2)), ("certified", slice(1, None, 2))):
-        want, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, price_policy=policy)
+    for certified, rows in ((False, slice(0, None, 2)), (True, slice(1, None, 2))):
+        want, _ = _oracle_block(g2[rows], decoded[rows], budget[rows], 1.0, certified=certified)
         assert served[rows].tolist() == want.tolist()
 
 

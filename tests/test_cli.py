@@ -43,7 +43,6 @@ def test_empty_config_gives_defaults():
     spec = parse_config("")
     assert spec == SweepSpec()
     assert spec.mode == "mc"
-    assert spec.price_policy == "max-winners"
 
 
 def test_parse_basic_keys():
@@ -92,7 +91,7 @@ def test_snr_comma_list():
         ("snr_db = 0:10:0.0009\n", "more than 10000 grid points"),
         ("strategies = equal,magic\n", "unknown strategy 'magic'"),
         ("mode = fast\n", "unknown mode 'fast'"),
-        ("price_policy = random\n", "unknown price policy"),
+        ("price_policy = random\n", "line 1: unknown key 'price_policy'"),
         ("path_loss_exponent = 3\n", "path_loss_exponent requires distances"),
         ("distance_source_relay = 2\n", "distance_relay_destination is required"),
         (
@@ -132,7 +131,7 @@ def test_dump_parse_round_trip_presets(name):
 
 def test_dump_parse_round_trip_custom():
     spec = dataclasses.replace(
-        SMALL, rate=0.75, eta=0.9, h_variance=0.5, price_policy="certified"
+        SMALL, rate=0.75, eta=0.9, h_variance=0.5
     )
     assert parse_config(dump_config(spec)) == spec
 
@@ -214,26 +213,13 @@ def test_analytic_rows_finite_at_large_pair_counts(strategy, metric, group):
 
 
 @pytest.mark.parametrize(
-    "field, value, match",
-    [
-        ("price_policy", "cheapest", "unknown price_policy"),
-    ],
-)
-def test_run_sweep_refuses_bad_auction_settings(field, value, match, monkeypatch):
-    # refused before any channel is drawn, whether or not the sweep runs the auction
-    monkeypatch.setattr("ehrelay.cli.run_group", None)
-    for strategies in (("auction",), ("equal",)):
-        spec = dataclasses.replace(SMALL, strategies=strategies, **{field: value})
-        with pytest.raises(CLIError, match=match):
-            run_sweep(spec)
-
-
-@pytest.mark.parametrize(
     "text, message",
     [
-        # the reserve and the certified margin are fixed: even their values are refused
+        # the reserve, the certified margin and the price rule are fixed: even
+        # their values are refused
         ("xi_fraction = 0.01\n", "unknown key 'xi_fraction'"),
         ("price_margin = 0.05\nprice_policy = certified\n", "unknown key 'price_margin'"),
+        ("price_policy = certified\n", "unknown key 'price_policy'"),
     ],
 )
 def test_main_refuses_bad_auction_settings_in_config(text, message, tmp_path, capsys):
@@ -252,6 +238,19 @@ def test_main_equal_best_asymptotic_beyond_ninety_nine_pairs(capsys):
     assert main(argv + ["--snr", "30"]) == 0
     value = float(capsys.readouterr().out.splitlines()[1].split(",")[5])
     assert 0.0 < value < 1e-100
+
+
+def test_main_refuses_equal_asymptotics_past_their_pair_bound(monkeypatch, capsys):
+    # the equal-power best case adds M terms one by one, so 10^20 pairs would
+    # never return: the group stops at 10^5 pairs, refused before any work
+    argv = ["--snr", "60", "--strategy", "equal", "--metric", "best", "--mode", "asymptotic"]
+    assert main(argv + ["--pairs", "100000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    monkeypatch.setattr("ehrelay.cli.asymptotic_outage", None)
+    assert main(argv + ["--pairs", "100000000000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: pairs 100000000000000000000 exceeds 100000, the largest pair count the closed forms support\n"
+    )
 
 
 @pytest.mark.parametrize("strategy", ["individual", "equal"])

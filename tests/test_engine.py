@@ -101,27 +101,6 @@ def test_vectorized_blocks_match_per_draw(name, monkeypatch):
     assert report.mean_success == pytest.approx(success_total / trials)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_price_policy_reaches_the_auction_kernel(workers, monkeypatch):
-    # at this point the certified price serves fewer pairs than the
-    # max-winners one, so a policy dropped on the way down would show
-    monkeypatch.setattr(engine, "BLOCK_SIZE", 16)
-    config = cfg(pairs=3, snr_db=10.0)
-    trials = 64
-    default = run_experiment(config, "auction", trials, seed=5, workers=workers)
-    certified = run_experiment(config, "auction", trials, seed=5, workers=workers, price_policy="certified")
-    assert certified.mean_success < default.mean_success
-    served = [
-        reference_draw(h2[t], g2[t], config, "auction", price_policy="certified").served
-        for h2, g2 in (sample_block(5, block, 16, config) for block in range(4))
-        for t in range(16)
-    ]
-    counts = np.array([int(row.sum()) for row in served])
-    assert certified.mean_success == counts.sum() / trials
-    assert certified.best == float((counts == 0).sum()) / trials
-    assert certified.worst == float((counts < config.pairs).sum()) / trials
-
-
 def test_trials_one_is_the_single_trial():
     config = cfg(pairs=2)
     report = run_experiment(config, "equal", 1, seed=3)

@@ -9,7 +9,8 @@ sweeps through each tree's ``ehrelay.cli.run_sweep`` and ``write_csv``:
 * the auction at 3, 9, 20 and 40 pairs, a 20000-trial auction sweep
   that fills a whole 16384-trial block, and the auction at 64 and 128
   pairs with unit link variances, and at 130 and 256 pairs, where numpy
-  adds up a row of bids as two halves;
+  splits ``predict_allocation``'s demand sum (a row of interior targets)
+  in halves, as its pairwise sum does above 128 terms;
 * the four batched strategies at 1, 2, 7, 8, 12 and 30 pairs, 0-40 dB,
   eta 0.61, with every analytic row, and again at the success-count
   figure's link variances 1/16 and rate 0.5 (1, 2, 7 and 20 pairs).

@@ -29,23 +29,23 @@ dynamics (``run_auction``) are how the pairs reach it, and the reference
 that the tests hold the closed form against.
 
 Row r of a (rows, pairs) gain array is one auction, and a zero gain marks
-a pair not in it (its quit price is 0, so it never bids).  The two prices
-and the certificate take one auction, or such a block with a
-budget (and price) per row; the other functions are one-row calls.
+a pair not in it (its quit price is 0, so it never bids).  The two prices,
+the certificate and the dynamics take one auction, or such a block with a
+budget (and price) per row; ``predict_allocation`` broadcasts unchecked
+arrays, and ``iteration_spectral_radius`` takes one auction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "B_MAX", "LN2", "AuctionConfig", "AuctionState", "interior_target",
-    "quit_price", "full_budget_price", "response_weights", "contraction_modulus",
-    "iteration_spectral_radius", "predict_allocation", "run_auction", "select_price",
-    "winner_maximizing_price", "allocate_auction",
+    "B_MAX", "LN2", "AuctionState", "interior_target", "quit_price", "full_budget_price",
+    "response_weights", "contraction_modulus", "iteration_spectral_radius", "predict_allocation",
+    "run_auction", "select_price", "winner_maximizing_price", "allocate_auction",
 ]
 
 LN2 = math.log(2.0)
@@ -65,33 +65,14 @@ _RESERVE_FRACTION = 0.01  # the relay's reserve bid xi, as a fraction of its bud
 _PRICE_MARGIN = 0.05  # the certified price's back-off above the certificate threshold
 
 
-@dataclass(frozen=True)
-class AuctionConfig:
-    """Fixed parameters of one auction instance.
-
-    price:   unit power price pi > 0 announced by the relay
-    reserve: relay reserve bid xi > 0
-    """
-
-    price: float
-    reserve: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.price) and self.price > 0.0):
-            raise ValueError(f"price must be positive, got {self.price!r}")
-        if not (math.isfinite(self.reserve) and self.reserve > 0.0):
-            raise ValueError(f"reserve must be positive, got {self.reserve!r}")
-
-
-@dataclass(eq=False)
-class AuctionState:
-    """Result of running the bid dynamics."""
+class AuctionState(NamedTuple):
+    """Result of the bid dynamics, one entry per row (one auction: its row)."""
 
     bids: np.ndarray
     allocation: np.ndarray
-    iterations: int
-    converged: bool
-    residual: float
+    iterations: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
 
 
 def interior_target(price, g2) -> np.ndarray:
@@ -182,8 +163,15 @@ def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
     return hi
 
 
-def _predict(price, total_power, g2, reserve):
-    """Equilibrium allocations at each price, whether they exist, and rho."""
+def predict_allocation(price, total_power, g2, reserve):
+    """Closed-form equilibrium at each price, whether it exists, and rho.
+
+    Interior pairs end up with exactly their target T_i; full-budget pairs
+    bid the cap and split what the interior demand leaves.  It exists when
+    the interior demand alone is below the budget (else the dynamics do not
+    settle).  The arguments broadcast, unchecked, with pairs on the last
+    axis and ``total_power`` a float or an array with a length-1 last axis.
+    """
     t = interior_target(price, g2)
     capped = t >= total_power
     interior = np.where((t > 0.0) & ~capped, t, 0.0)
@@ -193,34 +181,25 @@ def _predict(price, total_power, g2, reserve):
         capped_bids = np.count_nonzero(capped, axis=-1)[..., None] * B_MAX
         total_bids = (capped_bids + sigma * reserve) / (1.0 - sigma)
         share = B_MAX / (total_bids + reserve) * total_power
-    exists = demand[..., 0] < total_power[..., 0]
+    exists = (demand < total_power)[..., 0]
     return np.where(capped, share, interior), exists, interior / (total_power - interior)
 
 
-def predict_allocation(price: float, total_power: float, g2, reserve: float) -> np.ndarray | None:
-    """Closed-form equilibrium allocation for a convergent price.
-
-    Interior pairs end up with exactly their target T_i; full-budget pairs
-    bid the cap and split what the interior demand leaves.  Returns None
-    when the interior demand alone exceeds the budget (no equilibrium of
-    this structure; the dynamics do not settle).
-    """
-    g2, total_power, _ = _block(g2, total_power, rows=False)
-    alloc, exists, _ = _predict(price, total_power[:, None], g2, reserve)
-    return alloc[0] if exists[0] else None
-
-
-def _bid_dynamics(g2, total_power, price, reserve):
+def run_auction(g2, total_power, price, reserve) -> AuctionState:
     """Best-response dynamics of every row from the all-ones bid vector.
 
     The reference that the served equilibrium is held against, not the
-    served path.  A row stops updating once its residual is within
-    ``_TOLERANCE`` (or after ``_MAX_ITERATIONS`` rounds), and each round
-    adds a row up with numpy's sum of that row alone, so its bids,
-    iteration count and residual are those of its own run.  Returns
-    (bids, allocation, iterations, converged, residual) per row; the
-    allocation applies the share rule to the final bids.
+    served path.  ``price`` and ``reserve`` are positive, one per row or
+    one for all.  A row stops updating once its sup-norm bid change is
+    within ``_TOLERANCE * max(1, ||b||_inf)`` (or after ``_MAX_ITERATIONS``
+    rounds), and each round adds a row up with numpy's sum of that row
+    alone, so its bids, iteration count and residual are those of its own
+    run.  The allocation applies the share rule to the final bids.
     """
+    g2, total_power, single = _block(g2, total_power)
+    price, reserve = (np.broadcast_to(x, total_power.shape).astype(float) for x in (price, reserve))
+    if not (np.isfinite(price) & (price > 0.0) & np.isfinite(reserve) & (reserve > 0.0)).all():
+        raise ValueError("price and reserve must be positive and finite")
     # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
     g2 = np.ascontiguousarray(g2)
@@ -245,23 +224,8 @@ def _bid_dynamics(g2, total_power, price, reserve):
             if not rows.size:
                 break
     allocation = bids / (bids.sum(axis=1, keepdims=True) + reserve[:, None]) * total_power[:, None]
-    return bids, allocation, iterations, residual <= _TOLERANCE, residual
-
-
-def run_auction(g2, total_power: float, config: AuctionConfig) -> AuctionState:
-    """Synchronous best-response dynamics from the all-ones bid vector.
-
-    Stops when the sup-norm bid change falls below
-    ``_TOLERANCE * max(1, ||b||_inf)`` or after ``_MAX_ITERATIONS`` rounds.
-    The returned allocation applies the share rule to the final bids.
-    """
-    g2, total_power, _ = _block(g2, total_power, rows=False)
-    bids, allocation, iterations, converged, residual = _bid_dynamics(
-        g2, total_power, np.array([config.price]), np.array([config.reserve])
-    )
-    return AuctionState(
-        bids[0], allocation[0], int(iterations[0]), bool(converged[0]), float(residual[0])
-    )
+    state = AuctionState(bids, allocation, iterations, residual <= _TOLERANCE, residual)
+    return AuctionState(*(x[0] for x in state)) if single else state
 
 
 def select_price(g2, total_power):
@@ -321,18 +285,18 @@ def _boundary(holds, base, width: int) -> np.ndarray:
 def _ladder_scores(g2, total_power, snr_threshold):
     """A chunk's ladders and the served count of every usable rung (else -1).
 
-    The rungs come from the row-sorted gains s, so each of ``_predict``'s
-    per-pair decisions at a rung's level A = 1/(2 ln2 pi) (a pair's target
-    is A - 1/s) is an exact float test
-    monotone along the sorted pairs: live ``A > 1/s``, capped ``A - 1/s >=
-    P_r``, uncapped served ``max(A - 1/s, 0) >= a/s`` (the grant is the
-    target, or 0) and capped served ``share >= a/s``; ``_boundary`` finds
-    where each turns.  The demand, the interior targets' sum, comes from
-    prefix sums of 1/s within delta of whatever order ``_predict`` adds
-    the targets in.  Every step from the demand to the capped share is
-    monotone, so usability and the capped served count at demand -/+
-    delta bracket the exact ones; where the two ends differ, the rung is
-    scored by ``_predict`` itself.
+    The rungs come from the row-sorted gains s, so each of
+    ``predict_allocation``'s per-pair decisions at a rung's level A = 1/(2
+    ln2 pi) (a pair's target is A - 1/s) is an exact float test monotone
+    along the sorted pairs: live ``A > 1/s``, capped ``A - 1/s >= P_r``,
+    uncapped served ``max(A - 1/s, 0) >= a/s`` (the grant is the target, or
+    0) and capped served ``share >= a/s``; ``_boundary`` finds where each
+    turns.  The demand, the interior targets' sum, comes from prefix sums
+    of 1/s within delta of whatever order ``predict_allocation`` adds the
+    targets in.  Every step from the demand to the capped share is
+    monotone, so usability and the capped served count at demand -/+ delta
+    bracket the exact ones; where the two ends differ, the rung is scored
+    by ``predict_allocation`` itself.
     """
     rows, m = g2.shape
     p = total_power[:, None]
@@ -364,8 +328,8 @@ def _ladder_scores(g2, total_power, snr_threshold):
         below_live, below_cap = prefix[base + live], prefix[base + cap]
         reach = (cap - live) * level
         demand = reach - (below_cap - below_live)
-        # _predict's sum of the targets, in any order, and this difference of prefix
-        # sums each err by under (M + 2) 2^-53 (reach + below_cap + below_live)
+        # predict_allocation's sum of the targets, in any order, and this difference
+        # of prefix sums each err by under (M + 2) 2^-53 (reach + below_cap + below_live)
         delta = _DEMAND_SLACK * (m + 2) * 2.0**-53 * (reach + below_cap + below_live)
         sure = demand + delta < pr
         unsure = ~sure & ~(demand - delta >= pr)
@@ -376,7 +340,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
         count = cap - np.minimum(uncapped, cap)
 
         def share(d):
-            # each capped pair's grant at demand d, step for step as in _predict
+            # each capped pair's grant at demand d, step for step as in predict_allocation
             sigma = d / pr
             reserve = _RESERVE_FRACTION * pr
             total_bids = ((m - cap) * B_MAX + sigma * reserve) / (1.0 - sigma)
@@ -393,7 +357,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
         gains, p = g2[row[v]], total_power[row[v], None]
         with np.errstate(divide="ignore", invalid="ignore"):
             price = candidates.ravel()[rung[v], None]
-            alloc, usable, _ = _predict(price, p, gains, _RESERVE_FRACTION * p)
+            alloc, usable, _ = predict_allocation(price, p, gains, _RESERVE_FRACTION * p)
             exact = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
         scores.ravel()[rung[v]] = np.where(usable, exact, -1)
     return candidates, scores
@@ -403,9 +367,9 @@ def _chunk_price(g2, total_power, snr_threshold):
     """Max-winners prices of a chunk of rows (NaN where no rung is usable).
 
     Rungs are tried best first, by served count and then price.  Each
-    row's best rung is checked by ``_predict`` on the row's own pair order
-    (equilibrium and radius test, as in a full scan), and a row whose rung
-    fails moves on to its next best.
+    row's best rung is checked by ``predict_allocation`` on the row's own
+    pair order (equilibrium and radius test, as in a full scan), and a row
+    whose rung fails moves on to its next best.
     """
     candidates, scores = _ladder_scores(g2, total_power, snr_threshold)
     price = np.full(len(g2), np.nan)
@@ -416,7 +380,7 @@ def _chunk_price(g2, total_power, snr_threshold):
         top = np.where(best == most, candidates[rows], -np.inf).max(axis=1)
         p = total_power[rows, None]
         with np.errstate(invalid="ignore"):
-            _, usable, rho = _predict(top[:, None], p, g2[rows], _RESERVE_FRACTION * p)
+            _, usable, rho = predict_allocation(top[:, None], p, g2[rows], _RESERVE_FRACTION * p)
         ok = usable & _radius_below(rho, _RADIUS_LIMIT)
         price[rows[ok]] = top[ok]
         # a rejected price is rejected at every rung that repeats it
@@ -446,7 +410,7 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
     no candidate survives.  A block is priced in chunks of rows; each
     rung's count comes from boundary searches on the sorted gains (see
     ``_ladder_scores``), equal bit for bit to scoring it with
-    ``_predict``, and only the winning rung's radius is computed.
+    ``predict_allocation``; only the winning rung's radius is computed.
     """
     g2, total_power, single = _block(g2, total_power)
     chunk = max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1))
@@ -471,9 +435,9 @@ def allocate_auction(
     (``winner_maximizing_price``, in chunks of rows; a row with no usable
     rung takes the certified price of ``select_price``).  The outcome is
     the auction's Nash equilibrium at that price, in closed form
-    (``_predict``): each interior pair is granted its target, full-budget
-    pairs split what the interior demand leaves, and pairs priced out of
-    the market get nothing; the unsold remainder stays at the relay.
+    (``predict_allocation``): each interior pair is granted its target,
+    full-budget pairs split what the interior demand leaves, and pairs
+    priced out get nothing; the unsold remainder stays at the relay.
     Either price is one where that equilibrium exists and the
     best-response dynamics contract to it.  Returns the served mask, the
     pairs whose grant meets their requirement.
@@ -484,7 +448,7 @@ def allocate_auction(
     pr = budget[rows]
     price = winner_maximizing_price(gains, pr, snr_threshold)
     p = pr[:, None]
-    alloc, exists, _ = _predict(price[:, None], p, gains, _RESERVE_FRACTION * p)
+    alloc, exists, _ = predict_allocation(price[:, None], p, gains, _RESERVE_FRACTION * p)
     if not exists.all():
         raise RuntimeError(
             f"the auction's price has no equilibrium in {np.count_nonzero(~exists)} of "

@@ -366,7 +366,7 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
         for group in groups:
             if pairs > (most := ANALYTIC_ROWS[s, group].pairs[1]):
                 raise CLIError(
-                    f"pairs {max(spec.pairs)} exceeds {most}, the largest pair count the closed forms support"
+                    f"pairs {pairs} exceeds {most}, the largest pair count of the {s} {group} rows"
                 )
     return configs, plan
 

@@ -18,10 +18,10 @@ These deliberately avoid the library code paths they are checking:
   rounds, and the exact spectral radius from ``np.linalg.eigvals``; the
   reference for the library's block-batched auction.
 * ``ladder_winner_price``: the max-winners price scan that scores every
-  rung of every row's ladder with ``_predict`` and the radius test on
-  (rows, 2 pairs + 1, pairs) arrays, zero and negative rungs included;
-  the bitwise reference for the library's boundary searches on sorted
-  gains.
+  rung of every row's ladder with ``predict_allocation`` and the radius
+  test on (rows, 2 pairs + 1, pairs) arrays, zero and negative rungs
+  included; the bitwise reference for the library's boundary searches on
+  sorted gains.
 * ``brute_force_max_served``: exhaustive subset enumeration for the
   maximum number of destinations servable within a power budget.
 * ``prob_decoding_count`` and ``conditioned_sum_pdf``: the two
@@ -66,7 +66,7 @@ from scipy import special
 
 from ehrelay import auction
 from ehrelay.auction import (
-    _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionConfig, AuctionState,
+    _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionState,
 )
 
 
@@ -198,17 +198,19 @@ def scalar_predict(price: float, total_power: float, g2: np.ndarray, reserve: fl
     return alloc
 
 
-def scalar_run_auction(g2: np.ndarray, total_power: float, config: AuctionConfig) -> AuctionState:
+def scalar_run_auction(
+    g2: np.ndarray, total_power: float, price: float, reserve: float
+) -> AuctionState:
     """Bid dynamics of one auction, one synchronous round per loop pass."""
-    t = _scalar_targets(config.price, g2)
-    weights = _scalar_weights(config.price, total_power, g2)
+    t = _scalar_targets(price, g2)
+    weights = _scalar_weights(price, total_power, g2)
     cap = np.where(t >= total_power, B_MAX, 0.0)
     bids = np.ones_like(g2)
     residual = math.inf
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        new = weights * (bids.sum() - bids + config.reserve) + cap
+        new = weights * (bids.sum() - bids + reserve) + cap
         residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
         bids = new
         if residual <= _TOLERANCE:
@@ -216,7 +218,7 @@ def scalar_run_auction(g2: np.ndarray, total_power: float, config: AuctionConfig
             break
     return AuctionState(
         bids=bids,
-        allocation=bids / (bids.sum() + config.reserve) * total_power,
+        allocation=bids / (bids.sum() + reserve) * total_power,
         iterations=iterations,
         converged=converged,
         residual=residual,
@@ -285,7 +287,7 @@ def ladder_winner_price(g2, total_power, snr_threshold: float) -> np.ndarray:
             auction.quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
         ], axis=1)
         p = p[..., None]
-        alloc, usable, rho = auction._predict(candidates[..., None], p, g2[:, None], 0.01 * p)
+        alloc, usable, rho = auction.predict_allocation(candidates[..., None], p, g2[:, None], 0.01 * p)
         served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
     served[~(usable & (candidates > 0.0) & auction._radius_below(rho, _RADIUS_LIMIT))] = -1
     most = served.max(axis=1, keepdims=True)
@@ -299,9 +301,7 @@ def scalar_auction_row(g2: np.ndarray, total_power: float, snr_threshold: float)
     """Price one auction at the max-winners price and run its bid dynamics,
     the relay reserving 0.01 of the budget."""
     price = scalar_winner_price(g2, total_power, snr_threshold)
-    return scalar_run_auction(
-        g2, total_power, AuctionConfig(price=price, reserve=0.01 * total_power)
-    )
+    return scalar_run_auction(g2, total_power, price, 0.01 * total_power)
 
 
 def brute_force_max_served(required: list[float], budget: float) -> int:

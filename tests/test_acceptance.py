@@ -24,7 +24,6 @@ from ehrelay.analytic import (
 )
 from ehrelay.auction import (
     B_MAX,
-    AuctionConfig,
     interior_target,
     run_auction,
     select_price,
@@ -174,8 +173,8 @@ def test_auction_reaches_certified_equilibrium_without_profitable_deviation():
         g2 = rng.exponential(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)
         total_power = 10.0 ** rng.uniform(-2.0, 2.0)
         price = select_price(g2, total_power)
-        config = AuctionConfig(price=price, reserve=0.01 * total_power)
-        state = run_auction(g2, total_power, config)
+        reserve = 0.01 * total_power
+        state = run_auction(g2, total_power, price, reserve)
         assert state.converged and state.iterations <= 500
         assert state.residual <= 1e-8
         targets = interior_target(price, g2)
@@ -185,12 +184,12 @@ def test_auction_reaches_certified_equilibrium_without_profitable_deviation():
             assert gap.size == 0 or float(gap.max()) <= 1e-6
         # unilateral deviations over the feasible bid interval gain nothing
         for i in range(n):
-            current = payoff(i, state.bids, price, total_power, g2, config.reserve)
+            current = payoff(i, state.bids, price, total_power, g2, reserve)
 
             def alt(b, i=i):
                 bids = state.bids.copy()
                 bids[i] = b
-                return payoff(i, bids, price, total_power, g2, config.reserve)
+                return payoff(i, bids, price, total_power, g2, reserve)
 
             best = alt(golden_section_max(alt, 0.0, B_MAX, iters=120))
             assert best - current <= 1e-8

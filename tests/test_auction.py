@@ -11,7 +11,6 @@ from hypothesis import strategies as hst
 from ehrelay.auction import (
     B_MAX,
     LN2,
-    AuctionConfig,
     allocate_auction,
     contraction_modulus,
     full_budget_price,
@@ -125,7 +124,7 @@ def test_single_user_fixed_point():
     pr = 3.0
     price = select_price(g2, pr)
     t = float(interior_target(price, g2)[0])
-    state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.03))
+    state = run_auction(g2, pr, price, 0.03)
     assert state.converged
     assert float(state.allocation[0]) == pytest.approx(t, abs=1e-9)
     # closed-form fixed point b* = T/(P_r - T) xi
@@ -135,7 +134,7 @@ def test_single_user_fixed_point():
 def test_all_priced_out():
     g2 = np.array([1.0, 0.5])
     price = float(quit_price(g2).max()) * 1.1
-    state = run_auction(g2, 4.0, AuctionConfig(price=price, reserve=0.04))
+    state = run_auction(g2, 4.0, price, 0.04)
     assert state.converged
     assert not state.bids.any()
     assert not state.allocation.any()
@@ -148,7 +147,7 @@ def test_run_auction_converges_with_modulus_rate():
         price = select_price(g2, pr)
         mu = contraction_modulus(price, pr, g2)
         assert mu < 1.0
-        state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.01 * pr))
+        state = run_auction(g2, pr, price, 0.01 * pr)
         assert state.converged
         assert state.iterations <= 500
         assert state.residual <= 1e-10
@@ -164,11 +163,11 @@ def test_run_auction_capped_pair_matches_scalar_iteration():
     targets = interior_target(price, g2)
     assert targets[1] >= pr and 0.0 < targets[0] < pr and 0.0 < targets[2] < pr
     assert targets[3] <= 0.0
-    config = AuctionConfig(price=price, reserve=0.01 * pr)
-    state = run_auction(g2, pr, config)
+    reserve = 0.01 * pr
+    state = run_auction(g2, pr, price, reserve)
     bids = np.ones_like(g2)
     for iterations in range(1, auction._MAX_ITERATIONS + 1):
-        new = np.array([best_response(i, bids, price, pr, g2, config.reserve) for i in range(4)])
+        new = np.array([best_response(i, bids, price, pr, g2, reserve) for i in range(4)])
         residual = float(np.abs(new - bids).max()) / max(1.0, float(np.abs(new).max()))
         bids = new
         if residual <= auction._TOLERANCE:
@@ -176,14 +175,14 @@ def test_run_auction_capped_pair_matches_scalar_iteration():
     assert state.converged and state.iterations == iterations > 1
     assert state.residual == residual
     assert state.bids.tobytes() == bids.tobytes()
-    assert state.allocation.tobytes() == (bids / (bids.sum() + config.reserve) * pr).tobytes()
+    assert state.allocation.tobytes() == (bids / (bids.sum() + reserve) * pr).tobytes()
 
 
 def test_reserve_share_stays_at_relay():
     g2 = np.array([2.0, 1.0])
     pr = 3.0
     price = select_price(g2, pr)
-    state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.03))
+    state = run_auction(g2, pr, price, 0.03)
     assert state.converged
     assert float(state.allocation.sum()) < pr
 
@@ -309,15 +308,25 @@ def test_select_price_validation():
         select_price(np.array([1.0]), 0.0)
 
 
+def test_run_auction_validation():
+    for price, reserve in ((0.0, 0.01), (-1.0, 0.01), (math.inf, 0.01), (0.1, 0.0), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="price and reserve must be positive and finite"):
+            run_auction(np.array([1.0, 2.0]), 1.0, price, reserve)
+    with pytest.raises(ValueError, match="price and reserve"):  # one bad row of a block
+        run_auction(np.ones((2, 2)), np.ones(2), np.array([0.1, -0.1]), 0.01)
+    with pytest.raises(ValueError):  # a price per row, for the wrong number of rows
+        run_auction(np.ones((2, 2)), np.ones(2), np.full(3, 0.1), 0.01)
+
+
 def test_predict_allocation_matches_dynamics():
     rng = np.random.default_rng(17)
     for _ in range(60):
         g2, pr = rand_instance(rng, scale=0.0625)
         price = winner_maximizing_price(g2, pr, 1.0)
         xi = 0.01 * pr
-        pred = predict_allocation(price, pr, g2, xi)
-        assert pred is not None
-        state = run_auction(g2, pr, AuctionConfig(price=price, reserve=xi))
+        pred, exists, _ = predict_allocation(price, pr, g2, xi)
+        assert exists
+        state = run_auction(g2, pr, price, xi)
         assert state.converged
         assert state.allocation == pytest.approx(pred, abs=1e-6 * max(1.0, pr))
 
@@ -334,8 +343,9 @@ def test_realized_served_count_equals_predicted(pairs):
         pr = 10.0 ** rng.uniform(-4.0, 3.0)
         a = 2.0 ** (2.0 * rng.uniform(0.1, 3.0)) - 1.0
         price = winner_maximizing_price(g2, pr, a)
-        pred = predict_allocation(price, pr, g2, 0.01 * pr)
-        state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.01 * pr))
+        pred, exists, _ = predict_allocation(price, pr, g2, 0.01 * pr)
+        assert exists
+        state = run_auction(g2, pr, price, 0.01 * pr)
         assert state.converged
         assert int((state.allocation >= a / g2).sum()) == int((pred >= a / g2).sum())
 
@@ -348,7 +358,7 @@ def test_winner_maximizing_price_serves_at_least_certified():
         need = a / g2
 
         def served_at(price):
-            state = run_auction(g2, pr, AuctionConfig(price=price, reserve=0.01 * pr))
+            state = run_auction(g2, pr, price, 0.01 * pr)
             assert state.converged
             return int((state.allocation >= need).sum())
 
@@ -377,7 +387,7 @@ def test_allocate_auction_budget_and_masks():
     assert not served[0, 1]  # not decoded
     gains, pr = g2[0, decoded[0]], budget[0]
     price = winner_maximizing_price(gains, pr, a)
-    granted = run_auction(gains, pr, AuctionConfig(price, 0.01 * pr)).allocation.sum()
+    granted = run_auction(gains, pr, price, 0.01 * pr).allocation.sum()
     assert 0.0 < granted < pr  # reserve share withheld
 
 
@@ -406,7 +416,7 @@ def test_allocate_auction_refuses_a_price_with_no_equilibrium(monkeypatch):
     g2, decoded, budget = np.ones((1, 3)), np.ones((1, 3), dtype=bool), np.array([2.0])
     price = 1.0 / (2.0 * LN2 * (0.5 * budget[0] + 1.0))
     assert interior_target(price, g2[0]) == pytest.approx([1.0, 1.0, 1.0])
-    assert predict_allocation(price, budget[0], g2[0], 0.01 * budget[0]) is None
+    assert not predict_allocation(price, budget[0], g2[0], 0.01 * budget[0])[1]
     monkeypatch.setattr(auction, "winner_maximizing_price", lambda gains, pr, a: np.full(len(gains), price))
     with pytest.raises(RuntimeError, match="has no equilibrium in 1 of 1 auctions"):
         allocate_auction(g2, decoded, budget, 1.0)
@@ -421,7 +431,7 @@ def _oracle_block(g2, decoded, budget, a, *, certified=False):
         idx = np.flatnonzero(decoded[t])
         gains, pr = g2[t, idx], float(budget[t])
         if certified:
-            state = scalar_run_auction(gains, pr, AuctionConfig(scalar_select_price(gains, pr), 0.01 * pr))
+            state = scalar_run_auction(gains, pr, scalar_select_price(gains, pr), 0.01 * pr)
         else:
             state = scalar_auction_row(gains, pr, a)
         assert state.converged
@@ -512,10 +522,10 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
             # every row of a block is priced on its own, so one call prices them all
             gains, pr, served = (np.concatenate(x) for x in zip(*parts, strict=True))
             price = auction.winner_maximizing_price(gains, pr, a)
-            _, allocation, _, converged, _ = auction._bid_dynamics(gains, pr, price, 0.01 * pr)
+            _, allocation, _, converged, _ = auction.run_auction(gains, pr, price, 0.01 * pr)
             assert converged.all()
             p = pr[:, None]
-            equilibrium, exists, _ = auction._predict(price[:, None], p, gains, 0.01 * p)
+            equilibrium, exists, _ = auction.predict_allocation(price[:, None], p, gains, 0.01 * p)
             assert exists.all()
             with np.errstate(divide="ignore"):
                 need = a / gains
@@ -525,6 +535,27 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
             near_ties += int(np.count_nonzero(moved & near))
     assert differ == 0
     assert near_ties == 0
+
+
+def test_allocate_auction_serves_through_predict_allocation(monkeypatch):
+    # the served equilibrium is computed by the public predict_allocation,
+    # looked up at call time (so a substituted one, such as a tracer's
+    # wrapper, sees the serve step), and passing through it changes no mask
+    rng = np.random.default_rng(130)
+    blocks = [_edge_block(rng, pairs) for pairs in (1, 3, 20)]
+    want = [allocate_auction(g2, decoded, budget, 1.0) for g2, decoded, budget in blocks]
+    predict, rows = auction.predict_allocation, []
+
+    def counting(price, total_power, g, reserve):
+        rows.append(len(g))
+        return predict(price, total_power, g, reserve)
+
+    monkeypatch.setattr(auction, "predict_allocation", counting)
+    for (g2, decoded, budget), served in zip(blocks, want, strict=True):
+        rows.clear()
+        assert allocate_auction(g2, decoded, budget, 1.0).tolist() == served.tolist()
+        # the last call is the serve step, over every row with a decoded pair
+        assert rows[-1] == np.count_nonzero(decoded.any(axis=1)) > 0
 
 
 def _dynamics_block(rng, rows, pairs):
@@ -555,11 +586,9 @@ def _dynamics_block(rng, rows, pairs):
 
 def _assert_dynamics_match_scalar_oracle(g2, budget, price):
     reserve = 0.01 * budget
-    bids, allocation, iterations, converged, residual = auction._bid_dynamics(
-        g2, budget, price, reserve
-    )
+    bids, allocation, iterations, converged, residual = auction.run_auction(g2, budget, price, reserve)
     for i in range(len(g2)):
-        want = scalar_run_auction(g2[i], float(budget[i]), AuctionConfig(price[i], reserve[i]))
+        want = scalar_run_auction(g2[i], float(budget[i]), price[i], reserve[i])
         assert bids[i].tobytes() == want.bids.tobytes()
         assert allocation[i].tobytes() == want.allocation.tobytes()
         assert (iterations[i], converged[i]) == (want.iterations, want.converged)
@@ -602,15 +631,15 @@ def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
         assert price.tobytes() == ladder_winner_price(gains, budget, snr_threshold).tobytes()
     # every rung of every third row is rejected (the rows are told apart by
     # their largest gain): the scan confirms each row's winning rung with
-    # _predict, so those rows run out of rungs and take the certified price
+    # predict_allocation, so those rows run out of rungs and take the certified price
     fallback = np.arange(len(gains)) % 3 == 0
-    predict, rejected = auction._predict, gains[fallback].max(axis=1)
+    predict, rejected = auction.predict_allocation, gains[fallback].max(axis=1)
 
     def rejecting(price, total_power, g, reserve):
         alloc, exists, rho = predict(price, total_power, g, reserve)
         return alloc, exists & ~np.isin(g.max(axis=-1), rejected), rho
 
-    monkeypatch.setattr(auction, "_predict", rejecting)
+    monkeypatch.setattr(auction, "predict_allocation", rejecting)
     price = winner_maximizing_price(gains, budget, 1.0)
     assert price.tobytes() == ladder_winner_price(gains, budget, 1.0).tobytes()
     assert price[fallback].tobytes() == select_price(gains[fallback], budget[fallback]).tobytes()
@@ -646,7 +675,7 @@ def test_winner_price_equals_full_ladder_bit_for_bit(
     seed, pairs, rows, copies, rounded, undecoded, snr_threshold
 ):
     # the boundary searches on sorted gains decide exactly what scoring every
-    # rung with _predict decides, ties and repeated gains included
+    # rung with predict_allocation decides, ties and repeated gains included
     g2, budget = _ladder_block(seed, rows, pairs, copies, rounded, undecoded)
     price = winner_maximizing_price(g2, budget, snr_threshold)
     assert price.tobytes() == ladder_winner_price(g2, budget, snr_threshold).tobytes()
@@ -656,16 +685,16 @@ def test_winner_price_equals_full_ladder_bit_for_bit(
 @pytest.mark.parametrize("pairs", [1, 3, 20, 64])
 def test_winner_price_with_a_widened_demand_bound(pairs, slack, monkeypatch):
     # a wider demand error bound leaves rungs whose capped served count (at
-    # 1e10) or usability (at inf, every live rung) it cannot decide; _predict
-    # scores those rungs itself, and the prices do not change
+    # 1e10) or usability (at inf, every live rung) it cannot decide;
+    # predict_allocation scores those rungs itself, and the prices do not change
     monkeypatch.setattr(auction, "_DEMAND_SLACK", slack)
-    predict, scored = auction._predict, []
+    predict, scored = auction.predict_allocation, []
 
     def counting(price, total_power, g, reserve):
         scored.append(len(g))
         return predict(price, total_power, g, reserve)
 
-    monkeypatch.setattr(auction, "_predict", counting)
+    monkeypatch.setattr(auction, "predict_allocation", counting)
     for i, snr_threshold in enumerate((1e-3, 1.0, 30.0)):
         g2, budget = _ladder_block(300 + i, 40, pairs, True, True, True)
         scored.clear()

@@ -249,7 +249,7 @@ def test_main_refuses_equal_asymptotics_past_their_pair_bound(monkeypatch, capsy
     monkeypatch.setattr("ehrelay.cli.asymptotic_outage", None)
     assert main(argv + ["--pairs", "100000000000000000000"]) == 2
     assert capsys.readouterr().err == (
-        "error: pairs 100000000000000000000 exceeds 100000, the largest pair count the closed forms support\n"
+        "error: pairs 100000000000000000000 exceeds 100000, the largest pair count of the equal asymptotic rows\n"
     )
 
 
@@ -576,15 +576,21 @@ def test_main_runs_every_strategy_below_the_budget_bound(capsys):
 
 def test_pair_limit_applies_only_to_closed_forms():
     spec = dataclasses.replace(SMALL, pairs=(172,), snr_db=(30.0,), metrics=("average",), trials=5)
-    # every group capped at 171 pairs refuses in its own mode, with one message
-    message = "pairs 172 exceeds 171, the largest pair count the closed forms support"
-    for mode, strategies, metrics in (
-        ("all", SMALL.strategies, ("average",)),
-        ("exact", SMALL.strategies, ("average",)),
-        ("bounds", ("waterfill",), ("worst",)),
+    # every group capped at 171 pairs refuses in its own mode, naming the first
+    # group the sweep would write past its bound
+    for mode, strategies, metrics, group in (
+        ("all", SMALL.strategies, ("average",), "individual exact"),
+        ("exact", SMALL.strategies, ("average",), "individual exact"),
+        ("exact", ("equal",), ("average",), "equal exact"),
+        ("exact", ("waterfill",), ("best",), "waterfill exact"),
+        ("bounds", ("waterfill",), ("worst",), "waterfill bounds"),
     ):
+        message = f"pairs 172 exceeds 171, the largest pair count of the {group} rows"
         with pytest.raises(CLIError, match=message):
             run_sweep(dataclasses.replace(spec, mode=mode, strategies=strategies, metrics=metrics))
+    # the refusal quotes the pair count past the bound, not the largest one asked for
+    with pytest.raises(CLIError, match="pairs 172 exceeds 171, the largest pair count of the equal exact rows"):
+        run_sweep(dataclasses.replace(spec, mode="exact", strategies=("equal",), pairs=(172, 100_001)))
     # Monte Carlo and the asymptotics divide by no factorial
     assert run_sweep(dataclasses.replace(spec, mode="mc"))
     assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))

@@ -471,7 +471,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", help=f"which methods to evaluate: {', '.join(MODES)}")
     parser.add_argument("--out", type=Path, help="CSV output path (default stdout)")
     parser.add_argument(
-        "--workers", type=int, default=1, help=f"worker threads, 1 to {MAX_WORKERS}"
+        "--workers",
+        type=int,
+        default=1,
+        help=f"threads that run Monte Carlo blocks, the calling thread included, 1 to {MAX_WORKERS}",
     )
     parser.add_argument(
         "--dump-config", action="store_true", help="print the resolved sweep and exit"

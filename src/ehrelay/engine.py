@@ -13,9 +13,12 @@ power (SNR), evaluated under several strategies on the same draws.  Per
 block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
 draws the channels once into a :class:`ehrelay.strategies.Block`, which
 stores them column-major and keeps what no SNR changes (the requirements,
-sorted once for water-filling).  Each worker thread refills one Block for
-every block it runs, so no block-sized float array is allocated after its
-first; :func:`ehrelay.model.harvest` finds the
+sorted once for water-filling).  The calling thread runs blocks itself,
+next to at most ``workers - 1`` helper threads (none for a one-block
+group); every thread takes the next block index from one shared counter
+and keeps one Block, refilled for every block it runs, and one running
+histogram, so no block-sized float array is allocated after a thread's
+first block; :func:`ehrelay.model.harvest` finds the
 decoding sets and budgets once per SNR, and :func:`ehrelay.strategies.allocate`
 the served mask once per (SNR, strategy), all on common channel realisations.
 Every per-trial sum over pairs is a few contiguous column adds.
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,8 +49,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 16384
-# most worker threads a group may ask for: the pool starts one per block up to
-# this many, so a huge count would start that many threads for nothing
+# most worker threads a group may ask for: the caller and up to this many - 1
+# helper threads run blocks (no more threads than blocks), so a huge count
+# would start that many threads for nothing
 MAX_WORKERS = 256
 
 
@@ -98,6 +101,12 @@ def run_group(
     histogram of served counts per (config, strategy), summed as integers,
     so the reports do not depend on ``workers``.  Returns the report of each
     (config index, strategy).
+
+    ``workers`` threads run blocks, the caller included: it starts
+    ``min(workers, n_blocks) - 1`` helper threads, so a one-block group or
+    ``workers=1`` runs on the caller alone.  An exception in any thread
+    stops every thread from taking another block and is raised here once
+    the helpers have finished.
     """
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
@@ -116,26 +125,46 @@ def run_group(
     # sum of the mask, in a fifth of the time (12 against 68 us, 16384 x 5 pairs)
     count_type = np.min_scalar_type(pairs)
 
-    # each worker thread reuses one Block's buffers for every block it runs
-    local = threading.local()
-
-    def one_block(b: int) -> np.ndarray:
-        size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        if not hasattr(local, "block"):
-            local.block = Block.empty(min(BLOCK_SIZE, trials), pairs, configs[0].snr_threshold)
-        block = local.block
-        block.refill(*sample_block(seed, b, size, configs[0], out=block.draws(size)))
-        counts = np.empty((len(configs), len(strategies), pairs + 1), dtype=np.int64)
-        for i, config in enumerate(configs):
-            harvested = harvest(block.h2, config, scratch=block.scratch)
-            for j, s in enumerate(strategies):
-                served = allocate(s, block, *harvested, config)
-                counts[i, j] = np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)
-        return counts
-
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        totals = sum((map if workers == 1 else pool.map)(one_block, range(n_blocks)))
+    lock = threading.Lock()
+    taken = 0  # blocks handed out; n_blocks or more stops every thread
+    histograms: list[np.ndarray] = []  # each thread's running sum
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        nonlocal taken
+        block = None  # made at this thread's first block, refilled for every later one
+        histogram = np.zeros((len(configs), len(strategies), pairs + 1), dtype=np.int64)
+        histograms.append(histogram)
+        try:
+            while True:
+                with lock:
+                    b, taken = taken, taken + 1
+                if b >= n_blocks:
+                    return
+                size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
+                if block is None:
+                    block = Block.empty(min(BLOCK_SIZE, trials), pairs, configs[0].snr_threshold)
+                block.refill(*sample_block(seed, b, size, configs[0], out=block.draws(size)))
+                for i, config in enumerate(configs):
+                    harvested = harvest(block.h2, config, scratch=block.scratch)
+                    for j, s in enumerate(strategies):
+                        served = allocate(s, block, *harvested, config)
+                        histogram[i, j] += np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)
+        except BaseException as exc:
+            with lock:
+                taken = n_blocks
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, n_blocks) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    totals = sum(histograms)
     return {(i, s): _report(s, seed, totals[i, j])
             for i in range(len(configs)) for j, s in enumerate(strategies)}
 

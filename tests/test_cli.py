@@ -485,7 +485,7 @@ def test_main_exit_code_2_on_bad_input(argv, capsys):
     "argv", [["--workers", "257", "--trials", "10"], ["--workers", "50000", "--trials", "1000000000"]]
 )
 def test_main_refuses_more_than_max_workers(argv, monkeypatch, capsys):
-    # refused before the sweep (and its thread pool) starts
+    # refused before the sweep (and its helper threads) starts
     monkeypatch.setattr("ehrelay.cli.run_sweep", None)
     assert main(argv) == 2
     assert "--workers" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -261,8 +264,8 @@ def test_report_reads_every_field_from_the_histogram(pairs):
 
 
 def test_run_group_refuses_more_than_max_workers(monkeypatch):
-    # refused before any pool is built
-    monkeypatch.setattr(engine, "ThreadPoolExecutor", None)
+    # refused before any helper thread (or the lock they share) is made
+    monkeypatch.setattr(engine, "threading", None)
     with pytest.raises(ValueError, match="workers"):
         run_experiment(cfg(), "equal", 10, seed=0, workers=engine.MAX_WORKERS + 1)
 
@@ -324,3 +327,97 @@ def test_run_group_peak_memory_does_not_grow_with_blocks(monkeypatch):
     assert one > 6 * draws // 2  # the Block's buffers are traced
     assert peak(4 * 4096) <= one + draws
     assert peak(3 * 4096 + 5) <= one + draws  # a partial last block
+
+
+def record_block_threads(monkeypatch, before_draw=lambda b: None):
+    """Patch the engine's sample_block to log (block, thread) at each call,
+    then run ``before_draw(block)`` and draw as usual."""
+    log = []
+
+    def recording_sample_block(seed, block_index, size, config, **kwargs):
+        log.append((block_index, threading.get_ident()))
+        before_draw(block_index)
+        return sample_block(seed, block_index, size, config, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_block", recording_sample_block)
+    return log
+
+
+@pytest.mark.parametrize("trials, workers", [(30, 4), (50, 256), (130, 1)])
+def test_run_group_runs_on_the_caller_alone(trials, workers, monkeypatch):
+    # a one-block group, and any group at workers=1, starts no thread
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
+    log = record_block_threads(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_group started a thread")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    configs = [cfg(snr_db=s) for s in (10.0, 20.0)]
+    group = run_group(configs, STRATEGY_NAMES, trials, seed=6, workers=workers)
+    assert group == _fresh_block_reports(configs, STRATEGY_NAMES, trials, seed=6, size=50)
+    assert log == [(b, threading.get_ident()) for b in range(-(-trials // 50))]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_run_group_caller_and_helpers_share_the_blocks(workers, monkeypatch):
+    # five blocks: each is run once, by at most min(workers, 5) threads, the
+    # caller among them (a slow draw keeps the helpers from taking them all)
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
+    log = record_block_threads(monkeypatch, lambda b: time.sleep(0.02))
+    configs = [cfg(snr_db=s) for s in (10.0, 20.0)]
+    group = run_group(configs, STRATEGY_NAMES, 230, seed=6, workers=workers)
+    assert group == _fresh_block_reports(configs, STRATEGY_NAMES, 230, seed=6, size=50)
+    assert sorted(b for b, _ in log) == list(range(5))
+    threads = {t for _, t in log}
+    assert len(threads) <= min(workers, 5) and threading.get_ident() in threads
+
+
+def test_run_group_with_two_workers_runs_blocks_on_two_threads(monkeypatch):
+    # every draw waits for one on another thread: four blocks pass only if two
+    # threads run them at once, and no third thread takes one
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
+    barrier = threading.Barrier(2, timeout=10.0)
+    log = record_block_threads(monkeypatch, lambda b: barrier.wait())
+    run_group([cfg()], ("equal",), 200, seed=6, workers=2)
+    assert sorted(b for b, _ in log) == list(range(4))
+    assert len({t for _, t in log}) == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_run_group_error_stops_every_thread(workers, monkeypatch):
+    # block 2 of 8 raises: the error reaches the caller, and once it is raised
+    # no thread takes another block; a block another thread took before that
+    # (at most one per thread) waits until the error is raised, then runs
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
+    failed = threading.Event()
+
+    def before_draw(b):
+        if b == 2:
+            failed.set()
+            raise MemoryError("block 2")
+        if b > 2:
+            assert failed.wait(timeout=10.0)
+            time.sleep(0.05)
+
+    log = record_block_threads(monkeypatch, before_draw)
+    with pytest.raises(MemoryError, match="block 2"):
+        run_group([cfg()], ("equal",), 400, seed=6, workers=workers)
+    started = {b for b, _ in log}
+    assert set(range(3)) <= started <= set(range(2 + workers))
+    assert len(log) == len(started)
+
+
+def test_run_group_sums_every_block_once_under_thread_switching(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows:
+    # a block lost or counted twice would change the reports
+    monkeypatch.setattr(engine, "BLOCK_SIZE", 16)
+    configs = [cfg(snr_db=s) for s in (10.0, 20.0)]
+    want = run_group(configs, ("equal", "waterfill"), 16 * 40 + 5, seed=6, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_group(configs, ("equal", "waterfill"), 16 * 40 + 5, seed=6, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

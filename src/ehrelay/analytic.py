@@ -12,8 +12,10 @@ ingredients:
   (h^2 - epsilon), are Gamma(n, 1), the relay budget is eta P_s S, and a
   pair of threshold z fails with probability 1 - exp(-z/S) given S.
 
-Every exact outage is a binomial mixture over n of E[(1 - exp(-z/S))^k],
-the probability that k such pairs all fail; ``_fail_moment`` integrates it
+Every exact outage and every bound is a binomial mixture over n of a
+probability conditioned on N = n; ``_mixture`` is the one place that weights
+by P(N = n).  The conditional terms are E[(1 - exp(-z/S))^k], the
+probability that k such pairs all fail, which ``_fail_moment`` integrates
 with no cancelling term and no clamp.
 
 Outage metrics:
@@ -55,10 +57,10 @@ __all__ = [
 ]
 
 
-# Largest pair count for which the CLI evaluates "exact" and "bounds":
-# wf_worst_bounds divides by (M-1)! as a float, which overflows from
-# M = 172 (the binomial weights of the exact forms overflow from M = 1030).
-MAX_CLOSED_FORM_PAIRS = 171
+# Largest pair count for which the CLI evaluates "exact" and "bounds", a cost
+# cap: nothing leaves float range at any M, but a point sums O(M^1.5) grid
+# nodes, 0.03 to 0.3 s for the three exact forms and the bounds at M = 1024.
+MAX_CLOSED_FORM_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -115,21 +117,29 @@ def _fail_moment(n: int, z: float, k: int) -> float:
     return float(np.exp(log_density + k * log_fail).sum() / np.exp(log_density).sum())
 
 
-def _all_fail(m: int, eps: float, threshold) -> float:
-    """P(no pair is served) when each of the N = n decoded pairs has
-    threshold(n): the binomial mixture, summed from n = 0 up."""
-    p = math.exp(-eps)
-    q = -math.expm1(-eps)
-    total = q**m
-    for n in range(1, m + 1):
-        total += math.comb(m, n) * p**n * q ** (m - n) * _fail_moment(n, threshold(n), n)
-    return total
+def _mixture(m: int, eps: float, given) -> tuple[float, ...]:
+    """sum_n P(N = n) given(n) over the decoded count N ~ Binomial(m, exp(-eps)).
 
-
-def _some_fail(m: int, eps: float, z: float) -> float:
-    """P(N < M) + P(N = M) E[1 - exp(-z/S)], S ~ Gamma(M, 1): some pair fails
-    unless all M decode and one pair of threshold z is served."""
-    return math.exp(-m * eps) * _fail_moment(m, z, 1) - math.expm1(-m * eps)
+    ``given(n)`` is a tuple of probabilities conditioned on N = n.  The
+    weights are P(N = n) relative to the most likely count, by the ratios
+    P(n+1)/P(n) = (m-n) p / ((n+1) q), p = exp(-eps), q = 1 - exp(-eps),
+    outward from it: none exceeds about 1 at any pair count, and each is a
+    few ulps per step off (5e-14 at 1024 pairs, where log-weights from
+    lgamma carry the ulp of lgamma(m+1), 1.7e-12).  Terms whose weight
+    underflows to 0 are skipped.  The sum is divided by the weights' own
+    total, so a mixture of probabilities never exceeds 1.
+    """
+    p, q = math.exp(-eps), -math.expm1(-eps)
+    mode = min(m, int((m + 1) * p))
+    weights = [0.0] * (m + 1)
+    weights[mode] = 1.0
+    for n in range(mode, m):
+        weights[n + 1] = weights[n] * (m - n) * p / ((n + 1) * q)
+    for n in range(mode, 0, -1):
+        weights[n - 1] = weights[n] * n * q / ((m - n + 1) * p)
+    # the total weight is summed in the same order as the terms it divides
+    total = sum(w * np.array((1.0, *given(n))) for n, w in enumerate(weights) if w > 0.0)
+    return tuple(float(v) for v in total[1:] / total[0])
 
 
 def outage_individual(config: SystemConfig) -> OutageSummary:
@@ -139,7 +149,7 @@ def outage_individual(config: SystemConfig) -> OutageSummary:
     independence.
     """
     eps, eta = config.unit_gain_thresholds
-    avg = _some_fail(1, eps, eps / eta)
+    (avg,) = _mixture(1, eps, lambda n: (_fail_moment(1, eps / eta, 1) if n else 1.0,))
     m = config.pairs
     worst = -math.expm1(m * math.log1p(-avg)) if avg < 1.0 else 1.0
     return OutageSummary(average=avg, best=avg**m, worst=worst)
@@ -154,15 +164,17 @@ def outage_equal(config: SystemConfig) -> OutageSummary:
     """
     eps, eta = config.unit_gain_thresholds
     m = config.pairs
-    p = math.exp(-eps)
-    q = -math.expm1(-eps)
 
-    avg = q
-    for n in range(1, m + 1):
-        # a given pair is among the n decoded with weight C(M-1, n-1) p^n q^(M-n)
-        avg += math.comb(m - 1, n - 1) * p**n * q ** (m - n) * _fail_moment(n, n * eps / eta, 1)
-    best = _all_fail(m, eps, lambda n: n * eps / eta)
-    worst = _some_fail(m, eps, m * m * eps / eta)
+    def given(n):
+        if n == 0:
+            return 1.0, 1.0, 1.0
+        z = n * eps / eta
+        # a given pair is among the n decoded with probability n/M
+        average = (m - n + n * _fail_moment(n, z, 1)) / m
+        worst = _fail_moment(m, m * m * eps / eta, 1) if n == m else 1.0
+        return average, _fail_moment(n, z, n), worst
+
+    avg, best, worst = _mixture(m, eps, given)
     return OutageSummary(average=avg, best=best, worst=worst)
 
 
@@ -173,7 +185,7 @@ def outage_wf_best(config: SystemConfig) -> float:
     cheapest pair is served iff the whole budget covers its requirement.
     """
     eps, eta = config.unit_gain_thresholds
-    return _all_fail(config.pairs, eps, lambda n: eps / eta)
+    return _mixture(config.pairs, eps, lambda n: (_fail_moment(n, eps / eta, n) if n else 1.0,))[0]
 
 
 # Gauss-Legendre node counts: the y-integrals of the worst-case upper
@@ -217,11 +229,6 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     m = config.pairs
     eps, eta = config.unit_gain_thresholds
     rate = eps / eta  # Gamma rate of the budget variable w
-    fact = float(math.factorial(m - 1))
-    pm = math.exp(-m * eps)
-    miss = -math.expm1(-m * eps)  # P(N < M)
-
-    lower = _some_fail(m, eps, m * rate)
 
     # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
     t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
@@ -233,21 +240,24 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
             a, weight = _log_y_rule(w, m, k)
             y_sum = (np.exp(-a / w[:, None]) * weight).sum(axis=1)
             inner[k] = np.where(y_sum > 0.0, m / w * y_sum, 0.0)  # (M/w) exp(-a/w) -> 0 as w -> 0
-            # closed form: the w-average of each exponential is a Bessel kernel;
-            # divide by (M-1)! before scaling by rate, as rate / (M-1)! can be subnormal
+            # closed form: the w-average of each exponential is a Bessel kernel,
+            # M rate G_{M-1}/(M-1)! = M/(M-1) rate H_{M-1}
             a, weight = _log_y_rule(w[-1], m, k)
-            tail[k] = m * rate * float(gamma_exp_integral(m - 1, a * rate) @ weight / fact)
+            tail[k] = m / (m - 1) * rate * float(gamma_exp_integral(m - 1, a * rate) @ weight)
 
     def mean(f: np.ndarray, step: int = 1) -> float:
         return float(density[::step] @ f[::step] / density[::step].sum())
 
     val, head_val = mean(head - inner[64]), mean(head)
-    upper_integral = pm * val + miss
-    upper_closed = pm * (head_val - tail[64]) + miss
     # change at twice the trapezoid step and at 48 Gauss-Legendre nodes
-    err = pm * (
+    err = (
         abs(val - mean(head - inner[64], 2)) + abs(val - mean(head - inner[48]))
         + abs(head_val - mean(head, 2)) + abs(tail[64] - tail[48])
+    )
+    # each bound fails outright unless all M pairs decode
+    decoded = (_fail_moment(m, m * rate, 1), val, head_val - tail[64], err)
+    lower, upper_integral, upper_closed, err = _mixture(
+        m, eps, lambda n: decoded if n == m else (1.0, 1.0, 1.0, 0.0)
     )
     if err > 1e-7:
         warnings.warn(

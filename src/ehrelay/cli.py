@@ -404,11 +404,17 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
             for (p, s, m), groups in plan.items():
                 for group in groups if p == pairs else ():
                     try:
-                        analytic[snr, p, s, m, group] = ANALYTIC_ROWS[s, group].form(point, m)
+                        values = analytic[snr, p, s, m, group] = ANALYTIC_ROWS[s, group].form(point, m)
                     except OverflowError:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows"
                         ) from None
+                    # a positive probability below the normal floats has lost its digits
+                    if group in ("exact", "bounds") and min(values) < sys.float_info.min:
+                        raise CLIError(
+                            f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs underflows: "
+                            f"{min(values)!r} lies below the smallest normal float"
+                        )
     # the closed forms' warnings, re-issued so that they name run_sweep's caller
     for w in caught:
         warnings.warn(w.message, stacklevel=2)

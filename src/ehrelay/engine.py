@@ -175,9 +175,8 @@ def _report(strategy: str, seed: int, counts: np.ndarray) -> OutageReport:
     k = np.arange(pairs + 1)
     t = int(counts.sum())
     served, served_sq = int(k @ counts), int((k * k) @ counts)  # exact integer moments
-    total = float(served)
-    var = max(float(served_sq) - total * total / t, 0.0) / (t - 1) if t > 1 else math.nan
-    success_stderr = math.sqrt(var / t)
+    # the variance of the mean as one rounding of an exact rational: t s2 - s1^2 >= 0
+    success_stderr = math.sqrt((t * served_sq - served * served) / (t * t * (t - 1))) if t > 1 else math.nan
     all_fail, any_fail = int(counts[0]), t - int(counts[pairs])
     return OutageReport(
         strategy=strategy,

@@ -545,17 +545,24 @@ def print_exact_reference_table() -> None:
                 print("        " + " ".join(f"{v!r}," for v in row[i:i + 3]))
             print("    ),")
     print("}")
-    # the best cases at more pairs; at the pair cap only the first-power
+    # the best cases at more pairs; from 171 pairs only the first-power
     # forms, whose sums cancel ~snr/10 digits (the best cases underflow)
     print("MANY_PAIRS_REFERENCE = {")
     for form, m, snr, k in (
         ("equal.best", 20, 30.0, 20),
         ("equal.best", 64, 40.0, 64),
-        ("equal.average", 171, 40.0, 1),
-        ("equal.worst", 171, 40.0, 1),
-        ("waterfill.worst.lower", 171, 40.0, 1),
+        *((form, m, 40.0, 1) for m in (171, 512, 1024)
+          for form in ("equal.average", "equal.worst", "waterfill.worst.lower")),
     ):
         print(f"    ({form!r}, {m}, {snr!r}): {value(form, m, snr, k)!r},")
+    print("}")
+    # the best cases above 171 pairs, whose alternating sums would need
+    # thousands of digits, from the positive quadratures instead
+    print("BEST_QUAD_REFERENCE = {")
+    for m, snr in ((200, 5.0), (256, 20.0)):
+        eps = SystemConfig(pairs=m, rate=2.0, source_power=power_from_snr_db(snr)).decode_threshold
+        for form, oracle in (("equal.best", outage_equal_best_quad), ("waterfill.best", outage_wf_best_quad)):
+            print(f"    ({form!r}, {m}, {snr!r}): {oracle(m, eps, 1.0)!r},", flush=True)
     print("}")
 
 

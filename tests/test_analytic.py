@@ -6,7 +6,7 @@ from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy import integrate
 
@@ -187,6 +187,22 @@ def test_metric_ordering_and_range(maker):
     for snr in (0.0, 15.0, 30.0, 45.0):
         s = maker(cfg(4, snr))
         assert 0.0 <= s.best <= s.average <= s.worst <= 1.0
+
+
+@given(pairs=hst.integers(min_value=1, max_value=1024), snr_db=hst.floats(min_value=-10.0, max_value=200.0))
+@example(pairs=4, snr_db=0.0)
+@settings(max_examples=40, deadline=None)
+def test_mixtures_stay_probabilities(pairs, snr_db):
+    # each binomial mixture is divided by its weights' own sum: without that,
+    # worst read 1.0000000000000002 at 4 pairs, 0 dB
+    c = cfg(pairs, snr_db)
+    for s in (outage_individual(c), outage_equal(c)):
+        assert 0.0 <= s.best <= s.average <= s.worst <= 1.0
+    assert 0.0 <= outage_wf_best(c) <= 1.0
+    b = wf_worst_bounds(c)
+    assert all(0.0 <= v <= 1.0 for v in (b.lower, b.upper_integral, b.upper_closed))
+    assert 0.0 <= b.quad_error
+    assert b.lower <= b.upper_integral + b.quad_error
 
 
 @pytest.mark.parametrize("maker", [outage_individual, outage_equal])

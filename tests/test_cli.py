@@ -201,15 +201,23 @@ def test_run_sweep_rejects_bad_eta():
     [(s, m, group) for (s, group), rows in ANALYTIC_ROWS.items() for m in rows.metrics],
 )
 def test_analytic_rows_finite_at_large_pair_counts(strategy, metric, group):
-    # 171 is the closed forms' pair cap; 89 is where the equal/best
-    # asymptotic coefficient first overflowed a float
-    spec = SweepSpec(pairs=(89, 171), snr_db=(0.0, 30.0, 100.0), strategies=(strategy,),
-                     metrics=(metric,), trials=1, mode=group)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics at 0 dB
-        rows = run_sweep(spec)
-    assert len(rows) == 6 * len(ANALYTIC_ROWS[strategy, group].labels)
-    assert all(math.isfinite(float(r["value"])) for r in rows)
+    # 89 is where the equal/best asymptotic coefficient first overflowed a
+    # float.  At 100 dB every exact best case lies below the normal floats
+    # (the individual one is average^M, about 1e-668 at 89 pairs) and is
+    # refused, naming the first such point
+    for snr in (0.0, 30.0, 100.0):
+        spec = SweepSpec(pairs=(89, 171), snr_db=(snr,), strategies=(strategy,),
+                         metrics=(metric,), trials=1, mode=group)
+        if (metric, group, snr) == ("best", "exact", 100.0):
+            message = f"the exact {strategy} best outage at snr 100.0 dB, 89 pairs underflows"
+            with pytest.raises(CLIError, match=message):
+                run_sweep(spec)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics at 0 dB
+            rows = run_sweep(spec)
+        assert len(rows) == 2 * len(ANALYTIC_ROWS[strategy, group].labels)
+        assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -267,6 +275,22 @@ def test_main_refuses_an_asymptotic_value_that_overflows(strategy, monkeypatch, 
         monkeypatch.setattr("ehrelay.cli.run_group", None)
         assert main(argv + "all --pairs 100 --snr -30 --trials 10".split()) == 2
     assert "at snr -30.0 dB, 100 pairs overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategy", ["individual", "equal", "waterfill"])
+def test_main_refuses_an_exact_value_that_underflows(strategy, monkeypatch, capsys):
+    # at 171 pairs, 40 dB each best case lies below 1e-308 and used to be
+    # written as 0.0; the refusal names the point and, in mode all, comes
+    # before any Monte Carlo draw
+    argv = f"--pairs 171 --snr 40 --strategy {strategy} --metric best --mode".split()
+    assert main(argv + ["exact"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: the exact {strategy} best outage at snr 40.0 dB, 171 pairs underflows: 0.0 lies below" in err
+    monkeypatch.setattr("ehrelay.cli.run_group", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics
+        assert main(argv + ["all", "--trials", "10"]) == 2
+    assert "at snr 40.0 dB, 171 pairs underflows" in capsys.readouterr().err
 
 
 def test_run_sweep_regime_warnings_name_its_caller():
@@ -451,7 +475,7 @@ def test_main_preset_dump_round_trips(capsys):
     [
         ["--strategy", "nonsense"],
         ["--mode", "exact", "--strategy", "auction"],
-        ["--pairs", "172", "--mode", "exact", "--strategy", "equal", "--metric", "average", "--snr", "10"],
+        ["--pairs", "1025", "--mode", "exact", "--strategy", "equal", "--metric", "average", "--snr", "10"],
         ["--snr", "abc"],
         ["--workers", "0"],
         ["--eta", "2.0"],
@@ -560,8 +584,9 @@ def test_main_refuses_a_relay_budget_that_can_overflow(text, flags, point, mode,
     assert capsys.readouterr().err == (
         f"error: {point}: the relay budget can overflow a float (1024 pairs P_s h_variance exceeds the largest float)\n"
     )
-    # a sweep that draws no channels has no budget
-    assert main(argv + ["--mode", "exact", "--strategy", "equal", "--metric", "best"]) == 0
+    # a sweep that draws no channels has no budget (its exact rows would lie
+    # below the normal floats here and be refused for that)
+    assert main(argv + ["--mode", "asymptotic", "--strategy", "equal", "--metric", "best"]) == 0
     assert capsys.readouterr().out.count("\n") == 2
 
 
@@ -575,8 +600,8 @@ def test_main_runs_every_strategy_below_the_budget_bound(capsys):
 
 
 def test_pair_limit_applies_only_to_closed_forms():
-    spec = dataclasses.replace(SMALL, pairs=(172,), snr_db=(30.0,), metrics=("average",), trials=5)
-    # every group capped at 171 pairs refuses in its own mode, naming the first
+    spec = dataclasses.replace(SMALL, pairs=(1025,), snr_db=(30.0,), metrics=("average",), trials=5)
+    # every group capped at 1024 pairs refuses in its own mode, naming the first
     # group the sweep would write past its bound
     for mode, strategies, metrics, group in (
         ("all", SMALL.strategies, ("average",), "individual exact"),
@@ -585,13 +610,13 @@ def test_pair_limit_applies_only_to_closed_forms():
         ("exact", ("waterfill",), ("best",), "waterfill exact"),
         ("bounds", ("waterfill",), ("worst",), "waterfill bounds"),
     ):
-        message = f"pairs 172 exceeds 171, the largest pair count of the {group} rows"
+        message = f"pairs 1025 exceeds 1024, the largest pair count of the {group} rows"
         with pytest.raises(CLIError, match=message):
             run_sweep(dataclasses.replace(spec, mode=mode, strategies=strategies, metrics=metrics))
     # the refusal quotes the pair count past the bound, not the largest one asked for
-    with pytest.raises(CLIError, match="pairs 172 exceeds 171, the largest pair count of the equal exact rows"):
-        run_sweep(dataclasses.replace(spec, mode="exact", strategies=("equal",), pairs=(172, 100_001)))
-    # Monte Carlo and the asymptotics divide by no factorial
+    with pytest.raises(CLIError, match="pairs 1025 exceeds 1024, the largest pair count of the equal exact rows"):
+        run_sweep(dataclasses.replace(spec, mode="exact", strategies=("equal",), pairs=(1025, 100_001)))
+    # Monte Carlo and the individual asymptotics have no pair cap here
     assert run_sweep(dataclasses.replace(spec, mode="mc"))
     assert run_sweep(dataclasses.replace(spec, mode="asymptotic"))
 

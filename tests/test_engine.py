@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, batched/per-draw agreement, statistics."""
 
 import dataclasses
+import decimal
 import math
 import sys
 import threading
@@ -253,14 +254,31 @@ def test_report_reads_every_field_from_the_histogram(pairs):
         if trials == 1:
             assert math.isnan(report.mean_success_stderr) and math.isnan(report.average_stderr)
             continue
-        s1, s2 = float(served.sum()), float((served.astype(float) ** 2).sum())
-        var = max(s2 - s1 * s1 / trials, 0.0) / (trials - 1)
-        assert report.mean_success_stderr == math.sqrt(var / trials)
+        s1, s2 = int(served.sum()), int((served.astype(np.int64) ** 2).sum())
+        var = Fraction(trials * s2 - s1 * s1, trials * trials * (trials - 1))
+        assert report.mean_success_stderr == math.sqrt(float(var))
         # the outage fraction is 1 - k/M; (x / M) * M may miss x by one ulp (M = 171 does here)
         assert report.average_stderr == report.mean_success_stderr / pairs
         assert report.average_stderr * pairs == pytest.approx(
             report.mean_success_stderr, rel=2.0**-52, abs=0.0
         )
+
+
+@pytest.mark.parametrize(
+    "counts", [[0] * 19 + [1, 9_830_400, 0], [0] * 170 + [5, 10**8], [0, 0, 1, 2**20, 1], [3, 0, 7]]
+)
+def test_success_stderr_within_one_ulp_of_exact(counts):
+    # when the served count barely varies, the float s2 - s1^2/t cancels (it
+    # read 3.9e8 ulp off on the first histogram); the integer form rounds once
+    counts = np.array(counts)
+    k = np.arange(len(counts))
+    t, s1, s2 = int(counts.sum()), int(k @ counts), int((k * k) @ counts)
+    var = Fraction(t * s2 - s1 * s1, t * t * (t - 1))
+    with decimal.localcontext() as context:
+        context.prec = 40
+        want = float((decimal.Decimal(var.numerator) / var.denominator).sqrt())
+    got = engine._report("equal", 0, counts).mean_success_stderr
+    assert abs(got - want) <= math.ulp(want)
 
 
 def test_run_group_refuses_more_than_max_workers(monkeypatch):

@@ -97,29 +97,29 @@ def test_x_k1_limit():
 
 
 def test_gamma_exp_integral_overflow_free():
-    # K_40(1e-6) ~ 1e298 is at the top of the float range (K_41 overflows);
-    # the integral at x = 2 sqrt(z) = 1e-6 must still come out as ~39!
-    v = gamma_exp_integral(40, 2.5e-13)
-    assert math.isfinite(v)
-    assert v == pytest.approx(math.factorial(39), rel=1e-9)
+    # K_40(1e-6) ~ 1e298 is at the top of the float range (K_41 overflows),
+    # and 1022! is far past it; H_n at x = 2 sqrt(z) = 1e-6 must still come out as ~1
+    for n in (40, 1023):
+        v = gamma_exp_integral(n, 2.5e-13)
+        assert math.isfinite(v)
+        assert v == pytest.approx(1.0, rel=1e-9)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 20, 64, 65, 100])
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 64, 65, 100, 171, 172, 512, 1023])
 @pytest.mark.parametrize("z", [1e-300, 1e-12, 1e-3, 1.0, 100.0, 1e4])
 def test_gamma_exp_integral_matches_mpmath(n, z):
+    # H_n = G_n / (n-1)!, G_n = 2 z^(n/2) K_n(2 sqrt z)
     with mp.workdps(50):
         zm = mp.mpf(z)
-        want = 2 * zm ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(zm))
+        want = 2 * zm ** (mp.mpf(n) / 2) * mp.besselk(n, 2 * mp.sqrt(zm)) / mp.factorial(n - 1)
     assert gamma_exp_integral(n, z) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_gamma_exp_integral_zero_limit():
-    # int u^{n-1} e^{-u} du = (n-1)! at z = 0, approached continuously
-    for n in (1, 2, 6):
-        assert gamma_exp_integral(n, 0.0) == float(math.factorial(n - 1))
-        assert gamma_exp_integral(n, 1e-14) == pytest.approx(
-            math.factorial(n - 1), rel=1e-5
-        )
+    # E[exp(-z/U)] = 1 at z = 0, approached continuously, also where (n-1)! overflows
+    for n in (1, 2, 6, 1023):
+        assert gamma_exp_integral(n, 0.0) == 1.0
+        assert gamma_exp_integral(n, 1e-14) == pytest.approx(1.0, rel=1e-5)
     assert gamma_exp_integral(3, math.inf) == 0.0
 
 
@@ -134,7 +134,7 @@ def test_gamma_exp_integral_zero_limit():
     ],
 )
 def test_gamma_exp_integral_frozen_quadrature(n, z, want):
-    assert gamma_exp_integral(n, z) == pytest.approx(want, rel=1e-10)
+    assert gamma_exp_integral(n, z) == pytest.approx(want / math.factorial(n - 1), rel=1e-10)
 
 
 @given(
@@ -143,12 +143,12 @@ def test_gamma_exp_integral_frozen_quadrature(n, z, want):
 )
 @settings(max_examples=100, deadline=None)
 def test_gamma_exp_integral_bounds(n, z):
-    # integrand is dominated by u^{n-1} e^{-u}: 0 < value < (n-1)!
+    # E[exp(-z/U)] with 0 < exp(-z/U) < 1
     v = gamma_exp_integral(n, z)
-    assert 0.0 < v < math.factorial(n - 1)
+    assert 0.0 < v < 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 20, 100])
+@pytest.mark.parametrize("n", [1, 2, 4, 20, 100, 1023])
 def test_gamma_exp_integral_array_matches_scalar_bitwise(n):
     z = np.array([0.0, 1e-300, 2.5e-13, 1e-3, 0.37, 1.0, 100.0, 1e4, 1e6, math.inf])
     got = gamma_exp_integral(n, z.reshape(2, 5))

@@ -95,7 +95,7 @@ def test_quad_error_covers_the_error(pairs, snr_db):
         assert abs(got - want) <= b.quad_error + 4e-16 * want
 
 
-@pytest.mark.parametrize("pairs", [2, 5, 20, 171])
+@pytest.mark.parametrize("pairs", [2, 5, 20, 171, 1024])
 @pytest.mark.parametrize("snr_db", [110.0, 150.0, 200.0])
 def test_bounds_ordered_far_above_70_db(pairs, snr_db):
     # no complement 1 - p^M (...) is formed, so the sandwich keeps its

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ehrelay.engine import BLOCK_SIZE
-from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
+from ehrelay.model import SystemConfig, power_from_snr_db
 from ehrelay.strategies import Block, allocate
 
 
@@ -27,11 +27,10 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
     should be zero.
     """
     mismatches = 0
-    block = Block.empty(min(BLOCK_SIZE, trials), config.pairs, config.snr_threshold)
+    block = Block(min(BLOCK_SIZE, trials), config.pairs, config.snr_threshold)
     for b in range((trials + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-        block.refill(*sample_block(seed, b, size, config, out=block.draws(size)))
-        harvested = harvest(block.h2, config, scratch=block.scratch)
+        block.draw(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), config)
+        harvested = block.harvest(config)
         wf, mm = (
             allocate(s, block, *harvested, config).sum(axis=1) < config.pairs
             for s in ("waterfill", "maxmin")

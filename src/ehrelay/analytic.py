@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -203,13 +204,17 @@ def _log_y_rule(w, pairs: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-node Gauss-Legendre rule in log y for int_0^{M-1} dy, a row per budget w.
 
     Each row starts at (M-1)^2 / (745 w), capped at M-1: below it
-    exp(-a(y)/w) underflows.  Returns a(y) = (y+1) ((M-1)^2 + y) / y at the
-    nodes, the exponent scale of the inner worst-case integral (from
+    exp(-a(y)/w) underflows.  Where w nears the largest float, the row
+    starts at the smallest normal float instead: the integrand is then near
+    1 on [0, M-1], the y below add under 1e-307, and an a(y) that rounds to
+    inf only zeroes its exponential.  Returns a(y) = (y+1) ((M-1)^2 + y) / y
+    at the nodes, the exponent scale of the inner worst-case integral (from
     v = w / (y+1) in int_{w/M}^{w} exp(-(M-1)^2/(w-v) - 1/v) / v^2 dv), and
     the weights of dy = y d(log y).
     """
     x, weight = _gauss_legendre(k)
-    lo = np.log(np.minimum((pairs - 1.0) ** 2 / (745.0 * np.asarray(w)), pairs - 1.0))[..., None]
+    start = (pairs - 1.0) ** 2 / (745.0 * np.asarray(w))
+    lo = np.log(np.clip(start, sys.float_info.min, pairs - 1.0))[..., None]
     half = 0.5 * (math.log(pairs - 1.0) - lo)
     y = np.exp(lo + half * (1.0 + x))
     return (y + 1.0) * ((pairs - 1.0) ** 2 + y) / y, half * weight * y
@@ -225,16 +230,24 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     of f(w) = 1 - exp(-M^2/w) - M q(w), q(w) = (1/w) int_0^{M-1}
     exp(-a(y)/w) dy (``upper_integral``), or with that mean taken inside
     the y-integral in closed form (``upper_closed``), the same bound.
+    Raises OverflowError where the budget grid leaves the float range (a
+    rate below about 55 M / 1.8e308).
     """
     m = config.pairs
     eps, eta = config.unit_gain_thresholds
     rate = eps / eta  # Gamma rate of the budget variable w
 
-    # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid
+    # the knee of f sits near w = M^2, at z = M^2 rate on the log S grid; past the
+    # largest float z is inf, whose log leaves the grid's start at log M - 36
     t, log_density = _log_gamma_rule(m, math.log(m * m * rate))
-    w, density = np.exp(t) / rate, np.exp(log_density)
+    density = np.exp(log_density)
     inner, tail = dict.fromkeys(_GAUSS_NODES, 0.0), dict.fromkeys(_GAUSS_NODES, 0.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # w = 0 at a huge rate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.exp(t) / rate  # 0 at a huge rate
+        # past the largest float a row would read f = 0 for f(w) ~ M/w, which at
+        # so tiny a rate is the size of the bounds themselves
+        if w[-1] == math.inf:
+            raise OverflowError(f"the budget S/rate leaves the float range at rate {rate!r}")
         head = -np.expm1(-m * m / w)  # the largest requirement alone fails
         for k in _GAUSS_NODES if m > 1 else ():
             a, weight = _log_y_rule(w, m, k)
@@ -243,7 +256,9 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
             # closed form: the w-average of each exponential is a Bessel kernel,
             # M rate G_{M-1}/(M-1)! = M/(M-1) rate H_{M-1}
             a, weight = _log_y_rule(w[-1], m, k)
-            tail[k] = m / (m - 1) * rate * float(gamma_exp_integral(m - 1, a * rate) @ weight)
+            y_sum = float(gamma_exp_integral(m - 1, a * rate) @ weight)
+            # at a rate near the largest float a rate overflows, H = 0: the tail is 0, not inf * 0
+            tail[k] = m / (m - 1) * rate * y_sum if y_sum else 0.0
 
     def mean(f: np.ndarray, step: int = 1) -> float:
         return float(density[::step] @ f[::step] / density[::step].sum())

@@ -409,6 +409,12 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows"
                         ) from None
+                    bad = [v for v in values if not math.isfinite(v)]
+                    if bad:
+                        raise CLIError(
+                            f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs is {bad[0]!r}, "
+                            "not a finite float"
+                        )
                     # a positive probability below the normal floats has lost its digits
                     if group in ("exact", "bounds") and min(values) < sys.float_info.min:
                         raise CLIError(

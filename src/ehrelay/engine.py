@@ -9,19 +9,15 @@ workers.  The block size is part of that stream partition (it fixes
 which trial each draw belongs to), so it is a constant, not an argument.
 
 The unit of work is a sweep group: configs that differ only in source
-power (SNR), evaluated under several strategies on the same draws.  Per
-block, on (trials, pairs) arrays, :func:`ehrelay.model.sample_block`
-draws the channels once into a :class:`ehrelay.strategies.Block`, which
-stores them column-major and keeps what no SNR changes (the requirements,
-sorted once for water-filling).  The calling thread runs blocks itself,
-next to at most ``workers - 1`` helper threads (none for a one-block
-group); every thread takes the next block index from one shared counter
-and keeps one Block, refilled for every block it runs, and one running
-histogram, so no block-sized float array is allocated after a thread's
-first block; :func:`ehrelay.model.harvest` finds the
-decoding sets and budgets once per SNR, and :func:`ehrelay.strategies.allocate`
-the served mask once per (SNR, strategy), all on common channel realisations.
-Every per-trial sum over pairs is a few contiguous column adds.
+power (SNR), evaluated under several strategies on the same draws.  The
+calling thread runs blocks itself, next to at most ``workers - 1`` helper
+threads (none for a one-block group).  Each thread owns one
+:class:`ehrelay.strategies.Block` and one running histogram and takes the
+next block index from one shared counter; per block it calls
+``Block.draw`` once, ``Block.harvest`` once per SNR and
+:func:`ehrelay.strategies.allocate` once per (SNR, strategy).  A Block
+keeps its buffers from one block to the next, so no block-sized float
+array is allocated after a thread's first block.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair
@@ -37,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SystemConfig, harvest, sample_block
+from .model import SystemConfig
 from .strategies import STRATEGY_NAMES, Block, allocate
 
 __all__ = [
@@ -104,9 +100,10 @@ def run_group(
 
     ``workers`` threads run blocks, the caller included: it starts
     ``min(workers, n_blocks) - 1`` helper threads, so a one-block group or
-    ``workers=1`` runs on the caller alone.  An exception in any thread
-    stops every thread from taking another block and is raised here once
-    the helpers have finished.
+    ``workers=1`` runs on the caller alone.  Each thread draws the blocks it
+    takes into its own Block and harvests each once per config.  An
+    exception in any thread stops every thread from taking another block
+    and is raised here once the helpers have finished.
     """
     for name, value in (("trials", trials), ("workers", workers)):
         if value < 1:
@@ -133,7 +130,7 @@ def run_group(
 
     def work() -> None:
         nonlocal taken
-        block = None  # made at this thread's first block, refilled for every later one
+        block = Block(min(BLOCK_SIZE, trials), pairs, configs[0].snr_threshold)
         histogram = np.zeros((len(configs), len(strategies), pairs + 1), dtype=np.int64)
         histograms.append(histogram)
         try:
@@ -142,12 +139,9 @@ def run_group(
                     b, taken = taken, taken + 1
                 if b >= n_blocks:
                     return
-                size = min(BLOCK_SIZE, trials - b * BLOCK_SIZE)
-                if block is None:
-                    block = Block.empty(min(BLOCK_SIZE, trials), pairs, configs[0].snr_threshold)
-                block.refill(*sample_block(seed, b, size, configs[0], out=block.draws(size)))
+                block.draw(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), configs[0])
                 for i, config in enumerate(configs):
-                    harvested = harvest(block.h2, config, scratch=block.scratch)
+                    harvested = block.harvest(config)
                     for j, s in enumerate(strategies):
                         served = allocate(s, block, *harvested, config)
                         histogram[i, j] += np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .auction import allocate_auction
-from .model import SystemConfig
+from .model import SystemConfig, harvest, sample_block
 
 __all__ = ["Block", "allocate", "STRATEGY_NAMES"]
 
@@ -33,19 +33,7 @@ class Block:
     time; every mask they return is a fresh array.
     """
 
-    def __init__(self, h2: np.ndarray, g2: np.ndarray, snr_threshold: float) -> None:
-        self._reserve(len(h2), np.shape(h2)[1], snr_threshold)
-        self.refill(h2, g2)
-
-    @classmethod
-    def empty(cls, capacity: int, pairs: int, snr_threshold: float) -> Block:
-        """A Block with room for ``capacity`` trials of ``pairs`` pairs and no draws
-        yet: draw into :meth:`draws`, then :meth:`refill`."""
-        block = cls.__new__(cls)
-        block._reserve(capacity, pairs, snr_threshold)
-        return block
-
-    def _reserve(self, capacity: int, pairs: int, snr_threshold: float) -> None:
+    def __init__(self, capacity: int, pairs: int, snr_threshold: float) -> None:
         self.capacity, self.pairs, self.snr_threshold = capacity, pairs, snr_threshold
         self._flat: dict[str, np.ndarray] = {}
 
@@ -55,14 +43,13 @@ class Block:
             self._flat[name] = np.empty((self.capacity, self.pairs), dtype).reshape(-1)
         return self._flat[name][: trials * self.pairs]
 
-    def draws(self, trials: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two C-order (trials, pairs) buffers to draw ``h2`` and ``g2`` into.
+    def draw(self, seed: int, block_index: int, size: int, config: SystemConfig) -> None:
+        """Hold the draws of :func:`ehrelay.model.sample_block` for these arguments.
 
-        They are the buffers of the water-filling order, which :meth:`refill`
-        drops after copying the draws column-major."""
-        return tuple(
-            self._buffer(x, trials).reshape(trials, self.pairs) for x in ("sorted_h2", "sorted_need")
-        )
+        They are drawn C-order into the buffers of the water-filling order,
+        which :meth:`refill` drops after copying them column-major."""
+        out = tuple(self._buffer(x, size).reshape(size, self.pairs) for x in ("sorted_h2", "sorted_need"))
+        self.refill(*sample_block(seed, block_index, size, config, out=out))
 
     def refill(self, h2: np.ndarray, g2: np.ndarray) -> None:
         """Hold the draws ``h2`` and ``g2``, (trials, pairs) with trials <= capacity."""
@@ -76,6 +63,10 @@ class Block:
         np.copyto(self.g2, g2)
         np.divide(self.snr_threshold, self.g2, out=self.need)
         self._order = None
+
+    def harvest(self, config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`ehrelay.model.harvest` on the held ``h2`` at ``config``, its surplus in the scratch."""
+        return harvest(self.h2, config, scratch=self.scratch)
 
     @property
     def waterfill_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

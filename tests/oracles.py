@@ -48,6 +48,7 @@ These deliberately avoid the library code paths they are checking:
   branch runs the ``scalar_*`` auction routines.
 * ``load_script``: a file of ``scripts/`` imported as a module, for the
   tests of the scripts' own functions.
+* ``block_of``: a ``Block`` holding given draws, sized to them.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from ehrelay import auction
 from ehrelay.auction import (
     _MAX_ITERATIONS, _RADIUS_LIMIT, _TOLERANCE, B_MAX, LN2, AuctionState,
 )
+from ehrelay.strategies import Block
 
 
 def bessel_k_quadrature(n: int, x: float, dps: int = 30) -> float:
@@ -681,6 +683,13 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def block_of(h2, g2, snr_threshold: float) -> Block:
+    """A Block of capacity ``len(h2)`` holding the draws ``h2`` and ``g2``, (trials, pairs)."""
+    block = Block(len(h2), np.shape(h2)[1], snr_threshold)
+    block.refill(h2, g2)
+    return block
 
 
 if __name__ == "__main__":

@@ -31,10 +31,11 @@ from ehrelay.auction import (
 from ehrelay.cli import SweepSpec, run_sweep, write_csv
 from ehrelay.engine import run_experiment
 from ehrelay.model import SystemConfig, harvest, power_from_snr_db
-from ehrelay.strategies import Block, allocate
+from ehrelay.strategies import allocate
 from oracles import (
     bessel_k,
     bessel_k_quadrature,
+    block_of,
     brute_force_max_served,
     conditioned_sum_pdf,
     golden_section_max,
@@ -133,7 +134,7 @@ def test_greedy_allocation_serves_maximal_subsets():
         h2, g2 = np.array(h2), np.array(g2)
         config = SystemConfig(pairs=pairs, rate=0.5, source_power=2.0)
         decoded, n, budget = harvest(h2, config)
-        served = allocate("waterfill", Block(h2, g2, config.snr_threshold), decoded, n, budget, config)
+        served = allocate("waterfill", block_of(h2, g2, config.snr_threshold), decoded, n, budget, config)
         required = config.snr_threshold / g2
         for t in range(h2.shape[0]):
             if served[t].sum() != brute_force_max_served(list(required[t]), budget[t]):

@@ -402,7 +402,7 @@ def _serve_at_certified_price(monkeypatch):
     monkeypatch.setattr(auction, "winner_maximizing_price", lambda g2, pr, a: select_price(g2, pr))
 
 
-def test_allocate_auction_policies_differ_only_in_price(monkeypatch):
+def test_allocate_auction_serves_no_fewer_than_at_the_certified_price(monkeypatch):
     g2, decoded, budget, threshold = _auction_setup([0.5, 0.7, 2.0], [0.1, 0.25, 0.9])
     a = allocate_auction(g2, decoded, budget, threshold)
     _serve_at_certified_price(monkeypatch)

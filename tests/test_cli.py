@@ -455,6 +455,57 @@ def test_main_wf_bounds_finite_at_huge_eps_over_eta(capsys):
     assert values["bound-lower"] <= values["bound-upper-integral"] * (1 + 1e-12)
 
 
+def _bound_rows(out):
+    """(pairs, method) -> value of the bound rows of a CSV."""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    return {(int(r[1]), r[4]): float(r[5]) for r in rows}
+
+
+def test_main_wf_bounds_at_a_rate_near_the_largest_float(capsys):
+    # eps/eta = 1.5e308 passes the ratio rule, but M/(M-1) times it overflows:
+    # the closed bound's tail read inf * 0 = nan
+    argv = "--eta 1e-310 --snr 30 --pairs 2,3 --mode bounds --strategy waterfill --metric worst"
+    assert main(argv.split()) == 0
+    values = _bound_rows(capsys.readouterr().out)
+    assert len(values) == 6 and all(0.0 <= v <= 1.0 for v in values.values())
+    for pairs in (2, 3):
+        assert values[pairs, "bound-lower"] <= values[pairs, "bound-upper-integral"] * (1 + 1e-12)
+
+
+def test_main_wf_bounds_at_a_tiny_budget_rate(tmp_path, capsys):
+    # at 3000 dB and h_variance 1e6 the rate is 1.5e-305: 745 w overflows and
+    # the y-rule started at log 0; at 1e8 (1.5e-307) w = S/rate itself
+    # overflows on the grid, and the point is refused by name
+    argv = "--snr 3000 --pairs 3 --mode bounds --strategy waterfill --metric worst".split()
+    path = tmp_path / "sweep.cfg"
+    path.write_text("h_variance = 1e6\n")
+    assert main(["--config", str(path), *argv]) == 0
+    values = _bound_rows(capsys.readouterr().out)
+    assert all(math.isfinite(v) and 0.0 < v < 1e-300 for v in values.values())
+    assert values[3, "bound-lower"] <= values[3, "bound-upper-integral"] * (1 + 1e-8)
+    path.write_text("h_variance = 1e8\n")
+    assert main(["--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the bounds waterfill worst outage at snr 3000.0 dB, 3 pairs overflows\n"
+
+
+def test_main_refuses_a_non_finite_analytic_value(monkeypatch, capsys):
+    # eps/eta = 1.5e308 is finite, but the asymptotic forms overflow to inf,
+    # -inf and nan there; the refusal names the point before any draw
+    monkeypatch.setattr("ehrelay.cli.run_group", None)
+    argv = ("--eta 1e-310 --snr 30 --mode all --trials 10 --pairs 2 --strategy individual,equal,waterfill "
+            "--metric average,best,worst")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # out-of-regime asymptotics
+        assert main(argv.split()) == 2
+    assert capsys.readouterr().err == (
+        "error: the asymptotic individual average outage at snr 30.0 dB, 2 pairs is -inf, "
+        "not a finite float\n"
+    )
+    assert main("--eta 1e-310 --snr 30 --pairs 2 --mode asymptotic --strategy equal --metric best".split()) == 2
+    assert "equal best outage at snr 30.0 dB, 2 pairs is nan, not a finite float" in capsys.readouterr().err
+
+
 def test_main_flags_override_config(tmp_path, capsys):
     path = tmp_path / "sweep.cfg"
     path.write_text(dump_config(SMALL))
@@ -742,14 +793,14 @@ def test_main_exit_code_2_when_a_block_is_past_numpys_size_limit(pairs, trials, 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_main_exit_code_2_when_a_block_cannot_be_allocated(workers, monkeypatch, capsys):
-    # numpy's message names the shape that did not fit; the pool re-raises it
+    # numpy's message names the shape that did not fit; run_group re-raises it
     message = "Unable to allocate 24.4 GiB for an array with shape (16384, 200000) and data type float64"
 
     def too_large(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.setattr("ehrelay.engine.BLOCK_SIZE", 16)
-    monkeypatch.setattr("ehrelay.engine.sample_block", too_large)
+    monkeypatch.setattr("ehrelay.strategies.sample_block", too_large)
     rc = main(["--snr", "10", "--trials", "64", "--workers", workers])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"

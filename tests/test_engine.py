@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from ehrelay.analytic import outage_individual, wf_worst_bounds
-from ehrelay import engine
+from ehrelay import engine, strategies
 from ehrelay.cli import SweepSpec, run_sweep
 from ehrelay.engine import run_experiment, run_group
 from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
-from oracles import reference_draw
+from oracles import block_of, reference_draw
 
 
 def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
@@ -29,7 +29,7 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
 
 def evaluate_block(h2, g2, config, name):
     """Served mask of ``name`` on one block of draws."""
-    return allocate(name, Block(h2, g2, config.snr_threshold), *harvest(h2, config), config)
+    return allocate(name, block_of(h2, g2, config.snr_threshold), *harvest(h2, config), config)
 
 
 def test_no_decode_means_all_outage():
@@ -150,7 +150,7 @@ def test_run_sweep_draws_once_per_block_and_pair_count(monkeypatch):
         drawn.append((config.pairs, block_index))
         return sample_block(seed, block_index, size, config, **kwargs)
 
-    monkeypatch.setattr("ehrelay.engine.sample_block", counting_sample_block)
+    monkeypatch.setattr("ehrelay.strategies.sample_block", counting_sample_block)
     spec = SweepSpec(
         pairs=(2, 3),
         snr_db=(10.0, 15.0, 20.0),
@@ -296,7 +296,7 @@ def _fresh_block_reports(configs, strategies, trials, seed, size):
     for b in range(-(-trials // size)):
         h2, g2 = sample_block(seed, b, min(size, trials - b * size), configs[0])
         for i, config in enumerate(configs):
-            block = Block(h2, g2, config.snr_threshold)
+            block = block_of(h2, g2, config.snr_threshold)
             harvested = harvest(block.h2, config)
             for j, name in enumerate(strategies):
                 served = allocate(name, block, *harvested, config)
@@ -311,17 +311,18 @@ def test_run_group_reuses_one_block_per_worker(pairs, workers, monkeypatch):
     # 130 trials in blocks of 50, 50 and 30: each worker's Block holds full
     # blocks and the partial last one, and every SNR overwrites its scratch
     monkeypatch.setattr(engine, "BLOCK_SIZE", 50)
-    made = []
-    empty = Block.empty.__func__
-
-    def counting_empty(cls, capacity, pairs, snr_threshold):
-        made.append(capacity)
-        return empty(cls, capacity, pairs, snr_threshold)
-
-    monkeypatch.setattr(Block, "empty", classmethod(counting_empty))
     configs = [cfg(pairs=pairs, snr_db=s, h_variance=2.5, g_variance=0.3) for s in (10.0, 25.0, 40.0)]
+    fresh = _fresh_block_reports(configs, STRATEGY_NAMES, 130, seed=8, size=50)
+    made = []
+    init = Block.__init__
+
+    def counting_init(self, capacity, pairs, snr_threshold):
+        made.append(capacity)
+        init(self, capacity, pairs, snr_threshold)
+
+    monkeypatch.setattr(Block, "__init__", counting_init)
     group = run_group(configs, STRATEGY_NAMES, 130, seed=8, workers=workers)
-    assert group == _fresh_block_reports(configs, STRATEGY_NAMES, 130, seed=8, size=50)
+    assert group == fresh
     assert 1 <= len(made) <= workers and set(made) == {50}
 
 
@@ -348,7 +349,7 @@ def test_run_group_peak_memory_does_not_grow_with_blocks(monkeypatch):
 
 
 def record_block_threads(monkeypatch, before_draw=lambda b: None):
-    """Patch the engine's sample_block to log (block, thread) at each call,
+    """Patch the sample_block that Block.draw calls to log (block, thread) at each call,
     then run ``before_draw(block)`` and draw as usual."""
     log = []
 
@@ -357,7 +358,7 @@ def record_block_threads(monkeypatch, before_draw=lambda b: None):
         before_draw(block_index)
         return sample_block(seed, block_index, size, config, **kwargs)
 
-    monkeypatch.setattr(engine, "sample_block", recording_sample_block)
+    monkeypatch.setattr(strategies, "sample_block", recording_sample_block)
     return log
 
 

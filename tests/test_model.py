@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
-from ehrelay.strategies import Block
-from oracles import power_split_theta
+from oracles import block_of, power_split_theta
 
 
 def cfg(pairs=2, rate=2.0, power=100.0, **kw):
@@ -121,7 +120,7 @@ def _row_major_budget(h2, config):
 def _block_budgets(pairs):
     """(budget of a Block's column-major h2, row-major reference) over SNRs and etas."""
     h2, g2 = sample_block(11, 0, 4096, cfg(pairs=pairs))
-    block = Block(h2, g2, cfg(pairs=pairs).snr_threshold)
+    block = block_of(h2, g2, cfg(pairs=pairs).snr_threshold)
     for snr in (0.0, 20.0, 40.0):
         for eta in (1.0, 0.37):
             config = cfg(pairs=pairs, power=power_from_snr_db(snr), eta=eta)
@@ -148,7 +147,7 @@ def test_harvest_budget_near_row_major_sum_from_eight_pairs(pairs):
 def test_harvest_on_column_major_block():
     c = cfg(pairs=5, power=1000.0, eta=0.5)
     h2, g2 = sample_block(2, 0, 64, c)
-    block = Block(h2, g2, c.snr_threshold)
+    block = block_of(h2, g2, c.snr_threshold)
     decoded, n, budget = harvest(block.h2, c)
     assert decoded.flags.f_contiguous
     assert n.tolist() == [sum(row) for row in decoded.tolist()]
@@ -196,7 +195,7 @@ def test_sample_block_into_buffers_is_numpys_exponential(size):
 
 def test_harvest_scratch_changes_no_bit():
     c = cfg(pairs=5, power=1000.0, eta=0.37)
-    block = Block(*sample_block(6, 0, 500, c), c.snr_threshold)
+    block = block_of(*sample_block(6, 0, 500, c), c.snr_threshold)
     fresh = harvest(block.h2, c)
     scratch = np.full_like(block.h2, np.nan, order="F")
     for x, y in zip(harvest(block.h2, c, scratch=scratch), fresh):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ehrelay.model import SystemConfig, harvest, power_from_snr_db
+from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from ehrelay.strategies import STRATEGY_NAMES, Block, allocate
-from oracles import brute_force_max_served, reference_draw
+from oracles import block_of, brute_force_max_served, reference_draw
 
 
 def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
@@ -24,7 +24,7 @@ def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
     decoded, n, pr = harvest(h2, config)
     if budget is not None:
         pr = np.array([budget])
-    served = allocate(name, Block(h2, g2, config.snr_threshold), decoded, n, pr, config)
+    served = allocate(name, block_of(h2, g2, config.snr_threshold), decoded, n, pr, config)
     return served[0], pr[0], config
 
 
@@ -139,7 +139,7 @@ def test_block_refuses_params_of_another_rate(name):
     config = SystemConfig(pairs=2, rate=0.5, source_power=10.0)
     other = SystemConfig(pairs=2, rate=1.0, source_power=10.0)
     h2 = np.full((1, 2), 0.5)
-    block = Block(h2, np.ones((1, 2)), other.snr_threshold)
+    block = block_of(h2, np.ones((1, 2)), other.snr_threshold)
     with pytest.raises(ValueError, match="snr_threshold"):
         allocate(name, block, *harvest(h2, config), config)
 
@@ -166,11 +166,11 @@ def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ti
         SystemConfig(pairs=pairs, rate=1.0, source_power=power_from_snr_db(snr))
         for snr in (20.0, 0.0, 10.0, 30.0)
     ]
-    shared = Block(h2, g2, configs[0].snr_threshold)
+    shared = block_of(h2, g2, configs[0].snr_threshold)
     for config in configs:
         harvested = harvest(shared.h2, config)
         served = allocate("waterfill", shared, *harvested, config)
-        alone = allocate("waterfill", Block(h2.copy(), g2.copy(), config.snr_threshold), *harvested, config)
+        alone = allocate("waterfill", block_of(h2.copy(), g2.copy(), config.snr_threshold), *harvested, config)
         assert np.array_equal(served, alone)
         counts = served.sum(axis=1)  # the engine's per-trial count
         assert counts.tolist() == [sum(row) for row in served.tolist()]
@@ -194,7 +194,7 @@ def _row_major_waterfill_order(need, h2):
 def test_block_arrays_are_column_major():
     rng = np.random.default_rng(4)
     h2, g2 = rng.exponential(size=(2, 50, 3))
-    block = Block(h2, g2, 15.0)
+    block = block_of(h2, g2, 15.0)
     for x in (block.h2, block.g2, block.need):
         assert x.shape == (50, 3) and x.flags.f_contiguous
     assert np.array_equal(block.h2, h2) and np.array_equal(block.g2, g2)
@@ -209,19 +209,18 @@ def test_refilled_block_matches_a_fresh_one():
     # in the same buffers, and every mask returned is a fresh array
     rng = np.random.default_rng(9)
     config = SystemConfig(pairs=4, rate=1.0, source_power=power_from_snr_db(15.0))
-    block = Block.empty(40, 4, config.snr_threshold)
+    block = Block(40, 4, config.snr_threshold)
     seen = None
     for trials in (40, 23, 40):
-        h2, g2 = block.draws(trials)
-        h2[...], g2[...] = rng.exponential(size=(2, trials, 4))
-        fresh = Block(h2.copy(), g2.copy(), config.snr_threshold)
+        h2, g2 = rng.exponential(size=(2, trials, 4))
+        fresh = block_of(h2.copy(), g2.copy(), config.snr_threshold)
         block.refill(h2, g2)
         for name in ("h2", "g2", "need"):
             x = getattr(block, name)
             assert x.flags.f_contiguous and np.array_equal(x, getattr(fresh, name))
         for x, y in zip(block.waterfill_order, fresh.waterfill_order):
             assert x.flags.c_contiguous == y.flags.c_contiguous and np.array_equal(x, y)
-        harvested = harvest(block.h2, config, scratch=block.scratch)
+        harvested = block.harvest(config)
         for name in STRATEGY_NAMES:
             served = allocate(name, block, *harvested, config)
             assert np.array_equal(served, allocate(name, fresh, *harvest(fresh.h2, config), config))
@@ -234,6 +233,37 @@ def test_refilled_block_matches_a_fresh_one():
         block.refill(*rng.exponential(size=(2, 41, 4)))
 
 
+@pytest.mark.parametrize("size", [40, 23])
+def test_block_draw_is_sample_block_then_refill(size):
+    # a full block and a partial one, each drawn into a Block that held a
+    # block before: the same bits as the draws of sample_block, refilled
+    config = SystemConfig(pairs=4, rate=1.0, source_power=power_from_snr_db(15.0),
+                          h_variance=2.5, g_variance=0.3)
+    block = Block(40, 4, config.snr_threshold)
+    block.draw(3, 0, 40, config)
+    block.draw(3, 1, size, config)
+    want = block_of(*sample_block(3, 1, size, config), config.snr_threshold)
+    for name in ("h2", "g2", "need"):
+        x, y = getattr(block, name), getattr(want, name)
+        assert x.shape == y.shape == (size, 4) and x.flags.f_contiguous
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    for x, y in zip(block.waterfill_order, want.waterfill_order):
+        assert np.array_equal(x, y)
+
+
+def test_block_harvest_is_a_fresh_harvest():
+    # the surplus goes to the scratch, but every array returned is fresh,
+    # with the bits of harvest on the same h2 and no scratch
+    config = SystemConfig(pairs=5, rate=1.0, source_power=1000.0, eta=0.37)
+    block = Block(500, 5, config.snr_threshold)
+    block.draw(6, 0, 500, config)
+    want = harvest(block.h2, config)
+    got = block.harvest(config)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert not any(np.shares_memory(x, buf) for buf in block._flat.values())
+
+
 @pytest.mark.parametrize("pairs", [1, 2, 3, 5, 20, 300])
 def test_waterfill_order_matches_row_major_construction(pairs):
     rng = np.random.default_rng(pairs)
@@ -242,7 +272,7 @@ def test_waterfill_order_matches_row_major_construction(pairs):
     if pairs > 1:  # rows with copied gains: ties resolve by ascending pair index
         g2[::3, 1:] = g2[::3, :1]
         g2[1::7, -1] = g2[1::7, 0]
-    block = Block(h2, g2, 15.0)
+    block = block_of(h2, g2, 15.0)
     got = block.waterfill_order
     want = _row_major_waterfill_order(15.0 / g2, h2)
     for x, y in zip(got, want):

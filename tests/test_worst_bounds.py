@@ -125,3 +125,36 @@ def test_bounds_finite_at_huge_eps_over_eta(eta, pairs, snr_db):
     assert all(math.isfinite(v) for v in values)
     assert b.lower <= b.upper_integral + b.quad_error + 1e-12 * b.upper_integral
     assert b.upper_closed == pytest.approx(b.upper_integral, rel=1e-12, abs=b.quad_error)
+
+
+@pytest.mark.parametrize("pairs", [2, 3, 20])
+def test_bounds_finite_at_a_rate_near_the_largest_float(pairs):
+    # eps/eta = 1.5e308: a(y) rate overflows, so the tail's Bessel sum is 0,
+    # and the closed bound must not read M/(M-1) rate * 0 = inf * 0 = nan
+    c = SystemConfig(pairs=pairs, rate=2.0, source_power=power_from_snr_db(30.0), eta=1e-310)
+    b = wf_worst_bounds(c)
+    assert all(0.0 <= v <= 1.0 for v in (b.lower, b.upper_integral, b.upper_closed))
+    assert math.isfinite(b.quad_error) and b.lower <= b.upper_integral + b.quad_error
+    assert b.upper_closed == pytest.approx(b.upper_integral, abs=b.quad_error)
+
+
+@pytest.mark.parametrize("pairs", [2, 3, 20])
+def test_bounds_at_a_rate_whose_budgets_near_the_largest_float(pairs):
+    # eps/eta = 1.5e-305: the largest budgets w = S/rate pass 1e307, where
+    # 745 w overflows and the y-rule would start at log 0.  The bounds keep
+    # their order and meet the high-SNR lower form M eps (1 + 1/(M-1))
+    c = SystemConfig(pairs=pairs, rate=2.0, source_power=power_from_snr_db(3000.0), h_variance=1e6)
+    eps = c.unit_gain_thresholds[0]
+    b = wf_worst_bounds(c)
+    assert b.lower == pytest.approx(pairs * eps * (1.0 + 1.0 / (pairs - 1.0)), rel=1e-12)
+    assert b.lower <= b.upper_integral + b.quad_error and b.quad_error < 1e-4 * b.lower
+    assert b.upper_closed == pytest.approx(b.upper_integral, abs=b.quad_error)
+
+
+@pytest.mark.parametrize("pairs", [3, 20])
+def test_bounds_refuse_budgets_past_the_largest_float(pairs):
+    # eps/eta = 1.5e-307: w = S/rate overflows on the grid, where f(w) ~ M/w
+    # is no longer held by any float, so the bounds are refused
+    c = SystemConfig(pairs=pairs, rate=2.0, source_power=power_from_snr_db(3000.0), h_variance=1e8)
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        wf_worst_bounds(c)

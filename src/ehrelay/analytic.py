@@ -261,7 +261,8 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
             tail[k] = m / (m - 1) * rate * y_sum if y_sum else 0.0
 
     def mean(f: np.ndarray, step: int = 1) -> float:
-        return float(density[::step] @ f[::step] / density[::step].sum())
+        # both sums add in one order, so a mean of values <= 1 stays <= 1
+        return float((density[::step] * f[::step]).sum() / density[::step].sum())
 
     val, head_val = mean(head - inner[64]), mean(head)
     # change at twice the trapezoid step and at 48 Gauss-Legendre nodes

@@ -1,7 +1,8 @@
 """Share auction for the harvested relay budget.
 
-The relay announces a unit price ``pi`` and a reserve bid ``xi``; each
-decoded pair i submits a bid b_i and receives the budget share
+The relay announces a unit price ``pi`` and a reserve bid ``xi`` (0.01 P_r
+in the served auction); each decoded pair i submits a bid b_i and receives
+the budget share
 
     P_i = b_i / (sum_j b_j + xi) * P_r.
 
@@ -22,11 +23,12 @@ with rho_i = T_i / (P_r - T_i); ``select_price`` finds the cheapest price
 with that certificate and backs it off by a safety margin.
 
 The auction's outcome is that fixed point, the Nash equilibrium at the
-announced price, which has a closed form (``predict_allocation``): each
-interior pair gets its target, and full-budget pairs split what the
-interior demand leaves.  ``allocate_auction`` serves from it.  The
-dynamics (``run_auction``) are how the pairs reach it, and the reference
-that the tests hold the closed form against.
+announced price, which has a closed form (``predict_allocation``, at the
+fixed reserve): each interior pair gets its target, and full-budget pairs
+split what the interior demand leaves (``_capped_share``, which the price
+scan shares).  ``allocate_auction`` serves from it.  The dynamics
+(``run_auction``, at any reserve) are how the pairs reach it, and the
+reference that the tests hold the closed form against.
 
 Row r of a (rows, pairs) gain array is one auction, and a zero gain marks
 a pair not in it (its quit price is 0, so it never bids).  The two prices,
@@ -163,24 +165,30 @@ def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
     return hi
 
 
-def predict_allocation(price, total_power, g2, reserve):
+def _capped_share(capped, demand, total_power):
+    """Grant of each of ``capped`` pairs bidding ``B_MAX`` beside an interior
+    ``demand``, at the relay's reserve bid; non-increasing in ``demand``."""
+    sigma = demand / total_power
+    reserve = _RESERVE_FRACTION * total_power
+    total_bids = (capped * B_MAX + sigma * reserve) / (1.0 - sigma)
+    return B_MAX / (total_bids + reserve) * total_power
+
+
+def predict_allocation(price, total_power, g2):
     """Closed-form equilibrium at each price, whether it exists, and rho.
 
     Interior pairs end up with exactly their target T_i; full-budget pairs
-    bid the cap and split what the interior demand leaves.  It exists when
-    the interior demand alone is below the budget (else the dynamics do not
-    settle).  The arguments broadcast, unchecked, with pairs on the last
+    split what the interior demand leaves (``_capped_share``).  It exists
+    when the interior demand alone is below the budget (else the dynamics do
+    not settle).  The arguments broadcast, unchecked, with pairs on the last
     axis and ``total_power`` a float or an array with a length-1 last axis.
     """
     t = interior_target(price, g2)
     capped = t >= total_power
     interior = np.where((t > 0.0) & ~capped, t, 0.0)
     demand = interior.sum(axis=-1, keepdims=True)
-    sigma = demand / total_power
     with np.errstate(divide="ignore", invalid="ignore"):
-        capped_bids = np.count_nonzero(capped, axis=-1)[..., None] * B_MAX
-        total_bids = (capped_bids + sigma * reserve) / (1.0 - sigma)
-        share = B_MAX / (total_bids + reserve) * total_power
+        share = _capped_share(np.count_nonzero(capped, axis=-1)[..., None], demand, total_power)
     exists = (demand < total_power)[..., 0]
     return np.where(capped, share, interior), exists, interior / (total_power - interior)
 
@@ -290,13 +298,13 @@ def _ladder_scores(g2, total_power, snr_threshold):
     ln2 pi) (a pair's target is A - 1/s) is an exact float test monotone
     along the sorted pairs: live ``A > 1/s``, capped ``A - 1/s >= P_r``,
     uncapped served ``max(A - 1/s, 0) >= a/s`` (the grant is the target, or
-    0) and capped served ``share >= a/s``; ``_boundary`` finds where each
-    turns.  The demand, the interior targets' sum, comes from prefix sums
-    of 1/s within delta of whatever order ``predict_allocation`` adds the
-    targets in.  Every step from the demand to the capped share is
-    monotone, so usability and the capped served count at demand -/+ delta
-    bracket the exact ones; where the two ends differ, the rung is scored
-    by ``predict_allocation`` itself.
+    0) and capped served ``_capped_share >= a/s``; ``_boundary`` finds where
+    each turns.  The demand, the interior targets' sum, comes from prefix
+    sums of 1/s within delta of whatever order ``predict_allocation`` adds
+    the targets in.  ``_capped_share`` is monotone in the demand, so
+    usability and the capped served count at demand -/+ delta bracket the
+    exact ones; where the two ends differ, the rung is scored by
+    ``predict_allocation`` itself.
     """
     rows, m = g2.shape
     p = total_power[:, None]
@@ -338,15 +346,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
         level, pr, base, cap, demand, delta = (x[u] for x in (level, pr, base, cap, demand, delta))
         uncapped = _boundary(lambda i: np.maximum(level - inv[i], 0.0) >= need[i], base, m)
         count = cap - np.minimum(uncapped, cap)
-
-        def share(d):
-            # each capped pair's grant at demand d, step for step as in predict_allocation
-            sigma = d / pr
-            reserve = _RESERVE_FRACTION * pr
-            total_bids = ((m - cap) * B_MAX + sigma * reserve) / (1.0 - sigma)
-            return B_MAX / (total_bids + reserve) * pr
-
-        low, high = share(demand + delta), share(demand - delta)
+        low, high = (_capped_share(m - cap, d, pr) for d in (demand + delta, demand - delta))
         served = np.maximum(_boundary(lambda i: low >= need[i], base, m), cap)
         count += m - served
         # the pair just below the boundary would count at the high end
@@ -357,7 +357,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
         gains, p = g2[row[v]], total_power[row[v], None]
         with np.errstate(divide="ignore", invalid="ignore"):
             price = candidates.ravel()[rung[v], None]
-            alloc, usable, _ = predict_allocation(price, p, gains, _RESERVE_FRACTION * p)
+            alloc, usable, _ = predict_allocation(price, p, gains)
             exact = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
         scores.ravel()[rung[v]] = np.where(usable, exact, -1)
     return candidates, scores
@@ -378,9 +378,8 @@ def _chunk_price(g2, total_power, snr_threshold):
         best = scores[rows]
         most = best.max(axis=1, keepdims=True)
         top = np.where(best == most, candidates[rows], -np.inf).max(axis=1)
-        p = total_power[rows, None]
         with np.errstate(invalid="ignore"):
-            _, usable, rho = predict_allocation(top[:, None], p, g2[rows], _RESERVE_FRACTION * p)
+            _, usable, rho = predict_allocation(top[:, None], total_power[rows, None], g2[rows])
         ok = usable & _radius_below(rho, _RADIUS_LIMIT)
         price[rows[ok]] = top[ok]
         # a rejected price is rejected at every rung that repeats it
@@ -447,8 +446,7 @@ def allocate_auction(
     gains = np.where(decoded[rows], g2[rows], 0.0)
     pr = budget[rows]
     price = winner_maximizing_price(gains, pr, snr_threshold)
-    p = pr[:, None]
-    alloc, exists, _ = predict_allocation(price[:, None], p, gains, _RESERVE_FRACTION * p)
+    alloc, exists, _ = predict_allocation(price[:, None], pr[:, None], gains)
     if not exists.all():
         raise RuntimeError(
             f"the auction's price has no equilibrium in {np.count_nonzero(~exists)} of "

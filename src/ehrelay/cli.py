@@ -19,6 +19,8 @@ import contextlib
 import dataclasses
 import functools
 import math
+import os
+import stat
 import sys
 import warnings
 from collections.abc import Callable
@@ -360,8 +362,10 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
             for m in spec.metrics:
                 if (s, spec.mode) not in ANALYTIC_ROWS or m not in ANALYTIC_ROWS[s, spec.mode].metrics:
                     raise CLIError(f"no {spec.mode} method for strategy {s!r}, metric {m!r}")
-        if not all(plan.values()):  # only the pooled asymptotics need two pairs
-            raise CLIError("pooled asymptotics require at least two pairs")
+        for (pairs, s, _), groups in plan.items():
+            if not groups:  # the mode's group for s takes more pairs
+                least = ANALYTIC_ROWS[s, spec.mode].pairs[0]
+                raise CLIError(f"pairs {pairs} is below {least}, the fewest pair count of the {s} {spec.mode} rows")
     for (pairs, s, _), groups in plan.items():
         for group in groups:
             if pairs > (most := ANALYTIC_ROWS[s, group].pairs[1]):
@@ -500,15 +504,16 @@ _FLAG_KEYS = {"snr": "snr_db", "strategy": "strategies", "metric": "metrics"} | 
 
 
 def _open_out(path: Path | None):
-    """The CSV stream: ``path`` opened for writing, or stdout.
+    """The CSV stream: ``path`` opened for appending, or stdout.
 
     Opened before the sweep runs, so an unwritable path is refused before
-    any channel is drawn; a sweep that fails after that leaves it empty.
+    any channel is drawn; ``main`` empties a regular file once the rows
+    exist (appends then land at its start).
     """
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", newline="")
+        return open(path, "a", newline="")
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc}") from None
 
@@ -542,13 +547,17 @@ def main(argv: list[str] | None = None) -> int:
 
         if not 1 <= args.workers <= MAX_WORKERS:
             raise CLIError(f"--workers must be between 1 and {MAX_WORKERS}")
-        _validate_spec(spec)  # a bad sweep is refused before --out is opened and emptied
         if args.dump_config:
+            _validate_spec(spec)
             sys.stdout.write(dump_config(spec))
             return 0
 
         with _open_out(args.out) as stream:
-            write_csv(run_sweep(spec, workers=args.workers), stream)
+            rows = run_sweep(spec, workers=args.workers)
+            # emptied only now: a sweep refused or failed above leaves it as it was
+            if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            write_csv(rows, stream)
         return 0
     except (CLIError, MemoryError) as exc:  # a block too large to allocate is bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -289,7 +289,7 @@ def ladder_winner_price(g2, total_power, snr_threshold: float) -> np.ndarray:
             auction.quit_price(g2).max(axis=1, keepdims=True) * (1.0 - 1e-6),
         ], axis=1)
         p = p[..., None]
-        alloc, usable, rho = auction.predict_allocation(candidates[..., None], p, g2[:, None], 0.01 * p)
+        alloc, usable, rho = auction.predict_allocation(candidates[..., None], p, g2[:, None])
         served = np.count_nonzero(alloc >= snr_threshold / g2[:, None], axis=-1)
     served[~(usable & (candidates > 0.0) & auction._radius_below(rho, _RADIUS_LIMIT))] = -1
     most = served.max(axis=1, keepdims=True)

@@ -32,6 +32,7 @@ from oracles import (
     ladder_winner_price,
     payoff,
     scalar_auction_row,
+    scalar_predict,
     scalar_run_auction,
     scalar_select_price,
 )
@@ -323,12 +324,44 @@ def test_predict_allocation_matches_dynamics():
     for _ in range(60):
         g2, pr = rand_instance(rng, scale=0.0625)
         price = winner_maximizing_price(g2, pr, 1.0)
-        xi = 0.01 * pr
-        pred, exists, _ = predict_allocation(price, pr, g2, xi)
+        pred, exists, _ = predict_allocation(price, pr, g2)
         assert exists
-        state = run_auction(g2, pr, price, xi)
+        state = run_auction(g2, pr, price, 0.01 * pr)
         assert state.converged
         assert state.allocation == pytest.approx(pred, abs=1e-6 * max(1.0, pr))
+
+
+def test_predict_allocation_equals_scalar_oracle_bit_for_bit():
+    # the closed form against the oracle's own statement of it at the reserve
+    # 0.01 P_r: prices below a random pair's full-budget price, so every
+    # instance has a capped pair, and some have no equilibrium
+    rng = np.random.default_rng(47)
+    outcomes = []
+    for _ in range(400):
+        n = int(rng.integers(1, 21))
+        g2 = rng.exponential(1.0, n) * 10.0 ** rng.uniform(-2.0, 2.0)
+        pr = 10.0 ** rng.uniform(-3.0, 3.0)
+        price = full_budget_price(rng.choice(g2), pr) * rng.uniform(0.5, 1.0)
+        alloc, exists, _ = predict_allocation(price, pr, g2)
+        want = scalar_predict(price, pr, g2, 0.01 * pr)
+        assert exists == (want is not None)
+        if exists:
+            assert alloc.tobytes() == want.tobytes()
+        outcomes.append(exists)
+    assert 0 < outcomes.count(False) < outcomes.count(True)
+
+
+@given(
+    capped=hst.integers(min_value=1, max_value=1024),
+    total_power=hst.floats(min_value=1e-6, max_value=1e6),
+    fractions=hst.lists(hst.floats(min_value=-1.0, max_value=1.0, exclude_max=True), min_size=2, max_size=2),
+)
+def test_capped_share_non_increasing_in_demand(capped, total_power, fractions):
+    # the price scan brackets a rung's capped served count by the grants at
+    # its demand -/+ the demand's error bound, which rests on this
+    low, high = sorted(np.float64(f) * total_power for f in fractions)
+    with np.errstate(divide="ignore"):  # a demand that rounds to P_r leaves 0
+        assert auction._capped_share(capped, high, total_power) <= auction._capped_share(capped, low, total_power)
 
 
 @pytest.mark.parametrize("pairs", [None, 20], ids=["1-10", "20"])
@@ -343,7 +376,7 @@ def test_realized_served_count_equals_predicted(pairs):
         pr = 10.0 ** rng.uniform(-4.0, 3.0)
         a = 2.0 ** (2.0 * rng.uniform(0.1, 3.0)) - 1.0
         price = winner_maximizing_price(g2, pr, a)
-        pred, exists, _ = predict_allocation(price, pr, g2, 0.01 * pr)
+        pred, exists, _ = predict_allocation(price, pr, g2)
         assert exists
         state = run_auction(g2, pr, price, 0.01 * pr)
         assert state.converged
@@ -416,7 +449,7 @@ def test_allocate_auction_refuses_a_price_with_no_equilibrium(monkeypatch):
     g2, decoded, budget = np.ones((1, 3)), np.ones((1, 3), dtype=bool), np.array([2.0])
     price = 1.0 / (2.0 * LN2 * (0.5 * budget[0] + 1.0))
     assert interior_target(price, g2[0]) == pytest.approx([1.0, 1.0, 1.0])
-    assert not predict_allocation(price, budget[0], g2[0], 0.01 * budget[0])[1]
+    assert not predict_allocation(price, budget[0], g2[0])[1]
     monkeypatch.setattr(auction, "winner_maximizing_price", lambda gains, pr, a: np.full(len(gains), price))
     with pytest.raises(RuntimeError, match="has no equilibrium in 1 of 1 auctions"):
         allocate_auction(g2, decoded, budget, 1.0)
@@ -524,8 +557,7 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
             price = auction.winner_maximizing_price(gains, pr, a)
             _, allocation, _, converged, _ = auction.run_auction(gains, pr, price, 0.01 * pr)
             assert converged.all()
-            p = pr[:, None]
-            equilibrium, exists, _ = auction.predict_allocation(price[:, None], p, gains, 0.01 * p)
+            equilibrium, exists, _ = auction.predict_allocation(price[:, None], pr[:, None], gains)
             assert exists.all()
             with np.errstate(divide="ignore"):
                 need = a / gains
@@ -546,9 +578,9 @@ def test_allocate_auction_serves_through_predict_allocation(monkeypatch):
     want = [allocate_auction(g2, decoded, budget, 1.0) for g2, decoded, budget in blocks]
     predict, rows = auction.predict_allocation, []
 
-    def counting(price, total_power, g, reserve):
+    def counting(price, total_power, g):
         rows.append(len(g))
-        return predict(price, total_power, g, reserve)
+        return predict(price, total_power, g)
 
     monkeypatch.setattr(auction, "predict_allocation", counting)
     for (g2, decoded, budget), served in zip(blocks, want, strict=True):
@@ -635,8 +667,8 @@ def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
     fallback = np.arange(len(gains)) % 3 == 0
     predict, rejected = auction.predict_allocation, gains[fallback].max(axis=1)
 
-    def rejecting(price, total_power, g, reserve):
-        alloc, exists, rho = predict(price, total_power, g, reserve)
+    def rejecting(price, total_power, g):
+        alloc, exists, rho = predict(price, total_power, g)
         return alloc, exists & ~np.isin(g.max(axis=-1), rejected), rho
 
     monkeypatch.setattr(auction, "predict_allocation", rejecting)
@@ -690,9 +722,9 @@ def test_winner_price_with_a_widened_demand_bound(pairs, slack, monkeypatch):
     monkeypatch.setattr(auction, "_DEMAND_SLACK", slack)
     predict, scored = auction.predict_allocation, []
 
-    def counting(price, total_power, g, reserve):
+    def counting(price, total_power, g):
         scored.append(len(g))
-        return predict(price, total_power, g, reserve)
+        return predict(price, total_power, g)
 
     monkeypatch.setattr(auction, "predict_allocation", counting)
     for i, snr_threshold in enumerate((1e-3, 1.0, 30.0)):

@@ -391,7 +391,7 @@ def test_pooled_asymptotics_refuse_one_pair(strategy, metric, capsys):
     argv = ["--pairs", "1,2", "--mode", "asymptotic", "--strategy", strategy, "--metric", metric, "--snr", "30"]
     for extra in (["--dump-config"], []):
         assert main(argv + extra) == 2
-        assert "pooled asymptotics require at least two pairs" in capsys.readouterr().err
+        assert f"pairs 1 is below 2, the fewest pair count of the {strategy} asymptotic rows" in capsys.readouterr().err
     # the individual asymptotics exist at one pair
     assert main(["--pairs", "1", "--mode", "asymptotic", "--strategy", "individual", "--snr", "30"]) == 0
 
@@ -410,6 +410,7 @@ def test_csv_bytes_reproducible(tmp_path):
 
 def test_main_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
+    out.write_text("old row\n" * 1000)  # replaced, however long
     rc = main(
         [
             "--snr",
@@ -717,11 +718,27 @@ def test_main_refuses_unwritable_out_before_the_sweep(out, monkeypatch, capsys):
     assert f"error: cannot write {out}:" in capsys.readouterr().err
 
 
-def test_main_refused_sweep_leaves_out_as_it_was(tmp_path, capsys):
+def _engine_failure(*args, **kwargs):
+    raise RuntimeError("did not converge")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("--trials 0", 2, "trials must be >= 1"),
+        # refused or failed after --out is opened: once the analytic values or the draws exist
+        ("--pairs 300 --snr 0 --mode asymptotic --strategy equal --metric best", 2, "300 pairs overflows"),
+        ("--pairs 171 --snr 40 --mode exact --metric best", 2, "171 pairs underflows"),
+        ("--snr 10 --trials 10", 3, "did not converge"),
+    ],
+    ids=["invalid", "overflow", "underflow", "engine-failure"],
+)
+def test_main_refused_sweep_leaves_out_as_it_was(argv, code, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("ehrelay.cli.run_group", _engine_failure)
     out = tmp_path / "sweep.csv"
     out.write_text("kept\n")
-    assert main(["--trials", "0", "--out", str(out)]) == 2
-    assert "trials must be >= 1" in capsys.readouterr().err
+    assert main([*argv.split(), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
     assert out.read_text() == "kept\n"
 
 

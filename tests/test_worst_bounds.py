@@ -114,15 +114,19 @@ def test_reference_table_matches_live_oracle():
 
 
 @pytest.mark.parametrize("eta", [1e-300, 1e-200])
-@pytest.mark.parametrize("pairs", [2, 3, 20])
+@pytest.mark.parametrize("pairs", [2, 3, 5, 20])
 @pytest.mark.parametrize("snr_db", [-20.0, 30.0, 100.0])
 def test_bounds_finite_at_huge_eps_over_eta(eta, pairs, snr_db):
     # the budget grid w = S eta / eps underflows to 0; (M/w) exp(-a/w) -> 0
-    # there, and the bounds must not read inf * 0 = nan
+    # there, and the bounds must not read inf * 0 = nan.  Every bound is about
+    # 1, and a mean of failure probabilities must not round above it (it read
+    # 1 + 2^-52 at 5 pairs) nor an upper bound below the lower (1 - 2^-52 at 3)
     c = SystemConfig(pairs=pairs, rate=2.0, source_power=power_from_snr_db(snr_db), eta=eta)
     b = wf_worst_bounds(c)
     values = (b.lower, b.upper_integral, b.upper_closed, b.quad_error)
     assert all(math.isfinite(v) for v in values)
+    assert b.lower <= b.upper_integral <= 1.0
+    assert b.upper_closed <= 1.0
     assert b.lower <= b.upper_integral + b.quad_error + 1e-12 * b.upper_integral
     assert b.upper_closed == pytest.approx(b.upper_integral, rel=1e-12, abs=b.quad_error)
 

@@ -46,8 +46,8 @@ import numpy as np
 
 __all__ = [
     "B_MAX", "LN2", "AuctionState", "interior_target", "quit_price", "full_budget_price",
-    "response_weights", "contraction_modulus", "iteration_spectral_radius", "predict_allocation",
-    "run_auction", "select_price", "winner_maximizing_price", "allocate_auction",
+    "contraction_modulus", "iteration_spectral_radius", "predict_allocation", "run_auction",
+    "select_price", "winner_maximizing_price", "allocate_auction",
 ]
 
 LN2 = math.log(2.0)
@@ -94,18 +94,6 @@ def full_budget_price(g2, total_power) -> np.ndarray:
     return g2 / (2.0 * LN2 * (1.0 + total_power * g2))
 
 
-def response_weights(price, total_power, g2) -> np.ndarray:
-    """Sensitivities rho_i = T_i / (P_r - T_i) of the interior responses.
-
-    Pairs on the quit branch (T_i <= 0) and the full-budget branch
-    (T_i >= P_r) bid constants, so their responses have zero sensitivity
-    to the other bids.
-    """
-    t = interior_target(price, g2)
-    interior = np.where((t > 0.0) & (t < total_power), t, 0.0)
-    return interior / (total_power - interior)
-
-
 def _block(g2, total_power, *, rows: bool = True) -> tuple[np.ndarray, np.ndarray, bool]:
     """Validated auctions as a (rows, pairs) block, and whether one was given."""
     g2 = np.asarray(g2, dtype=float)
@@ -129,7 +117,7 @@ def contraction_modulus(price, total_power, g2):
 
 def _modulus(price, total_power, g2) -> np.ndarray:
     """``contraction_modulus`` of each row of a block that ``_block`` has validated."""
-    rho = response_weights(np.reshape(price, (-1, 1)), total_power[:, None], g2)
+    rho = predict_allocation(np.reshape(price, (-1, 1)), total_power[:, None], g2)[2]
     return np.sqrt(np.count_nonzero(g2, axis=1)) * np.sqrt((rho * rho).sum(axis=1)) + rho.max(axis=1)
 
 
@@ -156,7 +144,7 @@ def iteration_spectral_radius(price: float, total_power: float, g2) -> float:
     bisection from sum(rho), which exceeds it.  The contraction
     certificate upper-bounds it by roughly a factor sqrt(N).
     """
-    rho = response_weights(price, total_power, _block(g2, total_power, rows=False)[0][0])
+    rho = predict_allocation(price, total_power, _block(g2, total_power, rows=False)[0][0])[2]
     if np.count_nonzero(rho) <= 1:
         return 0.0
     lo, hi = 0.0, float(rho.sum())
@@ -180,8 +168,10 @@ def predict_allocation(price, total_power, g2):
     Interior pairs end up with exactly their target T_i; full-budget pairs
     split what the interior demand leaves (``_capped_share``).  It exists
     when the interior demand alone is below the budget (else the dynamics do
-    not settle).  The arguments broadcast, unchecked, with pairs on the last
-    axis and ``total_power`` a float or an array with a length-1 last axis.
+    not settle).  rho_i = T_i / (P_r - T_i) on the interior branch, else 0,
+    weighs the others' bids in pair i's best response.  The arguments
+    broadcast, unchecked, with pairs on the last axis and ``total_power`` a
+    float or an array with a length-1 last axis.
     """
     t = interior_target(price, g2)
     capped = t >= total_power
@@ -211,7 +201,7 @@ def run_auction(g2, total_power, price, reserve) -> AuctionState:
     # best response b_i = rho_i (sum_{j != i} b_j + xi) + cap_i: interior pairs scale
     # the others' bids, full-budget pairs bid B_MAX, priced-out (and absent) ones 0
     g2 = np.ascontiguousarray(g2)
-    w = response_weights(price[:, None], total_power[:, None], g2)
+    w = predict_allocation(price[:, None], total_power[:, None], g2)[2]
     cap = np.where(interior_target(price[:, None], g2) >= total_power[:, None], B_MAX, 0.0)
     b = (g2 > 0.0).astype(float)
     bids = np.empty_like(b)

@@ -507,7 +507,7 @@ def _open_out(path: Path | None):
     """The CSV stream: ``path`` opened for appending, or stdout.
 
     Opened before the sweep runs, so an unwritable path is refused before
-    any channel is drawn; ``main`` empties a regular file once the rows
+    any channel is drawn; ``_write`` empties a regular file once the rows
     exist (appends then land at its start).
     """
     if path is None:
@@ -516,6 +516,31 @@ def _open_out(path: Path | None):
         return open(path, "a", newline="")
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc}") from None
+
+
+def _write(stream, path: Path | None, write: Callable[[], object]) -> None:
+    """Run ``write``, then close the ``--out`` file (``path``) or flush stdout.
+
+    A regular file is emptied first, once the rows exist, so a sweep refused
+    before leaves it as it was.  A failed write, flush or close (a full disk,
+    a closed pipe) is refused naming the destination; the file is closed
+    anyway, and the process's stdout is pointed at os.devnull (as the Python
+    docs advise for SIGPIPE) so that the flush at exit does not fail again.
+    """
+    try:
+        if path is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.truncate(0)
+        write()
+        stream.flush() if path is None else stream.close()
+    except OSError as exc:
+        if path is not None:
+            with contextlib.suppress(OSError):
+                stream.close()
+        elif stream is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        raise CLIError(f"cannot write {'standard output' if path is None else path}: {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -549,15 +574,12 @@ def main(argv: list[str] | None = None) -> int:
             raise CLIError(f"--workers must be between 1 and {MAX_WORKERS}")
         if args.dump_config:
             _validate_spec(spec)
-            sys.stdout.write(dump_config(spec))
+            _write(sys.stdout, None, lambda: sys.stdout.write(dump_config(spec)))
             return 0
 
         with _open_out(args.out) as stream:
             rows = run_sweep(spec, workers=args.workers)
-            # emptied only now: a sweep refused or failed above leaves it as it was
-            if stream is not sys.stdout and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-                stream.truncate(0)
-            write_csv(rows, stream)
+            _write(stream, args.out, lambda: write_csv(rows, stream))
         return 0
     except (CLIError, MemoryError) as exc:  # a block too large to allocate is bad input
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,10 @@ threads (none for a one-block group).  Each thread owns one
 next block index from one shared counter; per block it calls
 ``Block.draw`` once, ``Block.harvest`` once per SNR and
 :func:`ehrelay.strategies.allocate` once per (SNR, strategy).  A Block
-keeps its buffers from one block to the next, so no block-sized float
-array is allocated after a thread's first block.
+keeps its buffers from one block to the next, so drawing and
+harvesting allocate no block-sized float array after a thread's first
+block.  The kernels still do: the auction's price scan and serve step
+allocate block-sized temporaries per chunk of rows and per SNR.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair

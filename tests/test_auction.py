@@ -18,7 +18,6 @@ from ehrelay.auction import (
     iteration_spectral_radius,
     predict_allocation,
     quit_price,
-    response_weights,
     run_auction,
     select_price,
     winner_maximizing_price,
@@ -26,12 +25,14 @@ from ehrelay.auction import (
 from ehrelay import auction
 from ehrelay.model import SystemConfig, harvest, power_from_snr_db, sample_block
 from oracles import (
+    _scalar_weights,
     best_response,
     eig_spectral_radius,
     golden_section_max,
     ladder_winner_price,
     payoff,
     scalar_auction_row,
+    scalar_modulus,
     scalar_predict,
     scalar_run_auction,
     scalar_select_price,
@@ -239,23 +240,52 @@ def test_spectral_radius_matches_eigenvalues(seed, repeats):
     want = eig_spectral_radius(price, pr, g2)
     got = iteration_spectral_radius(price, pr, g2)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-    rho = response_weights(price, pr, g2)
+    rho = predict_allocation(price, pr, g2)[2]
     for limit in (0.93, 0.5 * want, 0.999 * want, 1.001 * want, 2.0 * want, *rho):
         if limit > 0.0 and abs(limit - want) > 1e-9 * want:
             assert bool(auction._radius_below(rho, limit)) == (want < limit), limit
 
 
-def test_response_weights_zero_off_interior():
-    g2 = np.array([10.0, 1.0, 0.01])
-    pr = 2.0
-    price = 0.25
-    t = interior_target(price, g2)
-    rho = response_weights(price, pr, g2)
-    for i in range(3):
-        if t[i] <= 0.0 or t[i] >= pr:
-            assert rho[i] == 0.0
-        else:
-            assert rho[i] == pytest.approx(t[i] / (pr - t[i]))
+def rand_block(rng, rows=30):
+    """(rows, pairs) gains, all positive, a budget per row and prices from
+    below the lowest full-budget price to the highest quit price, so rows
+    hold priced-out, interior and full-budget pairs."""
+    g2 = rng.exponential(1.0, (rows, int(rng.integers(1, 26)))) * 10.0 ** rng.uniform(-3, 3, (rows, 1)) + 1e-12
+    pr = rng.exponential(5.0, rows) + 0.01
+    low = full_budget_price(g2, pr[:, None]).min(axis=1) * 0.5
+    price = np.exp(rng.uniform(np.log(low), np.log(quit_price(g2).max(axis=1))))
+    return g2, pr, price
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_predict_allocation_rho_matches_scalar_weights(seed):
+    # rho is T_i / (P_r - T_i) on the interior branch and 0 on the other two,
+    # bit for bit, whether a block or one auction at a time is given
+    rng = np.random.default_rng(seed)
+    g2, pr, price = rand_block(rng)
+    rho = predict_allocation(price[:, None], pr[:, None], g2)[2]
+    t = interior_target(price[:, None], g2)
+    branches = np.select([t <= 0.0, t >= pr[:, None]], [0, 2], 1)
+    assert set(np.unique(branches)) == {0, 1, 2}
+    for row in range(len(g2)):
+        want = _scalar_weights(price[row], pr[row], g2[row])
+        assert rho[row].tobytes() == want.tobytes(), row
+        assert predict_allocation(price[row], pr[row], g2[row])[2].tobytes() == want.tobytes(), row
+    assert (rho[branches != 1] == 0.0).all() and (rho[branches == 1] > 0.0).all()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_contraction_modulus_and_select_price_match_scalar_oracles(seed):
+    # every row of a block with all-positive gains, against the scalar
+    # certificate and the scalar bisection, bit for bit
+    rng = np.random.default_rng(100 + seed)
+    g2, pr, price = rand_block(rng)
+    mu = contraction_modulus(price, pr, g2)
+    certified = select_price(g2, pr)
+    for row in range(len(g2)):
+        assert mu[row].tobytes() == np.float64(scalar_modulus(price[row], pr[row], g2[row])).tobytes(), row
+        want = scalar_select_price(g2[row], pr[row])
+        assert certified[row].tobytes() == np.float64(want).tobytes(), row
 
 
 def test_select_price_certified_and_inside_bracket():

@@ -1,6 +1,8 @@
 """Config parsing, sweep assembly, CSV determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -740,6 +742,79 @@ def test_main_refused_sweep_leaves_out_as_it_was(argv, code, message, tmp_path, 
     assert main([*argv.split(), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert out.read_text() == "kept\n"
+
+
+class _FailingFile(io.FileIO):
+    """A file whose writes raise ``error`` while it is set."""
+
+    error: OSError | None = None
+
+    def write(self, data):
+        if self.error is not None:
+            raise self.error
+        return super().write(data)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+    ids=["full", "broken-pipe"],
+)
+@pytest.mark.parametrize("target", ["out", "stdout", "dump-config"])
+def test_main_refuses_a_failed_write(target, error, tmp_path, monkeypatch, capsys):
+    # the rows (or the dumped config) exist, but writing, flushing or closing
+    # them fails: one error line naming where they went, exit 2, no traceback
+    out = tmp_path / "sweep.csv"
+    stream = None
+
+    def failing_stream(path, mode="w", newline=None):
+        nonlocal stream
+        raw = _FailingFile(path, mode)
+        raw.error = error
+        stream = io.TextIOWrapper(io.BufferedWriter(raw), newline=newline)
+        return stream
+
+    monkeypatch.setattr("ehrelay.cli.open", failing_stream, raising=False)
+    argv = ["--snr", "30", "--trials", "10"] + {
+        "out": ["--out", str(out)], "stdout": [], "dump-config": ["--dump-config"]}[target]
+    with contextlib.nullcontext() if target == "out" else contextlib.redirect_stdout(failing_stream(os.devnull)):
+        rc = main(argv)
+    where = out if target == "out" else "standard output"
+    assert (rc, capsys.readouterr().err) == (2, f"error: cannot write {where}: {error}\n")
+    # main closes a file it opened; standard output is the caller's to close
+    assert stream.closed == (target == "out")
+    stream.buffer.raw.error = None
+    stream.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["--out", "/dev/full"], [], ["--dump-config"]], ids=["out", "stdout", "dump-config"])
+def test_main_write_to_a_full_device_exits_2(argv):
+    # in a fresh interpreter, so that its flush of stdout at exit is seen too
+    env = dict(os.environ, PYTHONPATH=str(Path(ehrelay.__file__).resolve().parent.parent))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehrelay", "--snr", "30", "--trials", "10", *argv],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    where = "/dev/full" if argv[:1] == ["--out"] else "standard output"
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write {where}: [Errno 28] No space left on device\n")
+
+
+def test_main_closed_pipe_exits_2():
+    # the reader quits after the header, as `| head -1` does; the rows are
+    # far more than a pipe buffers, so a later write finds the pipe closed
+    env = dict(os.environ, PYTHONPATH=str(Path(ehrelay.__file__).resolve().parent.parent))
+    argv = ["--snr", "0:40:0.05", "--pairs", "2,3", "--strategy", "individual,equal",
+            "--metric", "average,best,worst", "--mode", "exact"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "ehrelay", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().decode().rstrip() == ",".join(CSV_COLUMNS)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 _COLD_START = """

@@ -32,7 +32,7 @@ def worst_case_equivalence_check(config: SystemConfig, trials: int, seed: int) -
         block.draw(seed, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE), config)
         harvested = block.harvest(config)
         wf, mm = (
-            allocate(s, block, *harvested, config).sum(axis=1) < config.pairs
+            allocate(s, block, *harvested, config) < config.pairs
             for s in ("waterfill", "maxmin")
         )
         mismatches += int((wf != mm).sum())

@@ -48,6 +48,7 @@ from .specfun import gamma_exp_integral
 
 __all__ = [
     "MAX_CLOSED_FORM_PAIRS",
+    "MAX_QUAD_ERROR",
     "OutageSummary",
     "WorstCaseBounds",
     "outage_individual",
@@ -62,6 +63,9 @@ __all__ = [
 # cap: nothing leaves float range at any M, but a point sums O(M^1.5) grid
 # nodes, 0.03 to 0.3 s for the three exact forms and the bounds at M = 1024.
 MAX_CLOSED_FORM_PAIRS = 1024
+# Largest quad_error of the worst-case bounds that passes: wf_worst_bounds warns
+# past it, and the CLI refuses to write such bounds.
+MAX_QUAD_ERROR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,7 @@ def wf_worst_bounds(config: SystemConfig) -> WorstCaseBounds:
     lower, upper_integral, upper_closed, err = _mixture(
         m, eps, lambda n: decoded if n == m else (1.0, 1.0, 1.0, 0.0)
     )
-    if err > 1e-7:
+    if err > MAX_QUAD_ERROR:
         warnings.warn(
             f"worst-case bound quadrature achieved only {err:.2e} absolute error",
             RuntimeWarning,

@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 from .analytic import (
     MAX_CLOSED_FORM_PAIRS,
+    MAX_QUAD_ERROR,
     asymptotic_outage,
     outage_equal,
     outage_individual,
@@ -424,6 +425,11 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs underflows: "
                             f"{min(values)!r} lies below the smallest normal float"
+                        )
+                    if group == "bounds" and (err := point(wf_worst_bounds).quad_error) > MAX_QUAD_ERROR:
+                        raise CLIError(
+                            f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs has quadrature "
+                            f"error {err:.2e}, above {MAX_QUAD_ERROR:.0e}"
                         )
     # the closed forms' warnings, re-issued so that they name run_sweep's caller
     for w in caught:

@@ -15,16 +15,19 @@ threads (none for a one-block group).  Each thread owns one
 :class:`ehrelay.strategies.Block` and one running histogram and takes the
 next block index from one shared counter; per block it calls
 ``Block.draw`` once, ``Block.harvest`` once per SNR and
-:func:`ehrelay.strategies.allocate` once per (SNR, strategy).  A Block
-keeps its buffers from one block to the next, so drawing and
-harvesting allocate no block-sized float array after a thread's first
-block.  The kernels still do: the auction's price scan and serve step
-allocate block-sized temporaries per chunk of rows and per SNR.
+:func:`ehrelay.strategies.allocate` once per (SNR, strategy), whose
+per-trial served counts go straight into the histogram.  A Block keeps
+its buffers from one block to the next, so drawing and harvesting
+allocate no block-sized float array after a thread's first block.  The
+kernels still do: the auction's price scan and serve step allocate
+block-sized temporaries per chunk of rows and per SNR.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair
 failed), the some-pair-fails event (the worst-positioned pair failed),
-and the number of served destinations.
+and the number of served destinations: each a function of the served
+count K alone, so K is all a kernel returns, and which of two tied pairs
+is served does not matter.
 """
 
 from __future__ import annotations
@@ -120,10 +123,6 @@ def run_group(
     if any(replace(c, source_power=1.0) != shared for c in configs):
         raise ValueError("configs of one group must share pairs, rate, eta and variances")
 
-    # the narrowest integer that holds a served count: the same counts as an int64
-    # sum of the mask, in a fifth of the time (12 against 68 us, 16384 x 5 pairs)
-    count_type = np.min_scalar_type(pairs)
-
     n_blocks = (trials + BLOCK_SIZE - 1) // BLOCK_SIZE
     lock = threading.Lock()
     taken = 0  # blocks handed out; n_blocks or more stops every thread
@@ -145,8 +144,7 @@ def run_group(
                 for i, config in enumerate(configs):
                     harvested = block.harvest(config)
                     for j, s in enumerate(strategies):
-                        served = allocate(s, block, *harvested, config)
-                        histogram[i, j] += np.bincount(served.sum(axis=1, dtype=count_type), minlength=pairs + 1)
+                        histogram[i, j] += np.bincount(allocate(s, block, *harvested, config), minlength=pairs + 1)
         except BaseException as exc:
             with lock:
                 taken = n_blocks

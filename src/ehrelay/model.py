@@ -135,6 +135,7 @@ def harvest(
     decoded = h2 > config.decode_threshold
     surplus = np.multiply(h2, config.source_power, out=scratch)
     surplus -= config.snr_threshold
-    surplus *= config.eta
+    if config.eta != 1.0:  # a product with 1.0 is exact
+        surplus *= config.eta
     surplus *= decoded
     return decoded, decoded.sum(axis=1, dtype=np.min_scalar_type(h2.shape[1])), surplus.sum(axis=1)

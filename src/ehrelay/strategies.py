@@ -3,7 +3,10 @@
 Every kernel works on one :class:`Block` of draws (``h2`` and ``g2`` of
 shape (trials, pairs), stored column-major) and on ``decoded``, ``n`` and
 ``budget``, the output of :func:`ehrelay.model.harvest` at one SNR.  It
-returns the served mask (trials, pairs).
+returns the served count K of each trial, (trials,) in the dtype of ``n``:
+every outage metric is a function of K, so the engine reduces it alone.
+Which of two pairs of equal need water-filling serves is not part of K, so
+no kernel fixes a tie order.
 
 Pair i is served iff it is in the decoding set and its granted power
 covers the requirement ``a / |g_i|^2`` (equivalently, its received SNR
@@ -30,7 +33,9 @@ class Block:
     first use and kept across :meth:`refill`; a block of fewer trials is laid
     out as the leading part of each, exactly as a block of its own size.  Its
     kernels overwrite one scratch buffer, so a Block serves one thread at a
-    time; every mask they return is a fresh array.
+    time; every count they return is a fresh array.  Water-filling's sort by
+    need is made once per block, in whatever order its ties come, since the
+    count does not depend on it.
     """
 
     def __init__(self, capacity: int, pairs: int, snr_threshold: float) -> None:
@@ -69,26 +74,26 @@ class Block:
         return harvest(self.h2, config, scratch=self.scratch)
 
     @property
-    def waterfill_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ascending need, ties by ascending pair index: needs and ``h2`` in that
-        order, pairs-major (pairs, trials), and each pair's place (trials, pairs).
-        Made on first use after each :meth:`refill`."""
+    def waterfill_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Needs and ``h2`` in ascending need, pairs-major (pairs, trials).
+
+        Made on first use after each :meth:`refill`.  Water-filling counts in
+        this order, and its count does not depend on the order among equal
+        needs, so the sort's tie order is not part of the result."""
         if self._order is None:
             trials, pairs = self.need.shape
-            # flat column-major index, in the scratch that the kernels overwrite anyway
+            # flat column-major index, in the scratch that the kernels overwrite anyway;
+            # any sort would do, and at 5 pairs the default one is no faster
             order = self._buffer("scratch", trials).view(np.int64).reshape(pairs, trials)
             np.copyto(order, np.argsort(self.need, axis=1, kind="stable").T)
             order *= trials
             order += np.arange(trials)
-            rank = self._buffer("rank", trials, np.min_scalar_type(pairs))
-            rank[order] = np.arange(pairs, dtype=rank.dtype)[:, None]
             # mode "clip" writes straight into out; every index is in range
-            need, h2 = (
+            self._order = tuple(
                 np.take(x.T.reshape(-1), order, mode="clip",
                         out=self._buffer(f"sorted_{name}", trials).reshape(pairs, trials))
                 for name, x in (("need", self.need), ("h2", self.h2))
             )
-            self._order = need, h2, rank.reshape(pairs, trials).T
         return self._order
 
 
@@ -100,33 +105,37 @@ def _individual(block, decoded, n, budget, config):
     """
     p = np.multiply(block.h2, config.source_power, out=block.scratch)
     p -= config.snr_threshold
-    p *= config.eta
-    return decoded & (p >= block.need)
+    if config.eta != 1.0:  # a product with 1.0 is exact
+        p *= config.eta
+    return (decoded & (p >= block.need)).sum(axis=1, dtype=n.dtype)
 
 
 def _equal(block, decoded, n, budget, config):
     """Pooled budget split evenly over the decoding set (empty sets serve no one)."""
     share = budget / np.maximum(n, 1)
-    return decoded & (share[:, None] >= block.need)
+    return (decoded & (share[:, None] >= block.need)).sum(axis=1, dtype=n.dtype)
 
 
 def _waterfill(block, decoded, n, budget, config):
     """Greedy allocation maximizing the number of served destinations.
 
-    Decoded pairs are visited in ascending requirement a / |g|^2 (ties by
-    ascending pair index); each is granted exactly its requirement while
-    the remaining budget suffices, and the rest stays at the relay.
-    Serving cheapest-first makes the served count the maximum achievable
-    within the budget.  In the block's order, undecoded pairs add nothing to
-    the prefix sums (row adds, as a sequential cumsum); a decoded pair is
-    served iff its place lies in the prefix the budget covers.
+    Decoded pairs are visited in ascending requirement a / |g|^2; each is
+    granted exactly its requirement while the remaining budget suffices,
+    and the rest stays at the relay.  Serving cheapest-first makes the
+    served count the maximum achievable within the budget.  In the block's
+    order, undecoded pairs add nothing to the prefix sums (row adds, as a
+    sequential cumsum), and the count is that of the decoded places whose
+    prefix sum the budget covers.  Pairs of equal need add equal needs, so
+    the prefix sums at the decoded places, and the count, are the same in
+    any order among them.
     """
-    need, h2, rank = block.waterfill_order
-    spent = np.multiply(need, h2 > config.decode_threshold, out=block.scratch.T)
+    need, h2 = block.waterfill_order
+    live = h2 > config.decode_threshold
+    spent = np.multiply(need, live, out=block.scratch.T)
     for k in range(1, spent.shape[0]):
         np.add(spent[k - 1], spent[k], out=spent[k])
-    covered = (spent <= budget).sum(axis=0, dtype=rank.dtype)
-    return decoded & (rank < covered[:, None])
+    live &= spent <= budget
+    return live.sum(axis=0, dtype=n.dtype)
 
 
 def _maxmin(block, decoded, n, budget, config):
@@ -134,13 +143,13 @@ def _maxmin(block, decoded, n, budget, config):
 
     The optimum equalizes received SNRs, p_i = (budget / sum_j 1/|g_j|^2)
     / |g_i|^2, and spends the whole budget, so all decoded pairs succeed
-    or none do.
+    or none do: the count is n or 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         block.scratch.fill(0.0)
         inv_sum = np.divide(1.0, block.g2, out=block.scratch, where=decoded).sum(axis=1)
         common_snr = np.where(n > 0, budget / np.where(inv_sum > 0, inv_sum, 1.0), 0.0)
-    return decoded & (common_snr >= config.snr_threshold)[:, None]
+    return np.where(common_snr >= config.snr_threshold, n, 0)
 
 
 _KERNELS = {
@@ -150,7 +159,7 @@ _KERNELS = {
     "maxmin": _maxmin,
     "auction": lambda block, decoded, n, budget, config: allocate_auction(
         block.g2, decoded, budget, block.snr_threshold
-    ),
+    ).sum(axis=1, dtype=n.dtype),
 }
 STRATEGY_NAMES = tuple(_KERNELS)
 
@@ -158,8 +167,9 @@ STRATEGY_NAMES = tuple(_KERNELS)
 def allocate(
     name: str, block: Block, decoded: np.ndarray, n: np.ndarray, budget: np.ndarray, config: SystemConfig
 ) -> np.ndarray:
-    """Served mask (in pair order) of strategy ``name`` on one block, at
-    the SNR of ``config`` and the block's threshold ``a``."""
+    """Served count per trial, (trials,) in the dtype of ``n``, of strategy
+    ``name`` on one block, at the SNR of ``config`` and the block's
+    threshold ``a``."""
     if config.snr_threshold != block.snr_threshold:
         raise ValueError(f"snr_threshold {config.snr_threshold!r} is not the block's {block.snr_threshold!r}")
     if name not in _KERNELS:

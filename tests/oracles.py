@@ -635,8 +635,11 @@ class ReferenceDraw:
     served: np.ndarray
 
 
-def reference_draw(h2, g2, config, strategy: str) -> ReferenceDraw:
-    """Harvest and allocate one draw (length-M ``h2`` and ``g2``) pair by pair."""
+def reference_draw(h2, g2, config, strategy: str, *, descending_ties: bool = False) -> ReferenceDraw:
+    """Harvest and allocate one draw (length-M ``h2`` and ``g2``) pair by pair.
+
+    Water-filling visits pairs of equal gain in ascending index, or in
+    descending index with ``descending_ties``."""
     h2 = np.asarray(h2, dtype=float)
     g2 = np.asarray(g2, dtype=float)
     a = 2.0 ** (2.0 * config.rate) - 1.0
@@ -651,10 +654,10 @@ def reference_draw(h2, g2, config, strategy: str) -> ReferenceDraw:
         if idx.size:
             powers[idx] = budget / idx.size
     elif strategy == "waterfill":
-        # descending gain, ascending index among ties; stop at the first
+        # descending gain, then index in the tie order; stop at the first
         # pair the remaining budget cannot cover
         remaining = budget
-        for i in sorted(idx, key=lambda i: (-g2[i], i)):
+        for i in sorted(idx, key=lambda i: (-g2[i], -i if descending_ties else i)):
             need = a / g2[i]
             if need > remaining:
                 break

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ehrelay
-from ehrelay.analytic import outage_equal
+from ehrelay.analytic import MAX_QUAD_ERROR, outage_equal, wf_worst_bounds
 from ehrelay.cli import (
     ANALYTIC_ROWS,
     CLIError,
@@ -742,6 +742,28 @@ def test_main_refused_sweep_leaves_out_as_it_was(argv, code, message, tmp_path, 
     assert main([*argv.split(), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
     assert out.read_text() == "kept\n"
+
+
+def test_main_refuses_bounds_past_the_quadrature_error_limit(tmp_path, monkeypatch, capsys):
+    # a bound whose quadrature error passes MAX_QUAD_ERROR is refused, not
+    # written next to a warning; the refusal names the point
+    def rough(config):
+        bounds = wf_worst_bounds(config)
+        return dataclasses.replace(bounds, quad_error=10 * MAX_QUAD_ERROR) if config.pairs == 5 else bounds
+
+    monkeypatch.setattr("ehrelay.cli.wf_worst_bounds", rough)
+    out = tmp_path / "sweep.csv"
+    out.write_text("kept\n")
+    argv = "--pairs 4,5 --snr 20,30 --strategy waterfill --metric worst --mode bounds --out".split()
+    assert main([*argv, str(out)]) == 2
+    assert ("error: the bounds waterfill worst outage at snr 20.0 dB, 5 pairs has quadrature error 1.00e-06, "
+            "above 1e-07") in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    # at the limit itself the bounds are written
+    monkeypatch.setattr("ehrelay.cli.wf_worst_bounds",
+                        lambda config: dataclasses.replace(wf_worst_bounds(config), quad_error=MAX_QUAD_ERROR))
+    assert main([*argv, str(out)]) == 0
+    assert out.read_text().count("bound-lower") == 4
 
 
 class _FailingFile(io.FileIO):

@@ -28,7 +28,7 @@ def cfg(pairs=3, rate=0.5, snr_db=20.0, **kw):
 
 
 def evaluate_block(h2, g2, config, name):
-    """Served mask of ``name`` on one block of draws."""
+    """Served count per trial of ``name`` on one block of draws."""
     return allocate(name, block_of(h2, g2, config.snr_threshold), *harvest(h2, config), config)
 
 
@@ -45,10 +45,11 @@ def test_success_count_consistent_with_outage():
     decoded = h2 > config.decode_threshold
     for name in STRATEGY_NAMES:
         served = evaluate_block(h2, g2, config, name)
-        assert not (served & ~decoded).any()
+        assert served.shape == (trials,) and served.dtype == np.uint8
+        assert (served <= decoded.sum(axis=1)).all()
         report = run_experiment(config, name, trials, seed=0)
         assert report.mean_success == served.sum() / trials
-        assert report.average == pytest.approx(1.0 - served.mean())
+        assert report.average == pytest.approx(1.0 - served.mean() / config.pairs)
         # M (1 - average) is the mean served count, up to a few roundings of order M 2^-53
         gap = config.pairs * (1.0 - report.average) - report.mean_success
         assert abs(gap) <= 4 * config.pairs * 2.0**-53
@@ -72,7 +73,17 @@ def test_individual_outage_equals_direct_condition():
         < config.snr_threshold
     )
     served = evaluate_block(h2, g2, config, "individual")
-    assert np.array_equal(~served, direct)
+    assert np.array_equal(served, (~direct).sum(axis=1))
+
+
+def test_individual_below_unit_eta_matches_per_draw():
+    # each pair spends eta times its own surplus: the count of the per-draw
+    # reference at every trial, bit for bit (a product is the same either way round)
+    config = cfg(pairs=4, snr_db=25.0, eta=0.37)
+    h2, g2 = sample_block(22, 0, 2000, config)
+    served = evaluate_block(h2, g2, config, "individual")
+    want = [reference_draw(h2[t], g2[t], config, "individual").served.sum() for t in range(2000)]
+    assert served.tolist() == want and 0 < served.sum() < 4 * 2000
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
@@ -94,7 +105,7 @@ def test_vectorized_blocks_match_per_draw(name, monkeypatch):
         for t in range(16):
             ref = reference_draw(h2[t], g2[t], config, name)
             assert budget[t] == ref.budget
-            assert np.array_equal(served[t], ref.served)
+            assert served[t] == ref.served.sum()
             fails_best += int(not ref.served.any())
             fails_worst += int(not ref.served.all())
             outage_total += int((~ref.served).sum())
@@ -207,9 +218,9 @@ def test_waterfill_worst_within_analytic_bounds():
 def test_waterfill_success_dominates_others_per_draw():
     config = cfg(pairs=4, snr_db=12.0)
     h2, g2 = sample_block(31, 0, 400, config)
-    wf = evaluate_block(h2, g2, config, "waterfill").sum(axis=1)
+    wf = evaluate_block(h2, g2, config, "waterfill")
     for other in ("individual", "equal", "maxmin", "auction"):
-        assert (wf >= evaluate_block(h2, g2, config, other).sum(axis=1)).all()
+        assert (wf >= evaluate_block(h2, g2, config, other)).all()
 
 
 def test_binomial_stderr_formula():
@@ -299,8 +310,7 @@ def _fresh_block_reports(configs, strategies, trials, seed, size):
             block = block_of(h2, g2, config.snr_threshold)
             harvested = harvest(block.h2, config)
             for j, name in enumerate(strategies):
-                served = allocate(name, block, *harvested, config)
-                counts[i, j] += np.bincount(served.sum(axis=1), minlength=pairs + 1)
+                counts[i, j] += np.bincount(allocate(name, block, *harvested, config), minlength=pairs + 1)
     return {(i, name): engine._report(name, seed, counts[i, j])
             for i in range(len(configs)) for j, name in enumerate(strategies)}
 

@@ -15,7 +15,7 @@ from oracles import block_of, brute_force_max_served, reference_draw
 def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
     """One-draw block through ``allocate``; ``budget`` overrides the harvest.
 
-    Returns the served mask of the single trial, the budget the kernel
+    Returns the served count of the single trial, the budget the kernel
     saw, and the config (with its thresholds).
     """
     h2 = np.asarray(h2, dtype=float)[None, :]
@@ -31,16 +31,16 @@ def run(name, h2, g2, rate=0.5, power=10.0, eta=1.0, budget=None):
 def test_individual_off_set_zero_and_values():
     # pair 0 spends its own 10 * 0.5 - 1 = 4.0: exactly enough for need 4.0
     served, _, _ = run("individual", [0.5, 0.05], [0.25, 1e9])
-    assert served.tolist() == [True, False]
+    assert served == 1  # pair 0; pair 1 is not decoded
     served, _, _ = run("individual", [0.5, 0.05], [0.25 * (1.0 - 1e-12), 1e9])
-    assert not served[0]
+    assert served == 0
 
 
 def test_individual_vanishes_at_threshold():
     # own power ~1e-11 just above the decode threshold
     h2 = [0.1 + 1e-12, 0.05]
-    assert not run("individual", h2, [1e9, 1.0])[0][0]
-    assert run("individual", h2, [1e13, 1.0])[0][0]
+    assert run("individual", h2, [1e9, 1.0])[0] == 0
+    assert run("individual", h2, [1e13, 1.0])[0] == 1
 
 
 def test_individual_equals_equal_for_single_pair():
@@ -49,21 +49,21 @@ def test_individual_equals_equal_for_single_pair():
         h2, g2 = rng.exponential(size=1), rng.exponential(size=1)
         a = run("individual", h2, g2)
         b = run("equal", h2, g2)
-        assert a[0].tolist() == b[0].tolist()
+        assert a[0] == b[0]
 
 
 def test_equal_split_example():
     # P_r = 4 split over decoded pairs {0, 2}: share 2 against need 2
     served, pr, _ = run("equal", [0.3, 0.05, 0.3], [0.5, 1e9, 0.5])
     assert pr == pytest.approx(4.0)
-    assert served.tolist() == [True, False, True]
+    assert served == 2  # pairs 0 and 2
     served, _, _ = run("equal", [0.3, 0.05, 0.3], [0.5, 1e9, 0.5 * (1.0 - 1e-12)])
-    assert served.tolist() == [True, False, False]
+    assert served == 1  # pair 0
 
 
 def test_equal_empty_decoding_set():
     served, pr, _ = run("equal", [0.01, 0.02], [1.0, 1.0])
-    assert not served.any()
+    assert served == 0
     assert pr == 0.0
 
 
@@ -73,10 +73,10 @@ def test_waterfill_worked_example():
         "waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=2.0
     )
     assert config.snr_threshold == pytest.approx(1.0)
-    assert served.tolist() == [True, True, False]
+    assert served == 2  # pairs 0 and 1
     # a budget that covers the two requirements exactly still serves both
     served, _, _ = run("waterfill", [0.3, 0.3, 0.3], [2.0, 1.0, 0.25], budget=1.5)
-    assert served.tolist() == [True, True, False]
+    assert served == 2
 
 
 def test_waterfill_all_served():
@@ -84,18 +84,45 @@ def test_waterfill_all_served():
     served, pr, config = run("waterfill", [2.0, 2.0], g2)
     need = config.snr_threshold / g2
     assert pr > need.sum()
-    assert served.all()
+    assert served == 2
 
 
 def test_waterfill_nobody_affordable():
     served, _, _ = run("waterfill", [0.11, 0.11], [0.001, 0.002])
-    assert not served.any()
+    assert served == 0
 
 
-def test_waterfill_tie_break_ascending_index():
-    # room for one requirement of 1.0 only
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    pairs=hst.integers(min_value=2, max_value=7),
+    snr=hst.sampled_from((0.0, 5.0, 10.0, 20.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_waterfill_count_ignores_the_order_of_tied_needs(seed, pairs, snr):
+    # each row's gains take one of its first two values, so most needs tie,
+    # decoded and undecoded pairs among them; the count equals the per-draw
+    # reference's under either tie order, and the kernel's on the pairs
+    # reversed (its sort then meets the ties the other way round)
+    rng = np.random.default_rng(seed)
+    trials = 40
+    h2 = rng.exponential(size=(trials, pairs))
+    g2 = np.take_along_axis(rng.exponential(size=(trials, 2)), rng.integers(2, size=(trials, pairs)), axis=1)
+    config = SystemConfig(pairs=pairs, rate=1.0, source_power=power_from_snr_db(snr))
+    decoded, n, budget = harvest(h2, config)
+    served = allocate("waterfill", block_of(h2, g2, config.snr_threshold), decoded, n, budget, config)
+    flipped = block_of(h2[:, ::-1].copy(), g2[:, ::-1].copy(), config.snr_threshold)
+    assert np.array_equal(served, allocate("waterfill", flipped, decoded[:, ::-1], n, budget, config))
+    for t in range(trials):
+        for descending_ties in (False, True):
+            ref = reference_draw(h2[t], g2[t], config, "waterfill", descending_ties=descending_ties)
+            assert served[t] == ref.served.sum()
+
+
+def test_waterfill_tied_needs_serve_one_count():
+    # three needs of 1.0 and room for one: one pair is served, and which one
+    # is a matter of the tie order alone
     served, _, _ = run("waterfill", [0.5, 0.5, 0.5], [1.0, 1.0, 1.0], budget=1.5)
-    assert served.tolist() == [True, False, False]
+    assert served == 1
 
 
 def test_waterfill_stops_at_first_unaffordable():
@@ -104,7 +131,7 @@ def test_waterfill_stops_at_first_unaffordable():
     served, _, _ = run(
         "waterfill", [0.5, 0.5, 0.5], [1.0, 0.5, 0.25], budget=3.2
     )
-    assert served.tolist() == [True, True, False]
+    assert served == 2  # pairs 0 and 1
 
 
 def test_maxmin_single_pair_gets_everything():
@@ -112,8 +139,8 @@ def test_maxmin_single_pair_gets_everything():
     # anything above it is not
     served, pr, _ = run("maxmin", [0.5, 0.01], [0.25, 1e9])
     assert pr == 4.0
-    assert served.tolist() == [True, False]
-    assert not run("maxmin", [0.5, 0.01], [0.25 * (1.0 - 1e-12), 1e9])[0][0]
+    assert served == 1  # pair 0
+    assert run("maxmin", [0.5, 0.01], [0.25 * (1.0 - 1e-12), 1e9])[0] == 0
 
 
 def test_maxmin_common_rate_value():
@@ -121,8 +148,8 @@ def test_maxmin_common_rate_value():
     # every pair is served at target rates up to t and none above it
     t = 0.5 * math.log2(1.0 + 2.0 / 5.5)
     h2, g2 = [50.0, 50.0, 50.0], [1.0, 0.25, 2.0]
-    assert run("maxmin", h2, g2, rate=t * (1.0 - 1e-9), budget=2.0)[0].all()
-    assert not run("maxmin", h2, g2, rate=t * (1.0 + 1e-9), budget=2.0)[0].any()
+    assert run("maxmin", h2, g2, rate=t * (1.0 - 1e-9), budget=2.0)[0] == 3
+    assert run("maxmin", h2, g2, rate=t * (1.0 + 1e-9), budget=2.0)[0] == 0
 
 
 def test_maxmin_equal_gains_match_equal_split():
@@ -131,7 +158,7 @@ def test_maxmin_equal_gains_match_equal_split():
         h2 = rng.exponential(size=3)
         a = run("maxmin", h2, [1.5, 1.5, 1.5], budget=budget)
         b = run("equal", h2, [1.5, 1.5, 1.5], budget=budget)
-        assert a[0].tolist() == b[0].tolist()
+        assert a[0] == b[0]
 
 
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
@@ -152,9 +179,9 @@ def test_block_refuses_params_of_another_rate(name):
 @settings(max_examples=60, deadline=None)
 def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ties):
     # one Block serves every SNR of a group, its sort made at the first;
-    # each SNR's mask and counts must equal those of a Block built
-    # for that SNR alone, and the mask that of the per-draw reference.
-    # Copied g2 values tie requirements exactly: ascending index decides.
+    # each SNR's counts must equal those of a Block built for that SNR
+    # alone, and those of the per-draw reference's masks.  Copied g2 values
+    # tie requirements exactly.
     rng = np.random.default_rng(seed)
     trials = 30
     h2 = rng.exponential(size=(trials, pairs))
@@ -171,24 +198,17 @@ def test_shared_block_waterfill_matches_one_config_and_reference(seed, pairs, ti
         harvested = harvest(shared.h2, config)
         served = allocate("waterfill", shared, *harvested, config)
         alone = allocate("waterfill", block_of(h2.copy(), g2.copy(), config.snr_threshold), *harvested, config)
-        assert np.array_equal(served, alone)
-        counts = served.sum(axis=1)  # the engine's per-trial count
-        assert counts.tolist() == [sum(row) for row in served.tolist()]
+        assert served.dtype == harvested[1].dtype and np.array_equal(served, alone)
         assert harvested[1].tolist() == [sum(row) for row in harvested[0].tolist()]
         for t in range(trials):
             ref = reference_draw(h2[t], g2[t], config, "waterfill")
-            assert served[t].tolist() == ref.served.tolist()
-            assert counts[t] == ref.served.sum()
+            assert served[t] == ref.served.sum()
 
 
 def _row_major_waterfill_order(need, h2):
-    """Sorted needs and h2 (pairs, trials) and ranks (trials, pairs), built on C-order rows."""
-    trials, pairs = need.shape
+    """Sorted needs and h2 (pairs, trials), built on C-order rows."""
     order = np.argsort(need, axis=1, kind="stable")
-    order += np.arange(0, trials * pairs, pairs)[:, None]
-    rank = np.empty(trials * pairs, dtype=np.min_scalar_type(pairs))
-    rank[order.ravel()] = np.tile(np.arange(pairs, dtype=rank.dtype), trials)
-    return (*(np.take(x, order).T for x in (need, h2)), rank.reshape(trials, pairs))
+    return tuple(np.take_along_axis(x, order, axis=1).T for x in (need, h2))
 
 
 def test_block_arrays_are_column_major():
@@ -198,15 +218,14 @@ def test_block_arrays_are_column_major():
     for x in (block.h2, block.g2, block.need):
         assert x.shape == (50, 3) and x.flags.f_contiguous
     assert np.array_equal(block.h2, h2) and np.array_equal(block.g2, g2)
-    need, sorted_h2, rank = block.waterfill_order
+    need, sorted_h2 = block.waterfill_order
     assert need.flags.c_contiguous and sorted_h2.flags.c_contiguous  # one row per place
-    assert rank.flags.f_contiguous
 
 
 def test_refilled_block_matches_a_fresh_one():
     # one Block of capacity 40 holds a full block, then a partial one, then
     # a full one again: each time it equals a Block built for those draws,
-    # in the same buffers, and every mask returned is a fresh array
+    # in the same buffers, and every count returned is a fresh array
     rng = np.random.default_rng(9)
     config = SystemConfig(pairs=4, rate=1.0, source_power=power_from_snr_db(15.0))
     block = Block(40, 4, config.snr_threshold)
@@ -269,7 +288,7 @@ def test_waterfill_order_matches_row_major_construction(pairs):
     rng = np.random.default_rng(pairs)
     trials = 500
     h2, g2 = rng.exponential(size=(2, trials, pairs))
-    if pairs > 1:  # rows with copied gains: ties resolve by ascending pair index
+    if pairs > 1:  # rows with copied gains: both sorts are stable
         g2[::3, 1:] = g2[::3, :1]
         g2[1::7, -1] = g2[1::7, 0]
     block = block_of(h2, g2, 15.0)
@@ -292,7 +311,7 @@ def test_dispatch_unknown_name():
 )
 @settings(max_examples=150, deadline=None)
 def test_budget_conservation(seed, pairs, name):
-    # the kernel's served mask is that of a per-draw allocation that
+    # the kernel's served count is that of a per-draw allocation that
     # grants non-negative power on the decoding set only and spends at
     # most the harvested budget
     rng = np.random.default_rng(seed)
@@ -308,7 +327,7 @@ def test_budget_conservation(seed, pairs, name):
         # below 8 pairs both add up the budget bit for bit, so even an
         # auction grant that lands on its requirement rounds the same way
         assert pr == ref.budget
-        assert served.tolist() == ref.served.tolist()
+        assert served == ref.served.sum()
 
 
 @given(seed=hst.integers(min_value=0, max_value=2**32 - 1))
@@ -321,4 +340,4 @@ def test_waterfill_count_optimality(seed):
     g2 = rng.exponential(size=n) + 1e-6
     served, pr, _ = run("waterfill", h2, g2)
     best = brute_force_max_served(list(config.snr_threshold / g2), pr)
-    assert int(served.sum()) == best
+    assert served == best

@@ -25,7 +25,6 @@ import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,6 +63,17 @@ MAX_SNR_POINTS = 10_000  # most points an SNR range may expand to
 BUDGET_DRAW_BOUND = 1024
 
 
+class _Inaccurate(ArithmeticError):
+    """An analytic value too far from its form to be written; the message says how far."""
+
+
+def _written_bounds(bounds):
+    """The three worst-case bound rows, refused past MAX_QUAD_ERROR of quadrature error."""
+    if bounds.quad_error > MAX_QUAD_ERROR:
+        raise _Inaccurate(f"has quadrature error {bounds.quad_error:.2e}, above {MAX_QUAD_ERROR:.0e}")
+    return bounds.lower, bounds.upper_integral, bounds.upper_closed
+
+
 class _Group(NamedTuple):
     metrics: tuple[str, ...]  # the metrics it covers
     labels: tuple[str, ...]  # the rows it writes, in order
@@ -92,7 +102,7 @@ ANALYTIC_ROWS = {
         lambda point, metric: point(asymptotic_outage, "waterfill", metric)),
     ("waterfill", "bounds"): _Group(("worst",), ("bound-lower", "bound-upper-integral", "bound-upper-closed"),
         (1, MAX_CLOSED_FORM_PAIRS),
-        lambda point, metric: attrgetter("lower", "upper_integral", "upper_closed")(point(wf_worst_bounds))),
+        lambda point, metric: _written_bounds(point(wf_worst_bounds))),
 }
 
 
@@ -414,6 +424,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs overflows"
                         ) from None
+                    except _Inaccurate as e:
+                        raise CLIError(f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs {e}") from None
                     bad = [v for v in values if not math.isfinite(v)]
                     if bad:
                         raise CLIError(
@@ -425,11 +437,6 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[dict]:
                         raise CLIError(
                             f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs underflows: "
                             f"{min(values)!r} lies below the smallest normal float"
-                        )
-                    if group == "bounds" and (err := point(wf_worst_bounds).quad_error) > MAX_QUAD_ERROR:
-                        raise CLIError(
-                            f"the {group} {s} {m} outage at snr {snr!r} dB, {p} pairs has quadrature "
-                            f"error {err:.2e}, above {MAX_QUAD_ERROR:.0e}"
                         )
     # the closed forms' warnings, re-issued so that they name run_sweep's caller
     for w in caught:

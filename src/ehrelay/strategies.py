@@ -105,8 +105,7 @@ def _individual(block, decoded, n, budget, config):
     """
     p = np.multiply(block.h2, config.source_power, out=block.scratch)
     p -= config.snr_threshold
-    if config.eta != 1.0:  # a product with 1.0 is exact
-        p *= config.eta
+    p *= config.eta
     return (decoded & (p >= block.need)).sum(axis=1, dtype=n.dtype)
 
 

@@ -26,7 +26,9 @@ The auction's outcome is that fixed point, the Nash equilibrium at the
 announced price, which has a closed form (``predict_allocation``, at the
 fixed reserve): each interior pair gets its target, and full-budget pairs
 split what the interior demand leaves (``_capped_share``, which the price
-scan shares).  ``allocate_auction`` serves from it.  The dynamics
+scan shares).  ``_served`` counts the pairs it serves at a price; the
+price scan keeps that count for the price it picks, and
+``allocate_auction`` returns it.  The dynamics
 (``run_auction``, at any reserve) are how the pairs reach it, and the
 reference that the tests hold the closed form against.
 
@@ -280,6 +282,17 @@ def _boundary(holds, base, width: int) -> np.ndarray:
     return np.minimum(last - base + 1, width)
 
 
+def _served(price, total_power, g2, snr_threshold):
+    """Served count of the equilibrium at each price, -1 where it does not
+    exist, and rho (``predict_allocation``'s arguments, ``snr_threshold``
+    the requirement's numerator: a pair is served when its grant is at
+    least ``snr_threshold / g2``)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alloc, exists, rho = predict_allocation(price, total_power, g2)
+        count = np.count_nonzero(alloc >= snr_threshold / g2, axis=-1)
+    return np.where(exists, count, -1), rho
+
+
 def _ladder_scores(g2, total_power, snr_threshold):
     """A chunk's ladders and the served count of every usable rung (else -1).
 
@@ -294,7 +307,7 @@ def _ladder_scores(g2, total_power, snr_threshold):
     the targets in.  ``_capped_share`` is monotone in the demand, so
     usability and the capped served count at demand -/+ delta bracket the
     exact ones; where the two ends differ, the rung is scored by
-    ``predict_allocation`` itself.
+    ``_served``, the equilibrium itself.
     """
     rows, m = g2.shape
     p = total_power[:, None]
@@ -344,43 +357,41 @@ def _ladder_scores(g2, total_power, snr_threshold):
     scores = np.full(candidates.shape, -1)
     scores.ravel()[rung[u]] = count
     if (v := np.flatnonzero(unsure)).size:
-        gains, p = g2[row[v]], total_power[row[v], None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            price = candidates.ravel()[rung[v], None]
-            alloc, usable, _ = predict_allocation(price, p, gains)
-            exact = np.count_nonzero(alloc >= snr_threshold / gains, axis=-1)
-        scores.ravel()[rung[v]] = np.where(usable, exact, -1)
+        price = candidates.ravel()[rung[v], None]
+        scores.ravel()[rung[v]] = _served(price, total_power[row[v], None], g2[row[v]], snr_threshold)[0]
     return candidates, scores
 
 
 def _chunk_price(g2, total_power, snr_threshold):
-    """Max-winners prices of a chunk of rows (NaN where no rung is usable).
+    """Max-winners prices of a chunk of rows and the counts they serve (NaN
+    and -1 where no rung is usable).
 
     Rungs are tried best first, by served count and then price.  Each
-    row's best rung is checked by ``predict_allocation`` on the row's own
-    pair order (equilibrium and radius test, as in a full scan), and a row
-    whose rung fails moves on to its next best.
+    row's best rung is checked by ``_served`` on the row's own pair order
+    (equilibrium and radius test, as in a full scan), and a row whose rung
+    fails moves on to its next best; an accepted rung's count is the one
+    that check gives.
     """
     candidates, scores = _ladder_scores(g2, total_power, snr_threshold)
-    price = np.full(len(g2), np.nan)
+    price, count = np.full(len(g2), np.nan), np.full(len(g2), -1)
     rows = np.flatnonzero(scores.max(axis=1) >= 0)
     while rows.size:
         best = scores[rows]
         most = best.max(axis=1, keepdims=True)
         top = np.where(best == most, candidates[rows], -np.inf).max(axis=1)
-        with np.errstate(invalid="ignore"):
-            _, usable, rho = predict_allocation(top[:, None], total_power[rows, None], g2[rows])
-        ok = usable & _radius_below(rho, _RADIUS_LIMIT)
-        price[rows[ok]] = top[ok]
+        served, rho = _served(top[:, None], total_power[rows, None], g2[rows], snr_threshold)
+        ok = (served >= 0) & _radius_below(rho, _RADIUS_LIMIT)
+        price[rows[ok]], count[rows[ok]] = top[ok], served[ok]
         # a rejected price is rejected at every rung that repeats it
         rows, top = rows[~ok], top[~ok]
         scores[rows] = np.where(candidates[rows] == top[:, None], -1, scores[rows])
         rows = rows[scores[rows].max(axis=1) >= 0]
-    return price
+    return price, count
 
 
 def winner_maximizing_price(g2, total_power, snr_threshold: float):
-    """Price that maximizes the number of served pairs at equilibrium.
+    """Price that maximizes the number of served pairs at equilibrium, and
+    that number.
 
     The served count is piecewise constant in the price, changing only
     where a pair's equilibrium grant crosses its requirement or a pair
@@ -400,22 +411,32 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
     rung's count comes from boundary searches on the sorted gains (see
     ``_ladder_scores``), equal bit for bit to scoring it with
     ``predict_allocation``; only the winning rung's radius is computed.
+    The count returned is ``_served``'s at the returned price: that of the
+    winning rung's check, or of the certified price on a fallback row.
+    Returns ``(price, count)``: floats and ints per row of a block, a
+    float and an int for one auction.
     """
     g2, total_power, single = _block(g2, total_power)
     chunk = max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1))
-    price = np.concatenate([np.zeros(0)] + [
-        _chunk_price(g2[i:i + chunk], total_power[i:i + chunk], snr_threshold)
-        for i in range(0, len(g2), chunk)
-    ])
-    if (fallback := np.isnan(price)).any():
+    price, count = np.empty(len(g2)), np.empty(len(g2), dtype=int)
+    for i in range(0, len(g2), chunk):
+        rows = slice(i, i + chunk)
+        price[rows], count[rows] = _chunk_price(g2[rows], total_power[rows], snr_threshold)
+    if (fallback := np.flatnonzero(np.isnan(price))).size:
         price[fallback] = select_price(g2[fallback], total_power[fallback])
-    return float(price[0]) if single else price
+        count[fallback] = _served(price[fallback, None], total_power[fallback, None], g2[fallback], snr_threshold)[0]
+        if (missing := np.count_nonzero(count[fallback] < 0)):
+            raise RuntimeError(
+                f"the certified price has no equilibrium in {missing} of {fallback.size} auctions "
+                "that fell back to it; its contraction certificate should make this impossible"
+            )
+    return (float(price[0]), int(count[0])) if single else (price, count)
 
 
 def allocate_auction(
     g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, snr_threshold: float
 ) -> np.ndarray:
-    """Auction allocation for a block of draws, all trials' auctions at once.
+    """Served count of the auction in each trial of a block, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
     (trials,).  In each trial the decoded pairs bid for the budget P_r:
@@ -428,21 +449,12 @@ def allocate_auction(
     full-budget pairs split what the interior demand leaves, and pairs
     priced out get nothing; the unsold remainder stays at the relay.
     Either price is one where that equilibrium exists and the
-    best-response dynamics contract to it.  Returns the served mask, the
-    pairs whose grant meets their requirement.
+    best-response dynamics contract to it.  Returns the number of pairs
+    whose grant meets their requirement, (trials,), 0 where no pair
+    decoded: the count the price scan found.
     """
-    served = np.zeros_like(decoded)
+    count = np.zeros(len(decoded), dtype=int)
     rows = np.flatnonzero(decoded.any(axis=1))
     gains = np.where(decoded[rows], g2[rows], 0.0)
-    pr = budget[rows]
-    price = winner_maximizing_price(gains, pr, snr_threshold)
-    alloc, exists, _ = predict_allocation(price[:, None], pr[:, None], gains)
-    if not exists.all():
-        raise RuntimeError(
-            f"the auction's price has no equilibrium in {np.count_nonzero(~exists)} of "
-            f"{exists.size} auctions; the max-winners price and its certified fallback "
-            "should make this impossible"
-        )
-    with np.errstate(divide="ignore"):
-        served[rows] = alloc >= snr_threshold / gains
-    return served
+    count[rows] = winner_maximizing_price(gains, budget[rows], snr_threshold)[1]
+    return count

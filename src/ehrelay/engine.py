@@ -19,8 +19,8 @@ next block index from one shared counter; per block it calls
 per-trial served counts go straight into the histogram.  A Block keeps
 its buffers from one block to the next, so drawing and harvesting
 allocate no block-sized float array after a thread's first block.  The
-kernels still do: the auction's price scan and serve step allocate
-block-sized temporaries per chunk of rows and per SNR.
+auction still does: it copies the decoded pairs' gains per SNR, and its
+price scan allocates temporaries per chunk of rows.
 
 A pair is in outage iff it is not served.  Per-trial metrics are the
 outage fraction, the all-pairs-fail event (the best-positioned pair

@@ -158,7 +158,7 @@ _KERNELS = {
     "maxmin": _maxmin,
     "auction": lambda block, decoded, n, budget, config: allocate_auction(
         block.g2, decoded, budget, block.snr_threshold
-    ).sum(axis=1, dtype=n.dtype),
+    ).astype(n.dtype),
 }
 STRATEGY_NAMES = tuple(_KERNELS)
 

@@ -744,6 +744,33 @@ def test_main_refused_sweep_leaves_out_as_it_was(argv, code, message, tmp_path, 
     assert out.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "key, flag, value, message",
+    [
+        ("pairs", "pairs", "3,2,3", "pairs repeats 3"),
+        ("snr_db", "snr", "30,10,30", "snr_db repeats 30.0"),
+        ("snr_db", "snr", "0,-0.0", "snr_db repeats -0.0"),
+        ("strategies", "strategy", "equal,auction,equal", "strategies repeats 'equal'"),
+        ("metrics", "metric", "average,average", "metrics repeats 'average'"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_main_refuses_a_repeated_value(key, flag, value, message, source, tmp_path, monkeypatch, capsys):
+    # a repeated value would write its rows twice and repeat its Monte Carlo
+    monkeypatch.setattr("ehrelay.cli.run_group", _engine_failure)
+    path, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+    path.write_text(f"trials = 10\n{key} = {value}\n")
+    out.write_text("kept\n")
+    args = ["--trials", "10", f"--{flag}", value] if source == "flag" else ["--config", str(path)]
+    for extra in (["--dump-config"], ["--out", str(out)]):
+        assert main(args + extra) == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+    spec = dataclasses.replace(SMALL, **{key: getattr(parse_config(f"{key} = {value}\n"), key)})
+    with pytest.raises(CLIError, match=message):
+        run_sweep(spec)
+
+
 def test_main_refuses_bounds_past_the_quadrature_error_limit(tmp_path, monkeypatch, capsys):
     # a bound whose quadrature error passes MAX_QUAD_ERROR is refused, not
     # written next to a warning; the refusal names the point

@@ -26,9 +26,8 @@ The auction's outcome is that fixed point, the Nash equilibrium at the
 announced price, which has a closed form (``predict_allocation``, at the
 fixed reserve): each interior pair gets its target, and full-budget pairs
 split what the interior demand leaves (``_capped_share``, which the price
-scan shares).  ``_served`` counts the pairs it serves at a price; the
-price scan keeps that count for the price it picks, and
-``allocate_auction`` returns it.  The dynamics
+scan shares).  The price scan counts the pairs it serves (``_served``),
+and ``allocate_auction`` returns that count.  The dynamics
 (``run_auction``, at any reserve) are how the pairs reach it, and the
 reference that the tests hold the closed form against.
 
@@ -283,14 +282,11 @@ def _boundary(holds, base, width: int) -> np.ndarray:
 
 
 def _served(price, total_power, g2, snr_threshold):
-    """Served count of the equilibrium at each price, -1 where it does not
-    exist, and rho (``predict_allocation``'s arguments, ``snr_threshold``
-    the requirement's numerator: a pair is served when its grant is at
-    least ``snr_threshold / g2``)."""
+    """Count of the pairs whose equilibrium grant at each price meets ``snr_threshold
+    / g2`` (-1 where the equilibrium does not exist), and rho."""
     with np.errstate(divide="ignore", invalid="ignore"):
         alloc, exists, rho = predict_allocation(price, total_power, g2)
-        count = np.count_nonzero(alloc >= snr_threshold / g2, axis=-1)
-    return np.where(exists, count, -1), rho
+        return np.where(exists, np.count_nonzero(alloc >= snr_threshold / g2, axis=-1), -1), rho
 
 
 def _ladder_scores(g2, total_power, snr_threshold):
@@ -363,14 +359,12 @@ def _ladder_scores(g2, total_power, snr_threshold):
 
 
 def _chunk_price(g2, total_power, snr_threshold):
-    """Max-winners prices of a chunk of rows and the counts they serve (NaN
-    and -1 where no rung is usable).
+    """Max-winners prices and served counts of a chunk of rows (NaN, -1 where no rung is usable).
 
     Rungs are tried best first, by served count and then price.  Each
     row's best rung is checked by ``_served`` on the row's own pair order
-    (equilibrium and radius test, as in a full scan), and a row whose rung
-    fails moves on to its next best; an accepted rung's count is the one
-    that check gives.
+    (equilibrium and radius test, as in a full scan), which gives its
+    count; a row whose rung fails moves on to its next best.
     """
     candidates, scores = _ladder_scores(g2, total_power, snr_threshold)
     price, count = np.full(len(g2), np.nan), np.full(len(g2), -1)
@@ -390,8 +384,7 @@ def _chunk_price(g2, total_power, snr_threshold):
 
 
 def winner_maximizing_price(g2, total_power, snr_threshold: float):
-    """Price that maximizes the number of served pairs at equilibrium, and
-    that number.
+    """Price that maximizes the number of served pairs at equilibrium, and that number.
 
     The served count is piecewise constant in the price, changing only
     where a pair's equilibrium grant crosses its requirement or a pair
@@ -411,10 +404,8 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
     rung's count comes from boundary searches on the sorted gains (see
     ``_ladder_scores``), equal bit for bit to scoring it with
     ``predict_allocation``; only the winning rung's radius is computed.
-    The count returned is ``_served``'s at the returned price: that of the
-    winning rung's check, or of the certified price on a fallback row.
-    Returns ``(price, count)``: floats and ints per row of a block, a
-    float and an int for one auction.
+    Returns ``(price, count)``, ``_served``'s count at that price, per row
+    of a block, or a float and an int for one auction.
     """
     g2, total_power, single = _block(g2, total_power)
     chunk = max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1))
@@ -423,35 +414,29 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
         rows = slice(i, i + chunk)
         price[rows], count[rows] = _chunk_price(g2[rows], total_power[rows], snr_threshold)
     if (fallback := np.flatnonzero(np.isnan(price))).size:
-        price[fallback] = select_price(g2[fallback], total_power[fallback])
-        count[fallback] = _served(price[fallback, None], total_power[fallback, None], g2[fallback], snr_threshold)[0]
-        if (missing := np.count_nonzero(count[fallback] < 0)):
-            raise RuntimeError(
-                f"the certified price has no equilibrium in {missing} of {fallback.size} auctions "
-                "that fell back to it; its contraction certificate should make this impossible"
-            )
+        gains, pr = g2[fallback], total_power[fallback, None]
+        price[fallback] = select_price(gains, pr[:, 0])
+        count[fallback] = _served(price[fallback, None], pr, gains, snr_threshold)[0]
+        if missing := np.count_nonzero(count[fallback] < 0):
+            raise RuntimeError(f"the certified price has no equilibrium in {missing} of {len(gains)} auctions")
     return (float(price[0]), int(count[0])) if single else (price, count)
 
 
 def allocate_auction(
     g2: np.ndarray, decoded: np.ndarray, budget: np.ndarray, snr_threshold: float
 ) -> np.ndarray:
-    """Served count of the auction in each trial of a block, all trials' auctions at once.
+    """Auction's served count for a block of draws, all trials' auctions at once.
 
     ``g2`` and ``decoded`` have shape (trials, pairs), ``budget`` shape
-    (trials,).  In each trial the decoded pairs bid for the budget P_r:
-    the relay reserves ``xi = 0.01 P_r`` and announces the price serving
-    the most pairs against the requirement ``snr_threshold / g2``
+    (trials,).  In each trial the decoded pairs bid for the budget P_r,
+    the relay reserving ``xi = 0.01 P_r``, at the price serving the most
+    pairs against the requirement ``snr_threshold / g2``
     (``winner_maximizing_price``, in chunks of rows; a row with no usable
-    rung takes the certified price of ``select_price``).  The outcome is
-    the auction's Nash equilibrium at that price, in closed form
-    (``predict_allocation``): each interior pair is granted its target,
-    full-budget pairs split what the interior demand leaves, and pairs
-    priced out get nothing; the unsold remainder stays at the relay.
-    Either price is one where that equilibrium exists and the
-    best-response dynamics contract to it.  Returns the number of pairs
-    whose grant meets their requirement, (trials,), 0 where no pair
-    decoded: the count the price scan found.
+    rung takes the certified price of ``select_price``).  Either price is
+    one where the auction's Nash equilibrium (``predict_allocation``)
+    exists and the best-response dynamics contract to it.  Returns the
+    count of pairs whose equilibrium grant meets their requirement, per
+    trial, 0 where none decoded.
     """
     count = np.zeros(len(decoded), dtype=int)
     rows = np.flatnonzero(decoded.any(axis=1))

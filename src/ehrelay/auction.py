@@ -282,8 +282,8 @@ def _boundary(holds, base, width: int) -> np.ndarray:
 
 
 def _served(price, total_power, g2, snr_threshold):
-    """Count of the pairs whose equilibrium grant at each price meets ``snr_threshold
-    / g2`` (-1 where the equilibrium does not exist), and rho."""
+    """Count of the pairs whose equilibrium grant at each price meets their
+    requirement ``snr_threshold / g2`` (-1 where no equilibrium exists), and rho."""
     with np.errstate(divide="ignore", invalid="ignore"):
         alloc, exists, rho = predict_allocation(price, total_power, g2)
         return np.where(exists, np.count_nonzero(alloc >= snr_threshold / g2, axis=-1), -1), rho

@@ -366,11 +366,12 @@ def _validate_spec(spec: SweepSpec) -> tuple[dict[tuple[float, int], SystemConfi
     for m in spec.metrics:
         if m not in METRIC_NAMES:
             raise CLIError(f"unknown metric {m!r}")
-    # a repeated value would repeat its rows and its Monte Carlo; == makes 0 and -0.0 one SNR
+    # a repeated value would repeat its rows and its Monte Carlo; 0 and -0.0 are one SNR
     for key in ("pairs", "snr_db", "strategies", "metrics"):
         values = getattr(spec, key)
-        if repeated := [v for i, v in enumerate(values) if v in values[:i]]:
-            raise CLIError(f"{key} repeats {repeated[0]!r}")
+        if len(set(values)) < len(values):
+            repeated = next(v for i, v in enumerate(values) if v in values[:i])
+            raise CLIError(f"{key} repeats {repeated!r}")
 
     plan = _analytic_plan(spec)
     if spec.mode in ("exact", "asymptotic", "bounds"):

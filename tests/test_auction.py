@@ -464,7 +464,11 @@ def test_allocate_auction_empty_set():
 def _serve_at_certified_price(monkeypatch):
     """Make ``allocate_auction`` price every row with ``select_price``: no
     row's max-winners ladder has a usable rung, so every row falls back."""
-    monkeypatch.setattr(auction, "_chunk_price", lambda g2, pr, a: (np.full(len(g2), np.nan), np.full(len(g2), -1)))
+
+    def no_rung(g2, pr, a):
+        return np.full(len(g2), np.nan), np.full(len(g2), -1)
+
+    monkeypatch.setattr(auction, "_chunk_price", no_rung)
 
 
 def test_allocate_auction_serves_no_fewer_than_at_the_certified_price(monkeypatch):
@@ -831,7 +835,8 @@ def test_allocate_auction_certified_fallback(monkeypatch):
 def test_allocate_auction_memory_is_chunked():
     # the max-winners scan prices the block in chunks of rows, and its largest
     # arrays hold one entry per rung of a chunk; the served count is the scan's,
-    # so no (rows, pairs) array of 2.6 MB is made past the gains of decoded pairs
+    # so the only (rows, pairs) float arrays, 2.6 MB each, are the decoded
+    # pairs' gains and the rows of g2 they are taken from
     config = SystemConfig(
         pairs=20, rate=0.5, source_power=power_from_snr_db(25.0),
         h_variance=0.0625, g_variance=0.0625,

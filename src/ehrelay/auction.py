@@ -26,8 +26,10 @@ The auction's outcome is that fixed point, the Nash equilibrium at the
 announced price, which has a closed form (``predict_allocation``, at the
 fixed reserve): each interior pair gets its target, and full-budget pairs
 split what the interior demand leaves (``_capped_share``, which the price
-scan shares).  The price scan counts the pairs it serves (``_served``),
-and ``allocate_auction`` returns that count.  The dynamics
+scan shares).  The price scan scores each candidate price with its
+served count (-1 where no equilibrium exists), checks the winner's
+radius alone, on rho from ``_branches`` (shared too), and
+``allocate_auction`` returns that score.  The dynamics
 (``run_auction``, at any reserve) are how the pairs reach it, and the
 reference that the tests hold the closed form against.
 
@@ -163,6 +165,14 @@ def _capped_share(capped, demand, total_power):
     return B_MAX / (total_bids + reserve) * total_power
 
 
+def _branches(price, total_power, g2):
+    """Capped mask (T_i >= P_r), interior targets (else 0) and rho, as in ``predict_allocation``."""
+    t = interior_target(price, g2)
+    capped = t >= total_power
+    interior = np.where((t > 0.0) & ~capped, t, 0.0)
+    return capped, interior, interior / (total_power - interior)
+
+
 def predict_allocation(price, total_power, g2):
     """Closed-form equilibrium at each price, whether it exists, and rho.
 
@@ -174,14 +184,12 @@ def predict_allocation(price, total_power, g2):
     broadcast, unchecked, with pairs on the last axis and ``total_power`` a
     float or an array with a length-1 last axis.
     """
-    t = interior_target(price, g2)
-    capped = t >= total_power
-    interior = np.where((t > 0.0) & ~capped, t, 0.0)
+    capped, interior, rho = _branches(price, total_power, g2)
     demand = interior.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         share = _capped_share(np.count_nonzero(capped, axis=-1)[..., None], demand, total_power)
     exists = (demand < total_power)[..., 0]
-    return np.where(capped, share, interior), exists, interior / (total_power - interior)
+    return np.where(capped, share, interior), exists, rho
 
 
 def run_auction(g2, total_power, price, reserve) -> AuctionState:
@@ -275,9 +283,10 @@ def _boundary(holds, base, width: int) -> np.ndarray:
     Binary lifting: L = ceil(log2(width + 1)) fixed steps of one gather.
     """
     last = base - 1  # the last position known to fail
+    steps = np.min_scalar_type(width)  # the narrowest type of every step
     for step in (1 << b for b in reversed(range(width.bit_length()))):
         last += step
-        last -= step * holds(last)
+        last -= np.multiply(holds(last), steps.type(step), dtype=steps)
     return np.minimum(last - base + 1, width)
 
 
@@ -361,21 +370,21 @@ def _ladder_scores(g2, total_power, snr_threshold):
 def _chunk_price(g2, total_power, snr_threshold):
     """Max-winners prices and served counts of a chunk of rows (NaN, -1 where no rung is usable).
 
-    Rungs are tried best first, by served count and then price.  Each
-    row's best rung is checked by ``_served`` on the row's own pair order
-    (equilibrium and radius test, as in a full scan), which gives its
-    count; a row whose rung fails moves on to its next best.
+    Rungs are tried best first, by served count and then price.  A rung
+    with no equilibrium scores -1 (the radius test can pass where the demand
+    rounds to the budget), so the radius test on the row's own pair order
+    checks its best rung, whose score is its count; else it tries the next.
     """
     candidates, scores = _ladder_scores(g2, total_power, snr_threshold)
     price, count = np.full(len(g2), np.nan), np.full(len(g2), -1)
     rows = np.flatnonzero(scores.max(axis=1) >= 0)
     while rows.size:
         best = scores[rows]
-        most = best.max(axis=1, keepdims=True)
-        top = np.where(best == most, candidates[rows], -np.inf).max(axis=1)
-        served, rho = _served(top[:, None], total_power[rows, None], g2[rows], snr_threshold)
-        ok = (served >= 0) & _radius_below(rho, _RADIUS_LIMIT)
-        price[rows[ok]], count[rows[ok]] = top[ok], served[ok]
+        most = best.max(axis=1)
+        top = np.where(best == most[:, None], candidates[rows], -np.inf).max(axis=1)
+        rho = _branches(top[:, None], total_power[rows, None], g2[rows])[2]
+        ok = _radius_below(rho, _RADIUS_LIMIT)
+        price[rows[ok]], count[rows[ok]] = top[ok], most[ok]
         # a rejected price is rejected at every rung that repeats it
         rows, top = rows[~ok], top[~ok]
         scores[rows] = np.where(candidates[rows] == top[:, None], -1, scores[rows])
@@ -400,18 +409,19 @@ def winner_maximizing_price(g2, total_power, snr_threshold: float):
     spectral radius >= ``_RADIUS_LIMIT``, or interior demand exceeding the
     budget) are discarded.  Ties go to the higher price: it sells less
     power for the same service.  Falls back to the certified price when
-    no candidate survives.  A block is priced in chunks of rows; each
-    rung's count comes from boundary searches on the sorted gains (see
-    ``_ladder_scores``), equal bit for bit to scoring it with
-    ``predict_allocation``; only the winning rung's radius is computed.
+    no candidate survives.  A block is priced in chunks of near-equal
+    rows, each of at most ``_CHUNK_RUNGS`` rungs; each rung's count comes
+    from boundary searches on the sorted gains (see ``_ladder_scores``),
+    equal bit for bit to scoring it with ``predict_allocation``; only the
+    winning rung's radius is computed.
     Returns ``(price, count)``, ``_served``'s count at that price, per row
     of a block, or a float and an int for one auction.
     """
     g2, total_power, single = _block(g2, total_power)
-    chunk = max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1))
+    chunks = -(-len(g2) // max(1, _CHUNK_RUNGS // (2 * g2.shape[1] + 1)))
     price, count = np.empty(len(g2)), np.empty(len(g2), dtype=int)
-    for i in range(0, len(g2), chunk):
-        rows = slice(i, i + chunk)
+    for i in range(chunks):
+        rows = slice(i * len(g2) // chunks, (i + 1) * len(g2) // chunks)
         price[rows], count[rows] = _chunk_price(g2[rows], total_power[rows], snr_threshold)
     if (fallback := np.flatnonzero(np.isnan(price))).size:
         gains, pr = g2[fallback], total_power[fallback, None]
@@ -435,8 +445,8 @@ def allocate_auction(
     rung takes the certified price of ``select_price``).  Either price is
     one where the auction's Nash equilibrium (``predict_allocation``)
     exists and the best-response dynamics contract to it.  Returns the
-    count of pairs whose equilibrium grant meets their requirement, per
-    trial, 0 where none decoded.
+    count of pairs whose equilibrium grant meets their requirement, the
+    score the price scan gave that price, per trial, 0 where none decoded.
     """
     count = np.zeros(len(decoded), dtype=int)
     rows = np.flatnonzero(decoded.any(axis=1))

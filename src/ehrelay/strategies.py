@@ -83,9 +83,9 @@ class Block:
         if self._order is None:
             trials, pairs = self.need.shape
             # flat column-major index, in the scratch that the kernels overwrite anyway;
-            # any sort would do, and at 5 pairs the default one is no faster
+            # any sort would do, and numpy's default one is faster than a stable one
             order = self._buffer("scratch", trials).view(np.int64).reshape(pairs, trials)
-            np.copyto(order, np.argsort(self.need, axis=1, kind="stable").T)
+            np.copyto(order, np.argsort(self.need, axis=1).T)
             order *= trials
             order += np.arange(trials)
             # mode "clip" writes straight into out; every index is in range

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ehrelay.auction import (
@@ -395,6 +395,57 @@ def test_capped_share_non_increasing_in_demand(capped, total_power, fractions):
         assert auction._capped_share(capped, high, total_power) <= auction._capped_share(capped, low, total_power)
 
 
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    interior=hst.integers(min_value=1, max_value=40),
+    one_big=hst.booleans(),
+    tied=hst.booleans(),
+    capped=hst.integers(min_value=0, max_value=3),
+)
+# a demand equal to the budget to the last bit, one target 5 ulps below it:
+# no equilibrium, yet the secular sum rounds to 1 - 2^-53 and the radius test passes
+@example(seed=1163244726, interior=5, one_big=True, tied=False, capped=0)
+@settings(max_examples=300, deadline=None)
+def test_no_equilibrium_fails_the_radius_test(seed, interior, one_big, tied, capped):
+    # an interior demand sum T_i >= P_r gives sum rho_i / (1 + rho_i) =
+    # sum T_i / P_r >= 1, so the radius is >= 1 > _RADIUS_LIMIT.  In floats
+    # that holds up to rounding: wherever predict_allocation finds no
+    # equilibrium, the secular sum of _radius_below misses 1 by at most
+    # (2 M + 4) 2^-53, and the radius test fails wherever the demand passes
+    # the budget by that much.  So the price scan's check cannot leave the
+    # existence to the radius test; the ladder's score of a rung with no
+    # equilibrium is -1.  The budget steps by single ulps across the interior
+    # demand (about ``scale``), one target may hold nearly all of it, gains
+    # may repeat, and capped pairs' targets lie above twice the demand
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    w = rng.dirichlet(np.ones(interior))
+    if one_big:
+        rest = 10.0 ** rng.uniform(-17.0, -1.0)
+        w = np.concatenate([[1.0 - rest], w * rest * rng.uniform(0.5, 1.5)])
+    targets = scale * np.concatenate([w, 2.0 + rng.uniform(0.0, 1.0, capped)])
+    level = targets.max() * (1.0 + 10.0 ** rng.uniform(-6.0, 1.0))
+    g2 = 1.0 / (level - targets)
+    if tied:
+        g2 = g2[rng.integers(0, len(g2), len(g2))]
+    price = 1.0 / (2.0 * LN2 * level)
+    t = interior_target(price, g2)
+    budget = [np.where((t > 0.0) & (t < 1.5 * scale), t, 0.0).sum()]
+    for _ in range(8):
+        budget = [np.nextafter(budget[0], -np.inf), *budget, np.nextafter(budget[-1], np.inf)]
+    # (targets near 1e-17 of the level may round to 0 or below, and the demand with them)
+    budget = np.concatenate([budget, scale * 10.0 ** rng.uniform(-1.0, 1.0, 8)])
+    budget = budget[budget > 0.0, None]
+    _, exists, rho = predict_allocation(price, budget, g2)
+    slack = (2 * len(g2) + 4) * 2.0**-53
+    secular = (rho / (auction._RADIUS_LIMIT + rho)).sum(axis=-1)
+    assert (secular[~exists] >= 1.0 - slack).all()
+    demand = auction._branches(price, budget, g2)[1].sum(axis=-1)
+    clear = demand >= budget[:, 0] * (1.0 + slack)
+    assert not (clear & auction._radius_below(rho, auction._RADIUS_LIMIT)).any()
+    assert not (clear & exists).any()
+
+
 @pytest.mark.parametrize("pairs", [None, 20], ids=["1-10", "20"])
 def test_realized_served_count_equals_predicted(pairs):
     # requirement-tie candidates sit just on the served side of the tie, so
@@ -611,20 +662,21 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
 
 
 def test_allocate_auction_predicts_no_whole_block(monkeypatch):
-    # the served count is the price scan's, checked chunk by chunk through the
-    # public predict_allocation (looked up at call time, so a tracer's wrapper
-    # sees it): no call takes the whole block, and the counts are the oracle's
+    # the served count is the price scan's, whose winning rungs are checked
+    # chunk by chunk through rho's helper (looked up at call time, as
+    # predict_allocation is for a tracer's wrapper): no call takes the whole
+    # block, and the counts are the oracle's
     rng = np.random.default_rng(130)
     g2, decoded, budget = _edge_block(rng, 20, rows=1000)
     chunk = auction._CHUNK_RUNGS // (2 * 20 + 1)
     assert chunk == 399 < np.count_nonzero(decoded.any(axis=1))
-    predict, rows = auction.predict_allocation, []
+    branches, rows = auction._branches, []
 
     def counting(price, total_power, g):
         rows.append(len(g))
-        return predict(price, total_power, g)
+        return branches(price, total_power, g)
 
-    monkeypatch.setattr(auction, "predict_allocation", counting)
+    monkeypatch.setattr(auction, "_branches", counting)
     served = allocate_auction(g2, decoded, budget, 1.0)
     assert rows and max(rows) <= chunk
     # (the oracle adds up in another order, and on this block no requirement tie flips)
@@ -713,22 +765,26 @@ def test_winner_price_matches_full_ladder_scan(pairs, monkeypatch):
         assert price.tobytes() == want.tobytes()
         assert count.tolist() == _count_at(want, gains, budget, snr_threshold).tolist()
     # every rung of every third row is rejected (the rows are told apart by
-    # their largest gain): the scan confirms each row's winning rung with
-    # predict_allocation, so those rows run out of rungs and take the certified
-    # price, which is not rejected
+    # their largest gain): the scan checks each row's winning rung with the
+    # radius test on the rho of those rows, so they run out of rungs and take
+    # the certified price, which the radius test does not check
     fallback = np.arange(len(gains)) % 3 == 0
-    predict, rejected = auction.predict_allocation, gains[fallback].max(axis=1)
+    branches, radius_below = auction._branches, auction._radius_below
+    rejected, checked = gains[fallback].max(axis=1), []
     certified = select_price(gains[fallback], budget[fallback])
 
-    def rejecting(price, total_power, g):
-        alloc, exists, rho = predict(price, total_power, g)
-        rung = ~np.isin(price[..., 0], certified)
-        return alloc, exists & ~(np.isin(g.max(axis=-1), rejected) & rung), rho
+    def recording(price, total_power, g):
+        checked[:] = [g]
+        return branches(price, total_power, g)
 
-    monkeypatch.setattr(auction, "predict_allocation", rejecting)
+    def rejecting(rho, limit):
+        return radius_below(rho, limit) & ~np.isin(checked[0].max(axis=-1), rejected)
+
+    monkeypatch.setattr(auction, "_branches", recording)
+    monkeypatch.setattr(auction, "_radius_below", rejecting)
     price, count = winner_maximizing_price(gains, budget, 1.0)
     want = ladder_winner_price(gains, budget, 1.0)
-    monkeypatch.setattr(auction, "predict_allocation", predict)
+    monkeypatch.undo()
     assert price.tobytes() == want.tobytes()
     assert price[fallback].tobytes() == certified.tobytes()
     assert count.tolist() == _count_at(want, gains, budget, 1.0).tolist()
@@ -795,6 +851,26 @@ def test_winner_price_with_a_widened_demand_bound(pairs, slack, monkeypatch):
         want = ladder_winner_price(g2, budget, snr_threshold)
         assert price.tobytes() == want.tobytes()
         assert count.tolist() == _count_at(want, g2, budget, snr_threshold).tolist()
+
+
+@pytest.mark.parametrize(("pairs", "rows"), [
+    (20, 0), (20, 1), (20, 398), (20, 399), (20, 400), (20, 799), (1024, 8),
+])
+def test_winner_price_in_even_chunks_equals_full_ladder_bit_for_bit(pairs, rows):
+    # a block is priced in ceil(rows / chunk) chunks of near-equal size, each
+    # at most a chunk (399 rows at 20 pairs, 7 at 1024); row by row, the
+    # prices and counts are those of scoring every rung, empty block included
+    chunk = auction._CHUNK_RUNGS // (2 * pairs + 1)
+    assert chunk == {20: 399, 1024: 7}[pairs]
+    g2, budget = _ladder_block(400 + rows, rows, pairs, True, False, True)
+    price, count = winner_maximizing_price(g2, budget, 1.0)
+    assert price.shape == count.shape == (rows,)
+    # at 1024 pairs the oracle's arrays hold 2049 rungs x 1024 pairs per row
+    want = np.concatenate([np.zeros(0)] + [
+        ladder_winner_price(g2[i:i + 1], budget[i:i + 1], 1.0) for i in range(rows)
+    ]) if pairs > 20 else ladder_winner_price(g2, budget, 1.0)
+    assert price.tobytes() == want.tobytes()
+    assert count.tolist() == _count_at(want, g2, budget, 1.0).tolist()
 
 
 def test_winner_price_serves_pairs_whose_requirement_underflows():

@@ -283,12 +283,21 @@ def test_block_harvest_is_a_fresh_harvest():
         assert not any(np.shares_memory(x, buf) for buf in block._flat.values())
 
 
+def _by_need_then_h2(need, h2):
+    """Each trial's (need, h2) pairs of an order (pairs, trials), sorted by need, then h2."""
+    order = np.lexsort((h2, need), axis=0)
+    return tuple(np.take_along_axis(x, order, axis=0) for x in (need, h2))
+
+
 @pytest.mark.parametrize("pairs", [1, 2, 3, 5, 20, 300])
 def test_waterfill_order_matches_row_major_construction(pairs):
+    # the order's contract: the needs sorted bit for bit, each trial's
+    # (need, h2) pairs kept, and the water-filling count of a stable sort at
+    # every SNR; which h2 comes first among tied needs is not part of it
     rng = np.random.default_rng(pairs)
     trials = 500
     h2, g2 = rng.exponential(size=(2, trials, pairs))
-    if pairs > 1:  # rows with copied gains: both sorts are stable
+    if pairs > 1:  # rows with copied gains: tied needs beside different h2
         g2[::3, 1:] = g2[::3, :1]
         g2[1::7, -1] = g2[1::7, 0]
     block = block_of(h2, g2, 15.0)
@@ -296,7 +305,17 @@ def test_waterfill_order_matches_row_major_construction(pairs):
     want = _row_major_waterfill_order(15.0 / g2, h2)
     for x, y in zip(got, want):
         assert x.shape == y.shape and x.dtype == y.dtype
+    assert np.array_equal(got[0], want[0])
+    for x, y in zip(_by_need_then_h2(*got), _by_need_then_h2(*want)):
         assert np.array_equal(x, y)
+    for snr in range(0, 50, 5):
+        config = SystemConfig(pairs=pairs, rate=2.0, source_power=power_from_snr_db(snr))
+        decoded, n, budget = harvest(block.h2, config)
+        need, sorted_h2 = want
+        live = sorted_h2 > config.decode_threshold
+        spent = np.cumsum(need * live, axis=0)
+        stable = (live & (spent <= budget)).sum(axis=0)
+        assert np.array_equal(allocate("waterfill", block, decoded, n, budget, config), stable)
 
 
 def test_dispatch_unknown_name():

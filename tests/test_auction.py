@@ -433,8 +433,8 @@ def test_no_equilibrium_fails_the_radius_test(seed, interior, one_big, tied, cap
     budget = [np.where((t > 0.0) & (t < 1.5 * scale), t, 0.0).sum()]
     for _ in range(8):
         budget = [np.nextafter(budget[0], -np.inf), *budget, np.nextafter(budget[-1], np.inf)]
-    # (targets near 1e-17 of the level may round to 0 or below, and the demand with them)
     budget = np.concatenate([budget, scale * 10.0 ** rng.uniform(-1.0, 1.0, 8)])
+    # (targets near 1e-17 of the level may round to 0 or below, and the demand with them)
     budget = budget[budget > 0.0, None]
     _, exists, rho = predict_allocation(price, budget, g2)
     slack = (2 * len(g2) + 4) * 2.0**-53
@@ -443,7 +443,6 @@ def test_no_equilibrium_fails_the_radius_test(seed, interior, one_big, tied, cap
     demand = auction._branches(price, budget, g2)[1].sum(axis=-1)
     clear = demand >= budget[:, 0] * (1.0 + slack)
     assert not (clear & auction._radius_below(rho, auction._RADIUS_LIMIT)).any()
-    assert not (clear & exists).any()
 
 
 @pytest.mark.parametrize("pairs", [None, 20], ids=["1-10", "20"])
@@ -663,7 +662,7 @@ def test_allocate_auction_serves_what_the_bid_dynamics_reach(rule, monkeypatch):
 
 def test_allocate_auction_predicts_no_whole_block(monkeypatch):
     # the served count is the price scan's, whose winning rungs are checked
-    # chunk by chunk through rho's helper (looked up at call time, as
+    # chunk by chunk on rho from _branches (looked up at call time, as
     # predict_allocation is for a tracer's wrapper): no call takes the whole
     # block, and the counts are the oracle's
     rng = np.random.default_rng(130)
